@@ -177,8 +177,10 @@ const net::PacketTrace& multi_flow_trace() {
   return trace;
 }
 
-/// Demux A/B: Arg(0) = copying demux_flows, Arg(1) = zero-copy
-/// demux_flow_views. Reports per-packet allocation and byte costs of each
+/// Demux A/B: Arg(0) = copying demux_flows (the views plus a FlowPacket
+/// copy of every packet), Arg(1) = zero-copy demux_flow_views (one
+/// FlowAccumulator pass; the only per-packet state left is the 8 B pointer
+/// pool). Reports per-packet allocation and byte costs of each
 /// representation alongside throughput.
 void BM_Demux(benchmark::State& state) {
   const bool view = state.range(0) != 0;
@@ -189,7 +191,7 @@ void BM_Demux(benchmark::State& state) {
   for (auto _ : state) {
     if (view) {
       const auto views = analysis::demux_flow_views(trace);
-      rep_bytes = views.index_bytes();
+      rep_bytes = views.pool_bytes();
       benchmark::DoNotOptimize(views.size());
     } else {
       const auto flows = analysis::demux_flows(trace);
@@ -214,8 +216,9 @@ void BM_Demux(benchmark::State& state) {
 BENCHMARK(BM_Demux)->Arg(0)->Arg(1);
 
 /// Analyzer A/B over the same trace: Arg(0) = materialize owning Flows and
-/// analyze those; Arg(1) = analyze FlowViews straight off the arena (the
-/// Analyzer::analyze default). Classification output is identical by
+/// analyze those; Arg(1) = Analyzer::analyze, which demuxes the arena in
+/// place and analyzes the FlowViews with no per-packet copy. Arg(1) must
+/// match or beat Arg(0). Classification output is identical by
 /// construction (shared cursor-templated mimic) and by test.
 void BM_AnalyzeTrace(benchmark::State& state) {
   const bool view = state.range(0) != 0;

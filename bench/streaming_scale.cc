@@ -85,6 +85,17 @@ void counted_free(void* p) {
 
 void* operator new(std::size_t n) { return counted_alloc(n); }
 void* operator new[](std::size_t n) { return counted_alloc(n); }
+// The nothrow forms (std::stable_sort's temporary buffer) must come from
+// the same malloc as the replaced deletes free into; a sanitizer runtime
+// otherwise supplies its own and reports every such free as a mismatch.
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  void* p = std::malloc(n);
+  if (p != nullptr) note_alloc(p);
+  return p;
+}
+void* operator new[](std::size_t n, const std::nothrow_t& tag) noexcept {
+  return operator new(n, tag);
+}
 void operator delete(void* p) noexcept { counted_free(p); }
 void operator delete[](void* p) noexcept { counted_free(p); }
 void operator delete(void* p, std::size_t) noexcept { counted_free(p); }

@@ -2,15 +2,11 @@
 
 #include <algorithm>
 #include <cassert>
-#include <limits>
 #include <set>
 #include <span>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
 
-#include "net/chunk.h"
-#include "tapo/live.h"
 #include "telemetry/telemetry.h"
 #include "util/logging.h"
 
@@ -216,6 +212,9 @@ struct SegMimic {
 /// Per-packet snapshot written during the mimic walk (pass 1) and consumed
 /// by the stall detector/classifier (pass 2).
 struct PktAnno {
+  /// The packet's (quantum-floored) timestamp, kept here so the stall
+  /// pass never goes back to the packet storage.
+  TimePoint ts;
   tcp::CaState state = tcp::CaState::kOpen;
   std::uint32_t in_flight = 0;
   std::uint32_t outstanding = 0;  // packets_out
@@ -259,6 +258,7 @@ class FlowCursor {
   explicit FlowCursor(const Flow& flow) : flow_(&flow) {}
   const FlowMeta& meta() const { return *flow_; }
   std::size_t size() const { return flow_->packets.size(); }
+  void prefetch(std::size_t) const {}  // contiguous: the hardware prefetches
   PacketView at(std::size_t i) const {
     const FlowPacket& p = flow_->packets[i];
     return {p.ts,          p.seq,    p.ack,          p.payload,
@@ -270,13 +270,25 @@ class FlowCursor {
   const Flow* flow_;
 };
 
-/// Cursor over a non-owning FlowView: reads CapturedPackets straight from
-/// the PacketTrace arena; nothing per packet is materialized anywhere.
+/// Cursor over a non-owning FlowView: reads CapturedPackets in place, from
+/// whatever storage was demuxed; nothing per packet is materialized.
 class ViewCursor {
  public:
   explicit ViewCursor(const FlowView& view) : view_(&view) {}
   const FlowMeta& meta() const { return *view_; }
   std::size_t size() const { return view_->size(); }
+  /// Starts loading packet i's record ahead of use. The pointer pool is
+  /// sequential, but the records it points at are scattered across the
+  /// capture, where the hardware prefetcher cannot follow.
+  void prefetch(std::size_t i) const {
+    if (i >= view_->size()) return;
+    // A record can straddle three cache lines; touch each one.
+    const auto* rec = reinterpret_cast<const char*>(&view_->packet(i));
+    for (std::size_t off = 0; off < sizeof(net::CapturedPacket); off += 64) {
+      __builtin_prefetch(rec + off);
+    }
+    __builtin_prefetch(rec + sizeof(net::CapturedPacket) - 1);
+  }
   PacketView at(std::size_t i) const {
     const net::CapturedPacket& cp = view_->packet(i);
     return {cp.timestamp,
@@ -347,6 +359,9 @@ class FlowMimic {
   RetransCause classify_retrans(const PktAnno& prev, const PktAnno& cur,
                                 TimePoint stall_start, bool& f_double) const;
   net::Seq32 response_end_for(const SegMimic& seg) const;
+
+  /// How many packets ahead of the walk the cursor starts loading.
+  static constexpr std::size_t kPrefetchAhead = 8;
 
   const Cursor cursor_;
   const FlowMeta& meta_;
@@ -739,6 +754,7 @@ void FlowMimic<Cursor>::run(FlowAnalysis& out) {
 
   annos_.resize(cursor_.size());
   for (std::size_t i = 0; i < cursor_.size(); ++i) {
+    cursor_.prefetch(i + kPrefetchAhead);
     const PacketView p = pkt(i);
     PktAnno& a = annos_[i];
     if (p.truncated) ++quality_.truncated_packets;
@@ -749,6 +765,7 @@ void FlowMimic<Cursor>::run(FlowAnalysis& out) {
       // without re-processing, so the copy adds no data, retransmission,
       // or request accounting.
       a = annos_[i - 1];
+      a.ts = p.ts;
       a.server_data = false;
       a.is_retrans = false;
       a.is_timeout_retrans = false;
@@ -758,6 +775,7 @@ void FlowMimic<Cursor>::run(FlowAnalysis& out) {
       ++quality_.dup_packets;
       continue;
     }
+    a.ts = p.ts;
     if (p.from_server) {
       process_server_packet(p, a);
       if (a.server_data) {
@@ -787,9 +805,8 @@ void FlowMimic<Cursor>::run(FlowAnalysis& out) {
   }
 
   // Transfer-level metrics.
-  if (cursor_.size() > 0) {
-    out.transmission_time =
-        pkt(cursor_.size() - 1).ts - pkt(0).ts;
+  if (!annos_.empty()) {
+    out.transmission_time = annos_.back().ts - annos_.front().ts;
   }
   for (const auto& s : segs_) out.unique_bytes += s.len();
   if (!out.rtt_samples_us.empty()) {
@@ -824,9 +841,9 @@ void FlowMimic<Cursor>::run(FlowAnalysis& out) {
   // Average speed over the *active* data phase: first payload transmission
   // to flow end, minus stalled time — i.e. the transfer rate the service
   // delivers while actually moving data.
-  if (!segs_.empty() && cursor_.size() > 0) {
+  if (!segs_.empty() && !annos_.empty()) {
     const Duration data_phase =
-        pkt(cursor_.size() - 1).ts - segs_.front().tx_times.front();
+        annos_.back().ts - segs_.front().tx_times.front();
     // Stalls that straddle the start of the data phase (e.g. a back-end
     // fetch ending in the first data packet) can push `active` to zero;
     // fall back to the raw data-phase rate then.
@@ -840,13 +857,9 @@ void FlowMimic<Cursor>::run(FlowAnalysis& out) {
 
 template <typename Cursor>
 void FlowMimic<Cursor>::detect_and_classify(FlowAnalysis& out) {
-  if (cursor_.size() == 0) return;
-  TimePoint prev_ts = pkt(0).ts;
-  for (std::size_t i = 0; i + 1 < cursor_.size(); ++i) {
-    const TimePoint cur_ts = pkt(i + 1).ts;
-    const Duration gap = cur_ts - prev_ts;
-    prev_ts = cur_ts;
+  for (std::size_t i = 0; i + 1 < annos_.size(); ++i) {
     const PktAnno& prev = annos_[i];
+    const Duration gap = annos_[i + 1].ts - prev.ts;
     if (!prev.established || !prev.has_srtt) continue;
     const Duration thresh = std::min(prev.srtt * config_.tau, prev.rto);
     if (gap <= thresh) continue;
@@ -868,8 +881,8 @@ StallRecord FlowMimic<Cursor>::classify_stall(std::size_t prev_idx,
   const PktAnno& prev = annos_[prev_idx];
   const PktAnno& cur = annos_[cur_idx];
   StallRecord rec;
-  rec.start = pkt(prev_idx).ts;
-  rec.end = pkt(cur_idx).ts;
+  rec.start = prev.ts;
+  rec.end = cur.ts;
   rec.duration = rec.end - rec.start;
   rec.state_at_stall = prev.state;
   rec.in_flight = prev.in_flight;
@@ -1035,37 +1048,15 @@ FlowAnalysis Analyzer::analyze_flow(const FlowView& view) const {
 
 namespace {
 
-/// Batch-over-streaming adapter: feeds every packet `for_each` yields
-/// through an unbounded LiveAnalyzer (no timeouts, no caps — nothing
-/// finalizes until flush, so every flow is analyzed whole, exactly like
-/// the old batch path), then restores first-packet flow order, which the
-/// LRU-driven flush does not preserve.
-template <typename ForEachPacket>
-AnalysisResult analyze_streamed(const AnalyzerConfig& config,
-                                const DemuxOptions& demux,
-                                ForEachPacket&& for_each) {
-  LiveConfig live_config;
-  live_config.with_analyzer(config)
-      .with_demux(demux)
-      .with_idle_timeout(Duration::max())
-      .with_fin_linger(Duration::max())
-      .with_max_flows(std::numeric_limits<std::size_t>::max())
-      .with_max_packets_per_flow(std::numeric_limits<std::size_t>::max());
-
+/// The batch engine: analyzes every view in place and moves each result
+/// out. The views are already in first-packet order.
+AnalysisResult analyze_views(const Analyzer& analyzer,
+                             const FlowViewSet& views) {
   AnalysisResult result;
-  LiveAnalyzer live(live_config, LiveAnalyzer::FlowDoneFn(
-      [&result](const FlowAnalysis& fa) { result.flows.push_back(fa); }));
-  std::unordered_map<net::FlowKey, std::size_t, net::FlowKeyHash> first_seen;
-  for_each([&](const net::CapturedPacket& pkt) {
-    first_seen.try_emplace(pkt.key.canonical(), first_seen.size());
-    live.add_packet(pkt);
-  });
-  live.flush();
-  std::stable_sort(result.flows.begin(), result.flows.end(),
-                   [&first_seen](const FlowAnalysis& a, const FlowAnalysis& b) {
-                     return first_seen.at(a.key.canonical()) <
-                            first_seen.at(b.key.canonical());
-                   });
+  result.flows.reserve(views.size());
+  for (const FlowView& view : views) {
+    result.flows.push_back(analyzer.analyze_flow(view));
+  }
   return result;
 }
 
@@ -1073,19 +1064,12 @@ AnalysisResult analyze_streamed(const AnalyzerConfig& config,
 
 AnalysisResult Analyzer::analyze(const net::PacketTrace& trace,
                                  const DemuxOptions& demux) const {
-  return analyze_streamed(config_, demux, [&trace](auto&& feed) {
-    for (const net::CapturedPacket& pkt : trace.packets()) feed(pkt);
-  });
+  return analyze_views(*this, demux_flow_views(trace, demux));
 }
 
 AnalysisResult Analyzer::analyze(const net::ChunkedTrace& trace,
                                  const DemuxOptions& demux) const {
-  return analyze_streamed(config_, demux, [&trace](auto&& feed) {
-    for (const net::TraceChunk& chunk : trace.chunks()) {
-      for (const net::CapturedPacket& pkt : chunk.packets()) feed(pkt);
-    }
-    for (const net::CapturedPacket& pkt : trace.open_packets()) feed(pkt);
-  });
+  return analyze_views(*this, demux_flow_views(trace, demux));
 }
 
 }  // namespace tapo::analysis

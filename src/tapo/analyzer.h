@@ -66,8 +66,8 @@ struct StallRecord {
   std::uint32_t in_flight = 0;
   /// Retransmitted packet index / data packets in flow (Fig. 7a / 10a).
   double rel_position = 0.0;
-  /// Index (into the flow's packet sequence — Flow::packets or a
-  /// FlowView's packet_indices positions) of the packet ending the stall.
+  /// Index (into the flow's packet sequence — Flow::packets or
+  /// FlowView::packets positions) of the packet ending the stall.
   std::size_t cur_pkt_index = 0;
   /// The classifier demoted this stall to kUndetermined because capture
   /// artifacts (a sequence gap, a mid-stream start) made the cause
@@ -217,15 +217,14 @@ class Analyzer {
   FlowAnalysis analyze_flow(const Flow& flow) const;
   FlowAnalysis analyze_flow(const FlowView& view) const;
 
-  /// Batch entry point, now a veneer over the streaming engine: every
-  /// packet is fed through an unbounded LiveAnalyzer (one engine for the
-  /// offline and live paths) and the finalized flows are returned in
-  /// first-packet order — exactly the order the old multi-pass batch
-  /// demux produced. Still zero-copy per flow: the per-flow arenas are
-  /// demuxed with demux_flow_views and analyzed in place.
+  /// Batch entry point: one FlowAccumulator pass demuxes the trace in
+  /// place (demux_flow_views), then analyze_flow runs on each view. Flows
+  /// come back in first-packet order. Nothing per packet is copied; the
+  /// views only live for the duration of the call.
   AnalysisResult analyze(const net::PacketTrace& trace,
                          const DemuxOptions& demux = {}) const;
-  /// Same, over a chunked trace (retained chunks + open tail, in order).
+  /// Same, over a retained chunked trace (retained chunks + open tail, in
+  /// order), read in place — never concatenated.
   AnalysisResult analyze(const net::ChunkedTrace& trace,
                          const DemuxOptions& demux = {}) const;
 

@@ -3,6 +3,8 @@
 #include <stdexcept>
 #include <unordered_map>
 
+#include "net/chunk.h"
+
 namespace tapo::analysis {
 namespace {
 
@@ -65,8 +67,12 @@ FlowAccumulator::FlowAccumulator(const DemuxOptions& opts) : opts_(opts) {
   opts_.validate();
 }
 
-void FlowAccumulator::ingest(const net::CapturedPacket& pkt,
-                             std::uint32_t index) {
+void FlowAccumulator::reserve(std::size_t packets) {
+  slot_of_.reserve(packets);
+  packet_of_.reserve(packets);
+}
+
+void FlowAccumulator::ingest(const net::CapturedPacket& pkt) {
   // Hash the packet's canonical key to a flow slot (first-seen order),
   // tallying counts and orientation evidence. slot_of_ remembers each
   // packet's flow so finish() never rehashes.
@@ -79,7 +85,7 @@ void FlowAccumulator::ingest(const net::CapturedPacket& pkt,
   }
   Accum& a = accums_[it->second];
   slot_of_.push_back(it->second);
-  index_of_.push_back(index);
+  packet_of_.push_back(&pkt);
   ++a.count;
   const bool from_a = pkt.key == canon;
   if (from_a) {
@@ -91,28 +97,32 @@ void FlowAccumulator::ingest(const net::CapturedPacket& pkt,
   }
 }
 
-FlowViewSet FlowAccumulator::finish(const net::PacketTrace& trace) {
+FlowViewSet FlowAccumulator::finish() {
   // Prefix-sum the counts into pool offsets (every flow gets a segment;
   // below-min flows are simply never wrapped in a view).
   FlowViewSet out;
-  out.index_pool_.resize(index_of_.size());
+  out.pool_.resize(packet_of_.size());
   std::uint32_t running = 0;
   for (Accum& a : accums_) {
     a.offset = running;
     running += a.count;
   }
 
-  // Scatter packet indices into each flow's segment, preserving capture
+  // Scatter packet addresses into each flow's segment, preserving capture
   // order within the flow.
   {
     std::vector<std::uint32_t> cursor(accums_.size());
     for (std::size_t i = 0; i < accums_.size(); ++i) {
       cursor[i] = accums_[i].offset;
     }
-    for (std::size_t i = 0; i < index_of_.size(); ++i) {
-      out.index_pool_[cursor[slot_of_[i]]++] = index_of_[i];
+    for (std::size_t i = 0; i < packet_of_.size(); ++i) {
+      out.pool_[cursor[slot_of_[i]]++] = packet_of_[i];
     }
   }
+  // The pool now holds the membership; drop the per-packet bookkeeping
+  // before the caller analyzes the views.
+  std::vector<std::uint32_t>().swap(slot_of_);
+  std::vector<const net::CapturedPacket*>().swap(packet_of_);
 
   // Orient each kept flow and walk its segment once to extract the
   // handshake/transfer meta.
@@ -132,12 +142,10 @@ FlowViewSet FlowAccumulator::finish(const net::PacketTrace& trace) {
 
     FlowView view;
     view.server_to_client = server_is_a ? a.canonical : a.canonical.reversed();
-    view.trace = &trace;
-    view.packet_indices = std::span<const std::uint32_t>(out.index_pool_)
-                              .subspan(a.offset, a.count);
-    for (std::uint32_t idx : view.packet_indices) {
-      const net::CapturedPacket& cp = trace[idx];
-      fold_meta(view, cp, cp.key == view.server_to_client);
+    view.packets = std::span<const net::CapturedPacket* const>(out.pool_)
+                       .subspan(a.offset, a.count);
+    for (const net::CapturedPacket* cp : view.packets) {
+      fold_meta(view, *cp, cp->key == view.server_to_client);
     }
     if (view.init_rwnd_bytes == 0) view.init_rwnd_bytes = view.syn_window;
     view.mid_stream =
@@ -150,11 +158,20 @@ FlowViewSet FlowAccumulator::finish(const net::PacketTrace& trace) {
 FlowViewSet demux_flow_views(const net::PacketTrace& trace,
                              const DemuxOptions& opts) {
   FlowAccumulator acc(opts);
-  const std::span<const net::CapturedPacket> pkts = trace.packets();
-  for (std::size_t i = 0; i < pkts.size(); ++i) {
-    acc.ingest(pkts[i], static_cast<std::uint32_t>(i));
+  acc.reserve(trace.size());
+  for (const net::CapturedPacket& pkt : trace.packets()) acc.ingest(pkt);
+  return acc.finish();
+}
+
+FlowViewSet demux_flow_views(const net::ChunkedTrace& trace,
+                             const DemuxOptions& opts) {
+  FlowAccumulator acc(opts);
+  acc.reserve(trace.size());
+  for (const net::TraceChunk& chunk : trace.chunks()) {
+    for (const net::CapturedPacket& pkt : chunk.packets()) acc.ingest(pkt);
   }
-  return acc.finish(trace);
+  for (const net::CapturedPacket& pkt : trace.open_packets()) acc.ingest(pkt);
+  return acc.finish();
 }
 
 std::vector<Flow> demux_flows(const net::PacketTrace& trace,
@@ -167,8 +184,8 @@ std::vector<Flow> demux_flows(const net::PacketTrace& trace,
     Flow flow;
     static_cast<FlowMeta&>(flow) = view;  // meta is already extracted
     flow.packets.reserve(view.size());
-    for (std::uint32_t idx : view.packet_indices) {
-      const net::CapturedPacket& cp = trace[idx];
+    for (const net::CapturedPacket* p : view.packets) {
+      const net::CapturedPacket& cp = *p;
       FlowPacket& fp = flow.append_packet();
       fp.ts = cp.timestamp;
       fp.from_server = cp.key == flow.server_to_client;

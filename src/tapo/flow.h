@@ -4,16 +4,18 @@
 // initial receive window — Table 2's "receiver side" category).
 //
 // Two representations share one extraction pass:
-//  - FlowView (preferred, zero-copy): per-flow spans of packet *indices*
-//    into the PacketTrace arena, produced by demux_flow_views. Nothing per
-//    packet is copied; the analyzer reads the arena through a cursor.
+//  - FlowView (preferred, zero-copy): per-flow spans of packet *pointers*
+//    into the demuxed storage, produced by demux_flow_views. Nothing per
+//    packet is copied; the analyzer reads the packets through a cursor.
 //  - Flow (owning): compact FlowPacket records copied out of the trace,
 //    produced by demux_flows — now a thin adapter over the view demux.
 //    Kept for callers that outlive the trace (and for hand-built tests).
 //
-// View lifetime rule: a FlowView borrows both the PacketTrace arena and the
-// FlowViewSet index pool; it is valid until either is mutated or destroyed.
-// PacketTrace::sort_by_time permutes indices, so sort first, demux after.
+// View lifetime rule: a FlowView borrows the storage that was ingested (a
+// PacketTrace arena, or a ChunkedTrace's retained chunks and open tail) and
+// the FlowViewSet pointer pool; it is valid until either is mutated or
+// destroyed. PacketTrace::sort_by_time moves packets, so sort first, demux
+// after.
 #pragma once
 
 #include <cstdint>
@@ -115,16 +117,15 @@ struct Flow : FlowMeta {
   }
 };
 
-/// Non-owning flow: a span of packet indices into the demuxed PacketTrace.
-/// Packets keep capture order. Borrowed storage — see the lifetime rule in
-/// the file comment.
+/// Non-owning flow: a span of pointers to the flow's packets wherever they
+/// were ingested. Packets keep capture order. Borrowed storage — see the
+/// lifetime rule in the file comment.
 struct FlowView : FlowMeta {
-  const net::PacketTrace* trace = nullptr;
-  std::span<const std::uint32_t> packet_indices;
+  std::span<const net::CapturedPacket* const> packets;
 
-  std::size_t size() const { return packet_indices.size(); }
+  std::size_t size() const { return packets.size(); }
   const net::CapturedPacket& packet(std::size_t i) const {
-    return (*trace)[packet_indices[i]];
+    return *packets[i];
   }
 };
 
@@ -145,8 +146,8 @@ struct DemuxOptions {
   void validate() const;
 };
 
-/// Result of a view-based demux: the per-flow views plus the index pool
-/// they point into. Movable (spans chase the pool's heap buffer); not
+/// Result of a view-based demux: the per-flow views plus the pointer pool
+/// they span. Movable (spans chase the pool's heap buffer); not
 /// copyable — copying would silently duplicate the pool while the views
 /// keep pointing at the original.
 class FlowViewSet {
@@ -164,41 +165,39 @@ class FlowViewSet {
   auto begin() const { return flows_.begin(); }
   auto end() const { return flows_.end(); }
 
-  /// Index-pool footprint — the entire per-packet cost of a view demux.
-  std::size_t index_bytes() const {
-    return index_pool_.size() * sizeof(std::uint32_t);
+  /// Pointer-pool footprint — the entire per-packet cost of a view demux.
+  std::size_t pool_bytes() const {
+    return pool_.size() * sizeof(const net::CapturedPacket*);
   }
 
  private:
   friend class FlowAccumulator;
-  std::vector<std::uint32_t> index_pool_;
+  std::vector<const net::CapturedPacket*> pool_;
   std::vector<FlowView> flows_;
 };
 
-/// Streaming core of the demux. Packets fold in one at a time — per
-/// canonical key it accumulates membership (arena indices) and
-/// orientation evidence (payload per endpoint, SYN-ACK sightings) — and
-/// finish() orients each kept flow and extracts its meta. demux_flow_views
-/// is a thin wrapper that feeds one whole trace through an accumulator;
-/// chunked producers feed the same accumulator incrementally instead of
-/// requiring the batch multi-pass plumbing this replaced.
+/// The demux engine behind every analysis path. Packets fold in one at a
+/// time, in place — per canonical key it accumulates membership (packet
+/// addresses) and orientation evidence (payload per endpoint, SYN-ACK
+/// sightings) — and finish() orients each kept flow, in first-packet
+/// order, and extracts its meta.
 class FlowAccumulator {
  public:
   explicit FlowAccumulator(const DemuxOptions& opts);
 
-  /// Folds in the packet stored at arena index `index`. Indices must be
-  /// strictly increasing (capture order).
-  void ingest(const net::CapturedPacket& pkt, std::uint32_t index);
+  /// Pre-sizes the per-packet bookkeeping for `packets` ingests.
+  void reserve(std::size_t packets);
 
-  /// Builds the per-flow views over `trace` — the arena the ingested
-  /// indices point into. Call once, after the last ingest.
-  FlowViewSet finish(const net::PacketTrace& trace);
+  /// Folds in `pkt`, in capture order. The packet is borrowed, not copied:
+  /// it must stay at this address while the resulting views are in use.
+  void ingest(const net::CapturedPacket& pkt);
 
-  std::size_t packets() const { return index_of_.size(); }
-  std::size_t flows() const { return accums_.size(); }
+  /// Builds the per-flow views over the ingested packets and releases the
+  /// per-packet bookkeeping. Call once, after the last ingest.
+  FlowViewSet finish();
 
  private:
-  /// Per-flow tallies; packet membership lives in index_of_/slot_of_ and
+  /// Per-flow tallies; packet membership lives in packet_of_/slot_of_ and
   /// is scattered into the FlowViewSet pool by finish().
   struct Accum {
     net::FlowKey canonical;
@@ -212,14 +211,18 @@ class FlowAccumulator {
   DemuxOptions opts_;
   std::unordered_map<net::FlowKey, std::uint32_t, net::FlowKeyHash> table_;
   std::vector<Accum> accums_;
-  std::vector<std::uint32_t> slot_of_;   // per ingested packet: flow slot
-  std::vector<std::uint32_t> index_of_;  // per ingested packet: arena index
+  std::vector<std::uint32_t> slot_of_;  // per ingested packet: flow slot
+  std::vector<const net::CapturedPacket*> packet_of_;  // ... and its address
 };
 
 /// Splits `trace` into non-owning per-flow views without copying a single
 /// packet. Packets within a flow keep capture order; flows appear in
 /// first-packet order.
 FlowViewSet demux_flow_views(const net::PacketTrace& trace,
+                             const DemuxOptions& opts = {});
+/// Same, over a retained ChunkedTrace: the retained chunks, then the open
+/// tail, demuxed in place (nothing is concatenated).
+FlowViewSet demux_flow_views(const net::ChunkedTrace& trace,
                              const DemuxOptions& opts = {});
 
 /// Splits `trace` into owning flows (adapter over demux_flow_views: same

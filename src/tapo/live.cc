@@ -125,15 +125,9 @@ void LiveAnalyzer::finalize(const net::FlowKey& key) {
   count_flow_event("finalize");
   stats_.active_flows = flows_.size();
   if (!entry.trace.empty()) {
-    // The one analysis engine: demux core + per-flow kernel, invoked
-    // directly. Analyzer::analyze is a wrapper over *this* class, so
-    // calling it here would recurse.
-    const FlowViewSet views = demux_flow_views(entry.trace, config_.demux);
-    AnalysisResult result;
-    result.flows.reserve(views.size());
-    for (const FlowView& view : views) {
-      result.flows.push_back(analyzer_.analyze_flow(view));
-    }
+    // The one analysis engine (FlowAccumulator demux + analyze_flow) over
+    // this flow's arena.
+    AnalysisResult result = analyzer_.analyze(entry.trace, config_.demux);
     if (on_flow_done_) {
       for (const auto& fa : result.flows) on_flow_done_(fa);
     }
@@ -173,7 +167,7 @@ std::size_t LiveAnalyzer::charge_after_append(const Entry& entry) const {
 
 std::size_t LiveAnalyzer::soft_limit() const {
   // Evict down to half the cap, not the cap itself: the headroom absorbs
-  // the open ingest chunk plus the finalize-time transients (demux index
+  // the open ingest chunk plus the finalize-time transients (demux pointer
   // pool, per-packet analysis state), which scale with the largest
   // buffered flow — i.e. with the retained half. This is what keeps the
   // allocator-measured process peak, not just the ledger, under the cap
@@ -232,10 +226,9 @@ void LiveAnalyzer::add_packet(const net::CapturedPacket& pkt) {
     lru_.push_back(key);
     it->second.lru_it = std::prev(lru_.end());
   } else {
-    // Move to the back of the LRU.
-    lru_.erase(it->second.lru_it);
-    lru_.push_back(key);
-    it->second.lru_it = std::prev(lru_.end());
+    // Move to the back of the LRU; splicing relinks the node in place, so
+    // the iterator stays valid and nothing is allocated.
+    lru_.splice(lru_.end(), lru_, it->second.lru_it);
   }
 
   // Make room for the projected arena growth BEFORE add() allocates it —

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <span>
 #include <sstream>
 #include <unordered_map>
 #include <vector>
@@ -239,6 +240,75 @@ TEST(StreamingEquivalence, FullPipelineMatchesBatchForEveryChunkSize) {
           analyze_via_streaming_pipeline(trace, packets, nullptr);
       expect_same_result(streamed, batch);
     }
+  }
+}
+
+TEST(ChunkedDemux, ViewsPointIntoRetainedChunksWithoutCopying) {
+  const net::PacketTrace trace =
+      merged_trace(workload::web_search_profile(), /*seed=*/21, 4);
+  ASSERT_GT(trace.size(), 1u);
+  const auto per = sizeof(net::CapturedPacket);
+  for (const std::size_t packets :
+       {std::size_t{1}, std::max<std::size_t>(1, 4096 / per), trace.size()}) {
+    SCOPED_TRACE(packets);
+    const net::ChunkedTrace chunks = rechunk(trace, packets);
+    std::vector<std::span<const net::CapturedPacket>> storage;
+    for (const net::TraceChunk& chunk : chunks.chunks()) {
+      storage.push_back(chunk.packets());
+    }
+    storage.push_back(chunks.open_packets());
+    const auto stored = [&storage](const net::CapturedPacket* p) {
+      return std::any_of(storage.begin(), storage.end(), [p](const auto& s) {
+        return !s.empty() && p >= s.data() && p < s.data() + s.size();
+      });
+    };
+
+    const FlowViewSet views = demux_flow_views(chunks);
+    std::size_t viewed = 0;
+    for (const FlowView& view : views) {
+      for (std::size_t i = 0; i < view.size(); ++i) {
+        ASSERT_TRUE(stored(&view.packet(i)))
+            << "packet " << i << " of a view is not chunk storage";
+      }
+      viewed += view.size();
+    }
+    EXPECT_EQ(viewed, trace.size());
+  }
+}
+
+TEST(ChunkedDemux, AnalyzeAppliesDemuxOptionsLikeTheViewPath) {
+  // analyze() must honour server_port and min_packets exactly as
+  // demux_flow_views + analyze_flow do, over both trace shapes.
+  const Analyzer analyzer;
+  const net::PacketTrace trace =
+      merged_trace(workload::web_search_profile(), /*seed=*/65, 8);
+  const FlowViewSet all = demux_flow_views(trace);
+  ASSERT_GT(all.size(), 2u);
+  std::vector<std::size_t> sizes;
+  for (const FlowView& v : all) sizes.push_back(v.size());
+  std::nth_element(sizes.begin(), sizes.begin() + sizes.size() / 2,
+                   sizes.end());
+  const std::size_t median = sizes[sizes.size() / 2];
+  const net::FlowKey first = all[0].server_to_client;
+
+  // The real server port, then the first flow's client port (which flips
+  // every flow's orientation), each with a min_packets that drops flows.
+  for (const std::uint16_t port : {first.src_port, first.dst_port}) {
+    SCOPED_TRACE(port);
+    const DemuxOptions opts =
+        DemuxOptions{}.with_server_port(port).with_min_packets(median);
+    const FlowViewSet views = demux_flow_views(trace, opts);
+    ASSERT_GT(views.size(), 0u);
+    ASSERT_LT(views.size(), all.size());
+    AnalysisResult expected;
+    for (const FlowView& view : views) {
+      expected.flows.push_back(analyzer.analyze_flow(view));
+    }
+    expect_same_result(analyzer.analyze(trace, opts), expected);
+    expect_same_result(
+        analyzer.analyze(rechunk(trace, 4096 / sizeof(net::CapturedPacket)),
+                         opts),
+        expected);
   }
 }
 

@@ -42,6 +42,15 @@
 #            (bench/chaos_storm.cc) — hostile-network paths are exactly
 #            where latent memory and UB bugs hide, so the storm runs
 #            instrumented both ways without repeating the full sweep
+#   perf     smoke run of the performance benchmark: bench/perf_baseline/
+#            run.sh --seconds=1 over all four workloads (sim_web,
+#            sim_cloud, pcap_batch, pcap_stream) on its own Release build.
+#            Fails only on the harness's exit code, i.e. on its output
+#            checks (per-workload digests, record read-back, the memory
+#            budget's high-water mark). The numbers are printed but never
+#            gated: runner wall-clock is too noisy for absolute bounds.
+#            Compare two commits with `run.sh compare` instead (see
+#            bench/perf_baseline/README.md)
 #
 
 # Each configuration gets its own build tree under build-ci/ so sanitizer
@@ -53,7 +62,7 @@ cd "$(dirname "$0")/../.."
 JOBS="${JOBS:-$(nproc)}"
 CONFIGS=("$@")
 if [ ${#CONFIGS[@]} -eq 0 ]; then
-  CONFIGS=(lint default asan ubsan tsan thread-safety robustness fleet streaming chaos)
+  CONFIGS=(lint default asan ubsan tsan thread-safety robustness fleet streaming chaos perf)
 fi
 
 build_and_test() {
@@ -124,6 +133,10 @@ for cfg in "${CONFIGS[@]}"; do
       # its own directories so the label runs stay independently cacheable.
       build_and_test chaos-asan address chaos
       build_and_test chaos-ubsan undefined chaos
+      ;;
+    perf)
+      echo "=== [perf] bench/perf_baseline/run.sh --seconds=1 ==="
+      bash bench/perf_baseline/run.sh --seconds=1
       ;;
     *)
       echo "unknown configuration: ${cfg}" >&2
