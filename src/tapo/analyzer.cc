@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <set>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -185,29 +184,53 @@ void record_capture_quality(const CaptureQuality& q) {
 /// Per-segment state reconstructed by the mimic. Segments persist for the
 /// whole analysis (never popped) so stall classification can look ahead.
 struct SegMimic {
+  SegMimic(net::Seq32 s, net::Seq32 e, std::uint32_t idx, TimePoint sent)
+      : start(s), end(e), index(idx), first_tx(sent), last_tx(sent) {}
+
   net::Seq32 start;
   net::Seq32 end;
-  std::size_t index = 0;  // ordinal among unique data segments
-  std::vector<TimePoint> tx_times;
+  std::uint32_t index;  // ordinal among unique data segments
+  std::uint32_t tx_count = 1;
+  // Transmit times, inline. Capture reordering and jitter can stamp a
+  // transmission earlier than the one before it, so the latest time is
+  // not always the last one; latest_before_last is valid once
+  // tx_count > 1.
+  TimePoint first_tx;
+  TimePoint last_tx;
+  TimePoint latest_before_last;
   TimePoint acked_time = TimePoint::max();
   TimePoint sacked_time = TimePoint::max();
   bool first_retrans_was_rto = false;
-  bool rto_retransmitted = false;
-  bool fast_retransmitted = false;
   bool dsacked = false;
   /// Synthesized for a server-side sequence gap: the capture never recorded
   /// the original transmission of these bytes. Never yields RTT samples;
   /// "retransmissions" of it demote their stall to kUndetermined.
   bool inferred = false;
-  // Live flags during the walk (scoreboard mirror).
-  bool acked = false;
+  // Live flags during the walk (scoreboard mirror). Acked is implicit: a
+  // segment is acked exactly when its index is below first_unacked_idx_.
   bool sacked = false;
   bool lost_est = false;
   bool retrans_pending = false;
 
   std::uint32_t len() const { return net::distance(start, end); }
-  int transmissions() const { return static_cast<int>(tx_times.size()); }
+  int transmissions() const { return static_cast<int>(tx_count); }
+  TimePoint latest_tx() const {
+    return tx_count > 1 ? std::max(latest_before_last, last_tx) : last_tx;
+  }
+  void add_tx(TimePoint t) {
+    latest_before_last = latest_tx();
+    last_tx = t;
+    ++tx_count;
+  }
+  /// A late capture record of the last transmission: it replaces that
+  /// transmission's time.
+  void restamp_last_tx(TimePoint t) {
+    if (tx_count == 1) first_tx = t;
+    last_tx = t;
+  }
 };
+// One per unique data segment for the whole analysis of a flow.
+static_assert(sizeof(SegMimic) <= 72);
 
 /// Per-packet snapshot written during the mimic walk (pass 1) and consumed
 /// by the stall detector/classifier (pass 2).
@@ -236,6 +259,8 @@ struct PktAnno {
   /// an inferred gap segment): cause classification cannot be trusted.
   bool capture_suspect = false;
 };
+// One per packet of the flow: growth costs peak memory directly.
+static_assert(sizeof(PktAnno) <= 72);
 
 
 /// The one packet shape the mimic understands. Both cursors lower their
@@ -329,7 +354,7 @@ class FlowMimic {
     }
     snd_una_ = snd_nxt_;
     stream_head_ = snd_nxt_;
-    head_seqs_.insert(snd_nxt_);  // the first response starts the stream
+    head_seqs_.push_back(snd_nxt_);  // the first response starts the stream
   }
 
   void run(FlowAnalysis& out);
@@ -347,10 +372,33 @@ class FlowMimic {
 
   SegMimic* find_seg(net::Seq32 seq);
   bool is_capture_dup(const PacketView& a, const PacketView& b) const;
-  std::uint32_t packets_out() const;
-  std::uint32_t in_flight() const;
+
+  // Eq.-1 scoreboard. The window is segs_[first_unacked_idx_, end); the
+  // counters count window segments only, and every flag flip goes through
+  // these helpers so they stay exact.
+  std::uint32_t packets_out() const {
+    return static_cast<std::uint32_t>(segs_.size() - first_unacked_idx_);
+  }
+  std::uint32_t in_flight() const {
+    // Eq. 1: packets_out + retrans_out - (sacked_out + lost_out).
+    const std::uint32_t total = packets_out() + retrans_out_;
+    const std::uint32_t gone = sacked_out_ + lost_out_;
+    return total > gone ? total - gone : 0;
+  }
+  bool in_window(const SegMimic& s) const {
+    return s.index >= first_unacked_idx_;
+  }
+  void set_sacked(SegMimic& s);
+  void set_lost(SegMimic& s, bool lost);
+  void set_retrans(SegMimic& s, bool pending);
+  void ack_segment(SegMimic& s, TimePoint at);
   void mark_lost_by_sack();
-  void process_server_packet(const PacketView& p, PktAnno& a);
+#ifndef NDEBUG
+  void check_scoreboard() const;
+#endif
+
+  void process_server_packet(const PacketView& p, PktAnno& a,
+                             FlowAnalysis& out);
   void process_client_packet(const PacketView& p, PktAnno& a,
                              FlowAnalysis& out);
   void snapshot(PktAnno& a) const;
@@ -370,14 +418,23 @@ class FlowMimic {
 
   std::vector<SegMimic> segs_;
   std::vector<PktAnno> annos_;
-  // Response start sequences, serial-ordered: per-flow values span far
-  // less than 2^31 bytes, so SeqLess is a strict weak ordering here.
-  std::set<net::Seq32, net::SeqLess> head_seqs_;
+  // Response start sequences, appended in order as snd_nxt_ only grows:
+  // per-flow values span far less than 2^31 bytes, so the vector is
+  // sorted under SeqLess.
+  std::vector<net::Seq32> head_seqs_;
 
   net::Seq32 snd_una_;
   net::Seq32 snd_nxt_;
   net::Seq32 stream_head_;  // initial snd_nxt_ (synthetic when mid-stream)
   std::size_t first_unacked_idx_ = 0;  // index into segs_ (monotone)
+  std::uint32_t sacked_out_ = 0;
+  std::uint32_t lost_out_ = 0;
+  std::uint32_t retrans_out_ = 0;
+  // Lost-by-SACK cursor (>= first_unacked_idx_): every window segment below
+  // it is SACKed or lost. sacked_from_cursor_ counts the SACKed segments at
+  // or above it.
+  std::size_t lost_cursor_ = 0;
+  std::uint32_t sacked_from_cursor_ = 0;
   CaptureQuality quality_;
 
   tcp::CaState state_ = tcp::CaState::kOpen;
@@ -428,45 +485,95 @@ bool FlowMimic<Cursor>::is_capture_dup(const PacketView& a,
 }
 
 template <typename Cursor>
-std::uint32_t FlowMimic<Cursor>::packets_out() const {
-  std::uint32_t n = 0;
-  for (std::size_t i = first_unacked_idx_; i < segs_.size(); ++i) {
-    if (!segs_[i].acked) ++n;
-  }
-  return n;
+void FlowMimic<Cursor>::set_sacked(SegMimic& s) {
+  // Only window segments are SACKed, and a SACK is never revoked.
+  s.sacked = true;
+  ++sacked_out_;
+  if (s.index >= lost_cursor_) ++sacked_from_cursor_;
 }
 
 template <typename Cursor>
-std::uint32_t FlowMimic<Cursor>::in_flight() const {
-  // Eq. 1: packets_out + retrans_out - (sacked_out + lost_out).
-  std::uint32_t out = 0, retrans = 0, sacked = 0, lost = 0;
-  for (std::size_t i = first_unacked_idx_; i < segs_.size(); ++i) {
-    const SegMimic& s = segs_[i];
-    if (s.acked) continue;
-    ++out;
-    if (s.retrans_pending) ++retrans;
-    if (s.sacked) ++sacked;
-    if (s.lost_est) ++lost;
+void FlowMimic<Cursor>::set_lost(SegMimic& s, bool lost) {
+  if (s.lost_est == lost) return;
+  s.lost_est = lost;
+  if (!in_window(s)) return;
+  if (lost) {
+    ++lost_out_;
+  } else {
+    --lost_out_;
   }
-  const std::uint32_t gone = sacked + lost;
-  const std::uint32_t total = out + retrans;
-  return total > gone ? total - gone : 0;
+}
+
+template <typename Cursor>
+void FlowMimic<Cursor>::set_retrans(SegMimic& s, bool pending) {
+  if (s.retrans_pending == pending) return;
+  s.retrans_pending = pending;
+  if (!in_window(s)) return;
+  if (pending) {
+    ++retrans_out_;
+  } else {
+    --retrans_out_;
+  }
+}
+
+template <typename Cursor>
+void FlowMimic<Cursor>::ack_segment(SegMimic& s, TimePoint at) {
+  // s is segs_[first_unacked_idx_]: it leaves the window and the counters.
+  s.acked_time = at;
+  if (s.sacked) {
+    --sacked_out_;
+    if (s.index >= lost_cursor_) --sacked_from_cursor_;
+  }
+  if (s.lost_est) --lost_out_;
+  if (s.retrans_pending) --retrans_out_;
+  ++first_unacked_idx_;
+  lost_cursor_ = std::max(lost_cursor_, first_unacked_idx_);
 }
 
 template <typename Cursor>
 void FlowMimic<Cursor>::mark_lost_by_sack() {
-  std::uint32_t sacked_above = 0;
-  for (std::size_t i = segs_.size(); i-- > first_unacked_idx_;) {
-    SegMimic& s = segs_[i];
-    if (s.acked) break;
+  // An unSACKed window segment is lost once dupthres SACKed segments lie
+  // above it. Segments only leave the window from below and SACKs are
+  // never revoked, so those segments form a window prefix that only
+  // grows. A segment the cursor has passed stays SACKed or lost (only a
+  // SACK clears lost_est), so each segment is visited once.
+  while (lost_cursor_ < segs_.size()) {
+    SegMimic& s = segs_[lost_cursor_];
+    const std::uint32_t sacked_above = sacked_from_cursor_ - (s.sacked ? 1 : 0);
+    if (sacked_above < config_.dupthres) break;
     if (s.sacked) {
-      ++sacked_above;
-    } else if (!s.lost_est && sacked_above >= config_.dupthres) {
-      s.lost_est = true;
-      s.retrans_pending = false;
+      --sacked_from_cursor_;
+    } else if (!s.lost_est) {
+      set_lost(s, true);
+      set_retrans(s, false);
     }
+    ++lost_cursor_;
   }
 }
+
+#ifndef NDEBUG
+template <typename Cursor>
+void FlowMimic<Cursor>::check_scoreboard() const {
+  // From-scratch recount of everything the counters and cursor replace.
+  std::uint32_t sacked = 0, lost = 0, retrans = 0, sacked_from_cursor = 0;
+  for (std::size_t i = first_unacked_idx_; i < segs_.size(); ++i) {
+    const SegMimic& s = segs_[i];
+    sacked += s.sacked ? 1 : 0;
+    lost += s.lost_est ? 1 : 0;
+    retrans += s.retrans_pending ? 1 : 0;
+    if (i >= lost_cursor_) {
+      sacked_from_cursor += s.sacked ? 1 : 0;
+    } else {
+      assert(s.sacked || s.lost_est);
+    }
+  }
+  assert(first_unacked_idx_ <= lost_cursor_ && lost_cursor_ <= segs_.size());
+  assert(sacked == sacked_out_);
+  assert(lost == lost_out_);
+  assert(retrans == retrans_out_);
+  assert(sacked_from_cursor == sacked_from_cursor_);
+}
+#endif
 
 template <typename Cursor>
 void FlowMimic<Cursor>::snapshot(PktAnno& a) const {
@@ -482,8 +589,8 @@ void FlowMimic<Cursor>::snapshot(PktAnno& a) const {
 }
 
 template <typename Cursor>
-void FlowMimic<Cursor>::process_server_packet(const PacketView& p,
-                                              PktAnno& a) {
+void FlowMimic<Cursor>::process_server_packet(const PacketView& p, PktAnno& a,
+                                              FlowAnalysis& out) {
   const std::uint32_t eff_len = p.payload + (p.flags.fin ? 1u : 0u);
   if (p.flags.syn) {
     synack_ts_ = p.ts;
@@ -502,24 +609,16 @@ void FlowMimic<Cursor>::process_server_packet(const PacketView& p,
       // drop). Track an inferred segment so ACK/SACK bookkeeping stays
       // consistent; it never yields RTT samples, and a later
       // "retransmission" of it demotes its stall to kUndetermined.
-      SegMimic gap;
-      gap.start = snd_nxt_;
-      gap.end = p.seq;
-      gap.index = segs_.size();
-      gap.tx_times.push_back(p.ts);
-      gap.inferred = true;
-      segs_.push_back(std::move(gap));
+      segs_.emplace_back(snd_nxt_, p.seq,
+                         static_cast<std::uint32_t>(segs_.size()), p.ts);
+      segs_.back().inferred = true;
       ++quality_.seq_gaps;
       quality_.gap_bytes += net::distance(snd_nxt_, p.seq);
     }
     // New data.
-    SegMimic seg;
-    seg.start = p.seq;
-    seg.end = end;
-    seg.index = segs_.size();
-    seg.tx_times.push_back(p.ts);
-    a.seg_idx = static_cast<int>(seg.index);
-    segs_.push_back(std::move(seg));
+    a.seg_idx = static_cast<int>(segs_.size());
+    segs_.emplace_back(p.seq, end, static_cast<std::uint32_t>(segs_.size()),
+                       p.ts);
     snd_nxt_ = end;
     return;
   }
@@ -532,7 +631,7 @@ void FlowMimic<Cursor>::process_server_packet(const PacketView& p,
     // exactly these bytes arrived one slot late. Adopt it as the original
     // transmission and un-count the gap.
     seg->inferred = false;
-    seg->tx_times.back() = p.ts;
+    seg->restamp_last_tx(p.ts);
     a.seg_idx = static_cast<int>(seg->index);
     --quality_.seq_gaps;
     quality_.gap_bytes -= seg->len();
@@ -543,7 +642,7 @@ void FlowMimic<Cursor>::process_server_packet(const PacketView& p,
   a.prior_retrans = seg->transmissions() - 1;
   if (seg->inferred) a.capture_suspect = true;
 
-  const Duration elapsed = p.ts - seg->tx_times.back();
+  const Duration elapsed = p.ts - seg->last_tx;
   const Duration rto_now = rto_.rto();
   bool is_rto;
   if (dupacks_ >= config_.dupthres && elapsed < rto_now) {
@@ -555,11 +654,14 @@ void FlowMimic<Cursor>::process_server_packet(const PacketView& p,
   a.first_retrans_was_rto = seg->first_retrans_was_rto;
 
   if (seg->transmissions() == 1) seg->first_retrans_was_rto = is_rto;
-  seg->tx_times.push_back(p.ts);
-  seg->retrans_pending = true;
+  seg->add_tx(p.ts);
+  set_retrans(*seg, true);
+  set_lost(*seg, true);
 
   if (is_rto) {
-    seg->rto_retransmitted = true;
+    // The observed inter-transmission gap IS the timer that fired,
+    // including any exponential backoff.
+    out.rto_at_timeout_us.push_back(static_cast<double>(elapsed.us()));
     if (state_ != tcp::CaState::kLoss) {
       ssthresh_est_ = std::max<std::uint32_t>(cwnd_est_ / 2, 2);
     }
@@ -567,14 +669,15 @@ void FlowMimic<Cursor>::process_server_packet(const PacketView& p,
     high_seq_est_ = snd_nxt_;
     cwnd_est_ = 1;
     dupacks_ = 0;
-    for (std::size_t i = first_unacked_idx_; i < segs_.size(); ++i) {
-      SegMimic& s = segs_[i];
-      if (!s.acked && !s.sacked) s.lost_est = true;
+    // Every unSACKed window segment is lost. Below the lost-by-SACK cursor
+    // they already are, so the walk starts there and takes the cursor past
+    // the window: each segment is still visited once.
+    for (; lost_cursor_ < segs_.size(); ++lost_cursor_) {
+      SegMimic& s = segs_[lost_cursor_];
+      if (!s.sacked) set_lost(s, true);
     }
-    seg->lost_est = true;  // keep consistent (it is being retransmitted)
+    sacked_from_cursor_ = 0;
   } else {
-    seg->fast_retransmitted = true;
-    seg->lost_est = true;
     if (state_ != tcp::CaState::kRecovery && state_ != tcp::CaState::kLoss) {
       state_ = tcp::CaState::kRecovery;
       ssthresh_est_ = std::max<std::uint32_t>(cwnd_est_ / 2, 2);
@@ -603,7 +706,7 @@ void FlowMimic<Cursor>::process_client_packet(const PacketView& p, PktAnno& a,
   if (p.payload > 0) {
     a.is_request = true;
     // The next new server data starts a fresh response.
-    head_seqs_.insert(snd_nxt_);
+    if (head_seqs_.back() != snd_nxt_) head_seqs_.push_back(snd_nxt_);
   }
 
   if (!p.flags.ack) return;
@@ -627,26 +730,27 @@ void FlowMimic<Cursor>::process_client_packet(const PacketView& p, PktAnno& a,
     }
   }
 
-  // SACK application (blocks above snd_una).
-  std::uint32_t newly_sacked = 0;
+  // SACK application (blocks above snd_una). Window segments are
+  // contiguous and ordered by start, so the ones a block covers are the run
+  // from the first segment starting at or after its start.
   for (const auto& b : p.sacks) {
     if (net::at_or_before(b.end, snd_una_)) continue;
-    for (std::size_t i = first_unacked_idx_; i < segs_.size(); ++i) {
-      SegMimic& s = segs_[i];
-      if (s.acked || s.sacked) continue;
-      if (net::at_or_after(s.start, b.start) &&
-          net::at_or_before(s.end, b.end)) {
-        s.sacked = true;
-        s.sacked_time = std::min(s.sacked_time, p.ts);
-        s.lost_est = false;
-        s.retrans_pending = false;
-        ++newly_sacked;
-        if (s.transmissions() == 1 && !s.inferred) {
-          // SACK-time RTT sample, mirroring the sender.
-          const Duration rtt = p.ts - s.tx_times.front();
-          rto_.sample(rtt);
-          out.rtt_samples_us.push_back(static_cast<double>(rtt.us()));
-        }
+    auto it = std::partition_point(
+        segs_.begin() + static_cast<std::ptrdiff_t>(first_unacked_idx_),
+        segs_.end(),
+        [&b](const SegMimic& s) { return net::before(s.start, b.start); });
+    for (; it != segs_.end() && net::at_or_before(it->end, b.end); ++it) {
+      SegMimic& s = *it;
+      if (s.sacked) continue;
+      set_sacked(s);
+      s.sacked_time = std::min(s.sacked_time, p.ts);
+      set_lost(s, false);
+      set_retrans(s, false);
+      if (s.transmissions() == 1 && !s.inferred) {
+        // SACK-time RTT sample, mirroring the sender.
+        const Duration rtt = p.ts - s.first_tx;
+        rto_.sample(rtt);
+        out.rtt_samples_us.push_back(static_cast<double>(rtt.us()));
       }
     }
   }
@@ -657,20 +761,16 @@ void FlowMimic<Cursor>::process_client_packet(const PacketView& p, PktAnno& a,
     // Karn's rule + newest-candidate sampling, mirroring the sender.
     TimePoint newest;
     bool have = false;
-    for (std::size_t i = first_unacked_idx_; i < segs_.size(); ++i) {
-      SegMimic& s = segs_[i];
+    while (first_unacked_idx_ < segs_.size()) {
+      SegMimic& s = segs_[first_unacked_idx_];
       if (net::after(s.end, p.ack)) break;
-      if (!s.acked) {
-        s.acked = true;
-        s.acked_time = p.ts;
-        ++n_acked;
-        if (s.transmissions() == 1 && !s.sacked && !s.inferred &&
-            (!have || s.tx_times.front() > newest)) {
-          newest = s.tx_times.front();
-          have = true;
-        }
+      ++n_acked;
+      if (s.transmissions() == 1 && !s.sacked && !s.inferred &&
+          (!have || s.first_tx > newest)) {
+        newest = s.first_tx;
+        have = true;
       }
-      first_unacked_idx_ = i + 1;
+      ack_segment(s, p.ts);
     }
     if (have) {
       const Duration rtt = p.ts - newest;
@@ -687,12 +787,8 @@ void FlowMimic<Cursor>::process_client_packet(const PacketView& p, PktAnno& a,
   switch (state_) {
     case tcp::CaState::kOpen:
     case tcp::CaState::kDisorder: {
-      std::uint32_t sacked_out = 0;
-      for (std::size_t i = first_unacked_idx_; i < segs_.size(); ++i) {
-        if (!segs_[i].acked && segs_[i].sacked) ++sacked_out;
-      }
-      state_ = (dupacks_ > 0 || sacked_out > 0) ? tcp::CaState::kDisorder
-                                                : tcp::CaState::kOpen;
+      state_ = (dupacks_ > 0 || sacked_out_ > 0) ? tcp::CaState::kDisorder
+                                                 : tcp::CaState::kOpen;
       mark_lost_by_sack();
       if (ack_advanced) {
         // Window growth (Reno-like estimate).
@@ -736,12 +832,12 @@ void FlowMimic<Cursor>::process_client_packet(const PacketView& p, PktAnno& a,
   }
   rto_sample_sum_us_ += static_cast<double>(rto_.rto().us());
   ++rto_sample_count_;
-  (void)newly_sacked;
 }
 
 template <typename Cursor>
 net::Seq32 FlowMimic<Cursor>::response_end_for(const SegMimic& seg) const {
-  auto it = head_seqs_.upper_bound(seg.start);
+  auto it = std::upper_bound(head_seqs_.begin(), head_seqs_.end(), seg.start,
+                             net::SeqLess{});
   if (it != head_seqs_.end()) return *it;
   return snd_nxt_;  // final: end of everything the server sent
 }
@@ -777,20 +873,13 @@ void FlowMimic<Cursor>::run(FlowAnalysis& out) {
     }
     a.ts = p.ts;
     if (p.from_server) {
-      process_server_packet(p, a);
+      process_server_packet(p, a, out);
       if (a.server_data) {
         ++out.data_segments;
         if (a.is_retrans) {
           ++out.retrans_segments;
           if (a.is_timeout_retrans) {
             ++out.timeout_retrans;
-            // The observed inter-transmission gap IS the timer that fired,
-            // including any exponential backoff.
-            const auto& seg = segs_[static_cast<std::size_t>(a.seg_idx)];
-            const auto n = seg.tx_times.size();
-            const Duration fired =
-                seg.tx_times[n - 1] - seg.tx_times[n - 2];
-            out.rto_at_timeout_us.push_back(static_cast<double>(fired.us()));
           } else {
             ++out.fast_retrans;
           }
@@ -802,6 +891,9 @@ void FlowMimic<Cursor>::run(FlowAnalysis& out) {
     snapshot(a);
     // The packet-specific fields were filled before snapshot; snapshot only
     // fills the state fields.
+#ifndef NDEBUG
+    check_scoreboard();
+#endif
   }
 
   // Transfer-level metrics.
@@ -842,8 +934,7 @@ void FlowMimic<Cursor>::run(FlowAnalysis& out) {
   // to flow end, minus stalled time — i.e. the transfer rate the service
   // delivers while actually moving data.
   if (!segs_.empty() && !annos_.empty()) {
-    const Duration data_phase =
-        annos_.back().ts - segs_.front().tx_times.front();
+    const Duration data_phase = annos_.back().ts - segs_.front().first_tx;
     // Stalls that straddle the start of the data phase (e.g. a back-end
     // fetch ending in the first data packet) can push `active` to zero;
     // fall back to the raw data-phase rate then.
@@ -929,7 +1020,8 @@ StallRecord FlowMimic<Cursor>::classify_stall(std::size_t prev_idx,
     // (seg_idx can be -1 for malformed traces where a transmission below
     // snd_nxt matches no tracked segment — those fall through.)
     const SegMimic& seg = segs_[static_cast<std::size_t>(cur.seg_idx)];
-    rec.cause = head_seqs_.count(seg.start)
+    rec.cause = std::binary_search(head_seqs_.begin(), head_seqs_.end(),
+                                   seg.start, net::SeqLess{})
                     ? StallCause::kDataUnavailable
                     : StallCause::kResourceConstraint;
     if (rec.cause == StallCause::kDataUnavailable && quality_.mid_stream &&
@@ -998,17 +1090,11 @@ RetransCause FlowMimic<Cursor>::classify_retrans(const PktAnno& prev,
   std::uint32_t outstanding = 0;
   bool all_lost = true;
   for (const auto& s : segs_) {
-    if (s.tx_times.front() > stall_start) continue;   // sent after the stall
-    if (s.acked_time <= stall_start) continue;        // already acked
-    if (s.sacked_time <= stall_start) continue;       // already sacked
+    if (s.first_tx > stall_start) continue;     // sent after the stall
+    if (s.acked_time <= stall_start) continue;  // already acked
+    if (s.sacked_time <= stall_start) continue; // already sacked
     ++outstanding;
-    bool retransmitted_after = false;
-    for (const TimePoint t : s.tx_times) {
-      if (t > stall_start) {
-        retransmitted_after = true;
-        break;
-      }
-    }
+    const bool retransmitted_after = s.latest_tx() > stall_start;
     const bool never_delivered = s.acked_time == TimePoint::max() &&
                                  s.sacked_time == TimePoint::max();
     if (!retransmitted_after && !never_delivered) {

@@ -85,14 +85,22 @@ struct FlowBuilder {
   void ack(double t, int upto,
            std::vector<std::pair<int, int>> sack_segs = {},
            std::uint32_t window = kBigWindow) {
+    std::vector<net::SackBlock> blocks;
+    for (const auto& [s, e] : sack_segs) blocks.push_back({seg(s), seg(e)});
+    ack_at(t, seg(upto), blocks, window);
+  }
+
+  /// Client ACK at t with a raw cumulative ACK and raw SACK blocks, for
+  /// edges that fall mid-segment.
+  void ack_at(double t, net::Seq32 cum_ack,
+              const std::vector<net::SackBlock>& blocks = {},
+              std::uint32_t window = kBigWindow) {
     auto& p = add(t, false);
     p.seq = net::Seq32{kClientIsn + 1};
-    p.ack = seg(upto);
+    p.ack = cum_ack;
     p.flags.ack = true;
     p.window = window;
-    for (const auto& [s, e] : sack_segs) {
-      flow.append_sack({seg(s), seg(e)});
-    }
+    for (const auto& b : blocks) flow.append_sack(b);
   }
 
   FlowAnalysis analyze(AnalyzerConfig cfg = {}) const {
@@ -541,6 +549,171 @@ TEST(Analyzer, SpuriousFastRetransmitCountedViaDsack) {
   const auto fa = b.analyze();
   EXPECT_EQ(fa.spurious_retrans, 1u);
   EXPECT_EQ(fa.fast_retrans, 1u);
+}
+
+// ---- Eq.-1 scoreboard edge cases ------------------------------------------
+// in_flight = packets_out + retrans_out - (sacked_out + lost_out), read back
+// through the per-ACK samples and the stall records. The first two samples
+// always come from the handshake ACK and the request (empty window).
+
+using Samples = std::vector<std::uint32_t>;
+
+TEST(AnalyzerEq1, SackEdgesMidSegmentLeavePartialSegmentsUnsacked) {
+  FlowBuilder b;
+  b.handshake();
+  b.request(0.1);
+  for (int i = 0; i < 6; ++i) b.data(0.15, i);
+  const auto s = FlowBuilder::seg;
+  // Covers all of segment 2 but only halves of 1 and 3.
+  b.ack_at(0.25, s(0), {{s(1) + 500, s(3) + 500}});
+  // Covers 4 and 5; segment 3 misses its first byte. Three SACKed segments
+  // now sit above 0 and 1, which are marked lost; 3 has only two above it.
+  b.ack_at(0.26, s(0), {{s(3) + 1, s(6)}});
+  // A block inside one segment SACKs nothing.
+  b.ack_at(0.27, s(0), {{s(3), s(3) + 500}});
+  b.ack(0.35, 6);
+  const auto fa = b.analyze();
+  EXPECT_EQ(fa.inflight_on_ack, (Samples{0, 0, 5, 1, 1, 0}));
+  EXPECT_TRUE(fa.stalls.empty());
+}
+
+TEST(AnalyzerEq1, BlockStraddlingSndUnaAndOverlappingBlocks) {
+  FlowBuilder b;
+  b.handshake();
+  b.request(0.1);
+  for (int i = 0; i < 10; ++i) b.data(0.15, i);
+  const auto s = FlowBuilder::seg;
+  // Partial cumulative ACK: snd_una lands inside segment 2.
+  b.ack_at(0.25, s(2) + 500);
+  // One block starts below snd_una (SACKs 2 and 3), one is repeated, and
+  // the last overlaps it: 8 from the first copy, 9 only from the last.
+  b.ack_at(0.26, s(2) + 500,
+           {{s(1), s(4)}, {s(8), s(9) + 500}, {s(8), s(9) + 500},
+            {s(9), s(10)}});
+  // Timeout: everything still outstanding is retransmitted.
+  for (int i = 4; i < 8; ++i) b.data(0.9, i);
+  b.ack(1.0, 10);
+  const auto fa = b.analyze();
+  EXPECT_EQ(fa.inflight_on_ack, (Samples{0, 0, 8, 4, 0}));
+  ASSERT_EQ(fa.stalls.size(), 1u);
+  EXPECT_EQ(fa.stalls[0].in_flight, 4u);
+  EXPECT_EQ(fa.stalls[0].state_at_stall, tcp::CaState::kDisorder);
+  EXPECT_EQ(fa.stalls[0].cause, StallCause::kRetransmission);
+  EXPECT_EQ(fa.stalls[0].retrans_cause, RetransCause::kContinuousLoss);
+  EXPECT_EQ(fa.timeout_retrans, 4u);
+}
+
+/// Eight segments; SACKs arrive for 2, then 2+4, 2+4-5, 2+4-6, 2+4-7.
+FlowAnalysis analyze_rising_sacks(std::uint32_t dupthres) {
+  FlowBuilder b;
+  b.handshake();
+  b.request(0.1);
+  for (int i = 0; i < 8; ++i) b.data(0.15, i);
+  b.ack(0.25, 0, {{2, 3}});
+  for (int top = 5; top <= 8; ++top) {
+    b.ack(0.25 + 0.01 * (top - 4), 0, {{2, 3}, {4, top}});
+  }
+  b.ack(0.4, 8);
+  return b.analyze(AnalyzerConfig{}.with_dupthres(dupthres));
+}
+
+TEST(AnalyzerEq1, LostBySackHonoursDupthres) {
+  // dupthres 1: everything below any SACKed segment is lost at once.
+  EXPECT_EQ(analyze_rising_sacks(1).inflight_on_ack,
+            (Samples{0, 0, 5, 3, 2, 1, 0, 0}));
+  EXPECT_EQ(analyze_rising_sacks(3).inflight_on_ack,
+            (Samples{0, 0, 7, 6, 3, 1, 0, 0}));
+  // dupthres 5: 0 and 1 are lost only once five segments above are SACKed.
+  EXPECT_EQ(analyze_rising_sacks(5).inflight_on_ack,
+            (Samples{0, 0, 7, 6, 5, 4, 1, 0}));
+}
+
+TEST(AnalyzerEq1, SacksDuringLossAreMarkedAfterLeavingLoss) {
+  FlowBuilder b;
+  b.handshake();
+  b.request(0.1);
+  for (int i = 0; i < 4; ++i) b.data(0.15, i);
+  b.data(0.8, 0);  // timeout: kLoss until snd_una reaches segment 4
+  for (int i = 4; i < 10; ++i) b.data(0.81, i);
+  // In kLoss, SACKs for 5-7 are recorded but nothing is marked lost by them.
+  b.ack(0.9, 1, {{5, 8}});
+  // Leaves kLoss; lost-marking runs from the next ACK on.
+  b.ack(0.95, 4, {{5, 8}});
+  // Disorder: segment 4 has three SACKed segments above it and is lost.
+  b.ack(0.96, 4, {{5, 8}});
+  b.ack(1.05, 10);
+  const auto fa = b.analyze();
+  EXPECT_EQ(fa.inflight_on_ack, (Samples{0, 0, 3, 3, 2, 0}));
+  ASSERT_EQ(fa.stalls.size(), 1u);
+  EXPECT_EQ(fa.stalls[0].cause, StallCause::kRetransmission);
+  EXPECT_EQ(fa.stalls[0].in_flight, 4u);
+}
+
+TEST(AnalyzerEq1, RetransmissionBelowSndUnaLeavesInFlightUnchanged) {
+  FlowBuilder b;
+  b.handshake();
+  b.request(0.1);
+  for (int i = 0; i < 6; ++i) b.data(0.15, i);
+  b.ack(0.25, 3);
+  b.data(0.30, 1);  // spurious fast retransmission of acked data
+  b.ack(0.9, 6);
+  const auto fa = b.analyze();
+  EXPECT_EQ(fa.fast_retrans, 1u);
+  EXPECT_EQ(fa.inflight_on_ack, (Samples{0, 0, 3, 0}));
+  ASSERT_EQ(fa.stalls.size(), 1u);
+  // The snapshot right after the retransmission: still segments 3-5 only.
+  EXPECT_EQ(fa.stalls[0].in_flight, 3u);
+  EXPECT_EQ(fa.stalls[0].state_at_stall, tcp::CaState::kRecovery);
+  EXPECT_EQ(fa.stalls[0].cause, StallCause::kPacketDelay);
+}
+
+// ---- Transmit times under capture reordering -------------------------------
+
+TEST(AnalyzerTxTimes, ContinuousLossUsesLatestNotLastTransmission) {
+  FlowBuilder b;
+  b.handshake();
+  b.request(0.1);
+  for (int i = 0; i < 6; ++i) b.data(0.15, i);
+  b.data(0.30, 5);
+  // A jittered, swapped record of another copy of segment 5: it is the
+  // segment's last transmission in capture order but stamped before the
+  // stall starts. Its 0.30 copy is what shows it was resent after it.
+  b.data(0.15, 5);
+  for (int i = 0; i < 5; ++i) b.data(0.9, i);  // timeout, go-back-N
+  b.ack(1.0, 6);
+  const auto fa = b.analyze();
+  EXPECT_EQ(fa.fast_retrans, 2u);
+  EXPECT_EQ(fa.timeout_retrans, 5u);
+  ASSERT_EQ(fa.stalls.size(), 1u);
+  EXPECT_EQ(fa.stalls[0].start, TimePoint::from_us(150'000));
+  EXPECT_EQ(fa.stalls[0].cause, StallCause::kRetransmission);
+  EXPECT_EQ(fa.stalls[0].retrans_cause, RetransCause::kContinuousLoss);
+}
+
+TEST(AnalyzerTxTimes, LateRecordAdoptsGapSegmentAfterPartialRetransmission) {
+  FlowBuilder b;
+  b.handshake();
+  b.request(0.1);
+  b.data(0.15, 0);
+  for (int i = 2; i < 6; ++i) b.data(0.15, i);  // segment 1 is a capture gap
+  b.data(0.17, 1, 500);  // retransmits half of the inferred segment
+  // The original record of segment 1, one slot late: it replaces the
+  // segment's latest transmission time (0.17) with its own.
+  b.data(0.16, 1);
+  b.ack(0.25, 1, {{2, 6}});
+  b.data(0.9, 1);  // timeout: 0.74 s after the adopted 0.16 transmission
+  b.ack(1.0, 6);
+  const auto fa = b.analyze();
+  EXPECT_EQ(fa.capture.seq_gaps, 0u);
+  EXPECT_EQ(fa.capture.gap_bytes, 0u);
+  EXPECT_EQ(fa.fast_retrans, 1u);
+  EXPECT_EQ(fa.timeout_retrans, 1u);
+  EXPECT_EQ(fa.rto_at_timeout_us, (std::vector<double>{740'000.0}));
+  ASSERT_EQ(fa.stalls.size(), 1u);
+  EXPECT_EQ(fa.stalls[0].cause, StallCause::kRetransmission);
+  EXPECT_EQ(fa.stalls[0].retrans_cause, RetransCause::kDoubleRetrans);
+  EXPECT_TRUE(fa.stalls[0].f_double);
+  EXPECT_FALSE(fa.stalls[0].capture_suspect);
 }
 
 }  // namespace

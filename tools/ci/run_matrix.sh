@@ -12,6 +12,9 @@
 #   default  plain RelWithDebInfo build, full ctest
 #   asan     -fsanitize=address, full ctest
 #   ubsan    -fsanitize=undefined, full ctest
+#   (every TAPO_SANITIZE configuration, here and below, keeps assert() on,
+#   so the debug cross-checks such as the mimic's per-packet scoreboard
+#   recount run instrumented)
 #   tsan     -fsanitize=thread, full ctest (includes the runner_parallel_tsan
 #            and telemetry_tsan race-check entries), then an explicit
 #            `concurrency`-labeled pass: the annotated-mutex API tests and
