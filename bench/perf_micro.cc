@@ -18,9 +18,9 @@
 using namespace tapo;
 
 // ---------------------------------------------------------------------------
-// Global allocation counter, used by the copy-vs-view A/B benchmarks to
-// demonstrate that the view path does zero per-packet allocations. Relaxed
-// atomics: the benchmarks are single-threaded; we only need totals.
+// Global allocation counter, used by the demux and analyzer benchmarks to
+// report their per-packet allocation costs. Relaxed atomics: the
+// benchmarks are single-threaded; we only need totals.
 // ---------------------------------------------------------------------------
 namespace {
 std::atomic<std::uint64_t> g_alloc_count{0};
@@ -156,7 +156,7 @@ void BM_TelemetryOverhead(benchmark::State& state) {
 BENCHMARK(BM_TelemetryOverhead)->Arg(0)->Arg(1)->Name("telemetry_overhead");
 
 /// A 32-flow cloud-storage trace merged into one arena — the demux and
-/// analyzer A/B benchmarks need multiple interleaved flows to be honest.
+/// analyzer benchmarks need multiple interleaved flows to be honest.
 const net::PacketTrace& multi_flow_trace() {
   static const net::PacketTrace trace = [] {
     workload::ExperimentConfig cfg;
@@ -177,31 +177,18 @@ const net::PacketTrace& multi_flow_trace() {
   return trace;
 }
 
-/// Demux A/B: Arg(0) = copying demux_flows (the views plus a FlowPacket
-/// copy of every packet), Arg(1) = zero-copy demux_flow_views (one
-/// FlowAccumulator pass; the only per-packet state left is the 8 B pointer
-/// pool). Reports per-packet allocation and byte costs of each
-/// representation alongside throughput.
+/// Zero-copy demux_flow_views: one FlowAccumulator pass; the only
+/// per-packet state left is the 8 B pointer pool. Reports per-packet
+/// allocation and representation bytes alongside throughput.
 void BM_Demux(benchmark::State& state) {
-  const bool view = state.range(0) != 0;
   const auto& trace = multi_flow_trace();
   const auto pkts = static_cast<double>(trace.size());
   AllocSnapshot before;
   std::uint64_t rep_bytes = 0;
   for (auto _ : state) {
-    if (view) {
-      const auto views = analysis::demux_flow_views(trace);
-      rep_bytes = views.pool_bytes();
-      benchmark::DoNotOptimize(views.size());
-    } else {
-      const auto flows = analysis::demux_flows(trace);
-      rep_bytes = 0;
-      for (const auto& f : flows) {
-        rep_bytes += f.packets.size() * sizeof(analysis::FlowPacket) +
-                     f.sack_pool.size() * sizeof(net::SackBlock);
-      }
-      benchmark::DoNotOptimize(flows.size());
-    }
+    const auto views = analysis::demux_flow_views(trace);
+    rep_bytes = views.pool_bytes();
+    benchmark::DoNotOptimize(views.size());
   }
   const AllocSnapshot after;
   const double iters = static_cast<double>(state.iterations());
@@ -213,28 +200,17 @@ void BM_Demux(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(trace.size()));
 }
-BENCHMARK(BM_Demux)->Arg(0)->Arg(1);
+BENCHMARK(BM_Demux);
 
-/// Analyzer A/B over the same trace: Arg(0) = materialize owning Flows and
-/// analyze those; Arg(1) = Analyzer::analyze, which demuxes the arena in
-/// place and analyzes the FlowViews with no per-packet copy. Arg(1) must
-/// match or beat Arg(0). Classification output is identical by
-/// construction (shared cursor-templated mimic) and by test.
+/// Analyzer::analyze over the same trace: demuxes the arena in place and
+/// analyzes the FlowViews with no per-packet copy.
 void BM_AnalyzeTrace(benchmark::State& state) {
-  const bool view = state.range(0) != 0;
   const auto& trace = multi_flow_trace();
   analysis::Analyzer analyzer;
   AllocSnapshot before;
   for (auto _ : state) {
-    if (view) {
-      auto result = analyzer.analyze(trace);
-      benchmark::DoNotOptimize(result.flows.size());
-    } else {
-      const auto flows = analysis::demux_flows(trace);
-      std::size_t n = 0;
-      for (const auto& f : flows) n += analyzer.analyze_flow(f).stalls.size();
-      benchmark::DoNotOptimize(n);
-    }
+    auto result = analyzer.analyze(trace);
+    benchmark::DoNotOptimize(result.flows.size());
   }
   const AllocSnapshot after;
   const double iters = static_cast<double>(state.iterations());
@@ -246,7 +222,7 @@ void BM_AnalyzeTrace(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(trace.size()));
 }
-BENCHMARK(BM_AnalyzeTrace)->Arg(0)->Arg(1);
+BENCHMARK(BM_AnalyzeTrace);
 
 void BM_PcapWrite(benchmark::State& state) {
   const auto& trace = sample_trace();

@@ -156,6 +156,18 @@ analysis::LiveConfig unbounded_live_config(util::MemoryBudget* budget) {
   return cfg;
 }
 
+/// Counts the analyses the live analyzer finalizes and keeps none of
+/// them, so the streaming peak measures the pipeline, not retained
+/// results.
+class FlowCounter : public FlowSink {
+ public:
+  void consume(FlowResult&& result) override {
+    flows += result.analyses.size();
+  }
+
+  std::size_t flows = 0;
+};
+
 double mib(std::int64_t bytes) {
   return static_cast<double>(bytes) / (1024.0 * 1024.0);
 }
@@ -226,12 +238,8 @@ int main(int argc, char** argv) {
     pcap::StreamingReader reader(
         pcap_path.string(),
         pcap::StreamingOptions{.chunk_packets = 4096, .budget = &budget});
-    analysis::LiveAnalyzer live(
-        unbounded_live_config(&budget),
-        analysis::LiveAnalyzer::FlowDoneFn(
-            [&stream_flows](const analysis::FlowAnalysis&) {
-              ++stream_flows;
-            }));
+    FlowCounter counter;
+    analysis::LiveAnalyzer live(unbounded_live_config(&budget), counter);
     while (auto chunk = reader.next_chunk()) {
       live.add_chunk(*chunk);  // chunk dies each iteration: no double-hold
     }
@@ -239,6 +247,7 @@ int main(int argc, char** argv) {
     stream_secs = std::chrono::duration<double>(
                       std::chrono::steady_clock::now() - t0)
                       .count();
+    stream_flows = counter.flows;
     stream_packets = live.stats().packets;
     evictions = live.stats().budget_evictions;
   }

@@ -22,6 +22,7 @@
 #include "util/env.h"
 #include "util/strings.h"
 #include "workload/experiment.h"
+#include "workload/runner.h"
 
 using namespace tapo;
 
@@ -142,20 +143,20 @@ int main(int argc, char** argv) {
                                 .with_analyzer(config)
                                 .with_demux(demux)
                                 .with_mem_budget(&budget);
-      analysis::LiveAnalyzer live(
-          live_cfg,
-          [&](const analysis::FlowAnalysis& fa) { result.flows.push_back(fa); });
+      workload::CollectingSink sink;
+      analysis::LiveAnalyzer live(live_cfg, sink);
       while (auto chunk = reader.next_chunk()) live.add_chunk(*chunk);
       rstats = reader.stats();
       std::printf("%s: %zu records, %zu TCP packets (%zu skipped)\n",
                   path.c_str(), rstats.records, rstats.tcp_packets,
                   rstats.skipped);
       live.flush();
+      result.flows = sink.take().analyses;
       std::printf("%zu flows finalized (live mode; %llu packets, peak table "
                   "%zu flows, peak resident %zu bytes%s)\n\n",
                   result.flows.size(),
                   static_cast<unsigned long long>(live.stats().packets),
-                  live.stats().active_flows, budget.high_water(),
+                  live.stats().peak_active_flows, budget.high_water(),
                   mem_budget != 0 ? ", budgeted" : "");
     } else {
       net::ChunkedTrace chunks(net::ChunkedTrace::kDefaultChunkPackets,

@@ -165,36 +165,6 @@ void WindowAggregator::merge(const FleetSnapshot& other) {
   snap_.merge(other);
 }
 
-// ------------------------------------------------------- FleetAggregator
-
-FleetAggregator::FleetAggregator(FleetConfig cfg)
-    : cfg_(cfg), agg_(cfg) {}  // WindowAggregator's ctor validates
-
-void FleetAggregator::ingest(const FlowRecord& r) {
-  util::MutexLock lock(mu_);
-  agg_.ingest(r);
-}
-
-void FleetAggregator::ingest(std::span<const FlowRecord> records) {
-  util::MutexLock lock(mu_);
-  agg_.ingest(records);
-}
-
-void FleetAggregator::merge(const FleetSnapshot& other) {
-  util::MutexLock lock(mu_);
-  agg_.merge(other);
-}
-
-FleetSnapshot FleetAggregator::snapshot() const {
-  util::MutexLock lock(mu_);
-  return agg_.snapshot();
-}
-
-std::uint64_t FleetAggregator::records() const {
-  util::MutexLock lock(mu_);
-  return agg_.snapshot().records;
-}
-
 // ------------------------------------------------------------ regressions
 
 RegressionConfig& RegressionConfig::with_ewma_alpha(double a) {

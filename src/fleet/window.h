@@ -26,8 +26,6 @@
 #include "fleet/record.h"
 #include "stats/sketch.h"
 #include "tapo/analyzer.h"
-#include "util/mutex.h"
-#include "util/thread_annotations.h"
 #include "util/time.h"
 
 namespace tapo::fleet {
@@ -122,35 +120,6 @@ class WindowAggregator {
  private:
   FleetConfig cfg_;
   FleetSnapshot snap_;
-};
-
-/// Thread-safe fleet merge point: N shard readers ingest records (or fold
-/// whole shard snapshots in) concurrently while a publisher thread takes
-/// snapshots, all serialized by one annotated util::Mutex capability.
-/// WindowAggregator itself stays single-threaded — determinism is its
-/// contract, locking is this facade's — and the merge-determinism
-/// guarantee survives intact: the snapshot is a pure function of the set
-/// of records absorbed, so any interleaving of ingest()/merge() calls
-/// yields the same fleet view once all shards have been folded.
-class FleetAggregator {
- public:
-  /// Validates the config (std::invalid_argument on a bad one).
-  explicit FleetAggregator(FleetConfig cfg = {});
-
-  void ingest(const FlowRecord& r) TAPO_EXCLUDES(mu_);
-  void ingest(std::span<const FlowRecord> records) TAPO_EXCLUDES(mu_);
-  void merge(const FleetSnapshot& other) TAPO_EXCLUDES(mu_);
-
-  /// Snapshot by value: the internal view keeps mutating under the lock,
-  /// so unlike WindowAggregator a reference cannot be handed out.
-  FleetSnapshot snapshot() const TAPO_EXCLUDES(mu_);
-  std::uint64_t records() const TAPO_EXCLUDES(mu_);
-  const FleetConfig& config() const { return cfg_; }  // immutable post-ctor
-
- private:
-  FleetConfig cfg_;
-  mutable util::Mutex mu_;
-  WindowAggregator agg_ TAPO_GUARDED_BY(mu_);
 };
 
 // ------------------------------------------------------- regression watch

@@ -25,7 +25,7 @@ constexpr std::size_t kTcpMaxHeaderLen = 60;
 
 struct TcpFlags {
   // Bitfields: the whole flag set packs into one byte, which is what keeps
-  // CapturedPacket/FlowPacket records cache-dense on the analyzer hot path.
+  // CapturedPacket records cache-dense on the analyzer hot path.
   bool fin : 1 = false;
   bool syn : 1 = false;
   bool rst : 1 = false;

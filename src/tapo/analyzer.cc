@@ -263,8 +263,9 @@ struct PktAnno {
 static_assert(sizeof(PktAnno) <= 72);
 
 
-/// The one packet shape the mimic understands. Both cursors lower their
-/// storage to it on the fly; it is stack data plus a borrowed SACK span.
+/// The one packet shape the mimic understands. FlowMimic::pkt lowers each
+/// CapturedPacket to it on the fly; it is stack data plus a borrowed SACK
+/// span.
 struct PacketView {
   TimePoint ts;
   net::Seq32 seq;
@@ -277,80 +278,22 @@ struct PacketView {
   bool truncated = false;  // snaplen cut this record's options
 };
 
-/// Cursor over an owning Flow (compact FlowPackets + out-of-line sack pool).
-class FlowCursor {
- public:
-  explicit FlowCursor(const Flow& flow) : flow_(&flow) {}
-  const FlowMeta& meta() const { return *flow_; }
-  std::size_t size() const { return flow_->packets.size(); }
-  void prefetch(std::size_t) const {}  // contiguous: the hardware prefetches
-  PacketView at(std::size_t i) const {
-    const FlowPacket& p = flow_->packets[i];
-    return {p.ts,          p.seq,    p.ack,          p.payload,
-            p.window,      p.flags,  p.from_server,  flow_->sacks_of(p),
-            p.truncated};
-  }
-
- private:
-  const Flow* flow_;
-};
-
-/// Cursor over a non-owning FlowView: reads CapturedPackets in place, from
-/// whatever storage was demuxed; nothing per packet is materialized.
-class ViewCursor {
- public:
-  explicit ViewCursor(const FlowView& view) : view_(&view) {}
-  const FlowMeta& meta() const { return *view_; }
-  std::size_t size() const { return view_->size(); }
-  /// Starts loading packet i's record ahead of use. The pointer pool is
-  /// sequential, but the records it points at are scattered across the
-  /// capture, where the hardware prefetcher cannot follow.
-  void prefetch(std::size_t i) const {
-    if (i >= view_->size()) return;
-    // A record can straddle three cache lines; touch each one.
-    const auto* rec = reinterpret_cast<const char*>(&view_->packet(i));
-    for (std::size_t off = 0; off < sizeof(net::CapturedPacket); off += 64) {
-      __builtin_prefetch(rec + off);
-    }
-    __builtin_prefetch(rec + sizeof(net::CapturedPacket) - 1);
-  }
-  PacketView at(std::size_t i) const {
-    const net::CapturedPacket& cp = view_->packet(i);
-    return {cp.timestamp,
-            cp.tcp.seq,
-            cp.tcp.ack,
-            cp.payload_len,
-            cp.tcp.window,
-            cp.tcp.flags,
-            cp.key == view_->server_to_client,
-            cp.tcp.sack_blocks.span(),
-            cp.truncated};
-  }
-
- private:
-  const FlowView* view_;
-};
-
-/// The TCP-stack mimic + stall classifier, generic over packet storage:
-/// instantiated with FlowCursor (owning path) and ViewCursor (zero-copy
-/// path) so both run byte-identical classification code.
-template <typename Cursor>
+/// The TCP-stack mimic + stall classifier over one FlowView, reading its
+/// CapturedPackets in place from whatever storage was demuxed; nothing per
+/// packet is materialized.
 class FlowMimic {
  public:
-  FlowMimic(Cursor cursor, const AnalyzerConfig& config)
-      : cursor_(cursor),
-        meta_(cursor.meta()),
-        config_(config),
-        rto_(config.rto) {
-    if (meta_.mid_stream) {
+  FlowMimic(const FlowView& view, const AnalyzerConfig& config)
+      : view_(view), config_(config), rto_(config.rto) {
+    if (view_.mid_stream) {
       // No handshake in the capture: seed sequence state from the first
       // server data packet and remember that this "stream head" is
       // synthetic — it is where the *capture* starts, not necessarily
       // where a response starts.
-      snd_nxt_ = meta_.first_server_data_seq;
+      snd_nxt_ = view_.first_server_data_seq;
       quality_.mid_stream = true;
     } else {
-      snd_nxt_ = meta_.server_isn + 1;
+      snd_nxt_ = view_.server_isn + 1;
     }
     snd_una_ = snd_nxt_;
     stream_head_ = snd_nxt_;
@@ -360,14 +303,33 @@ class FlowMimic {
   void run(FlowAnalysis& out);
 
  private:
-  /// The one packet accessor the mimic uses: cursor record with the
+  /// The one packet accessor the mimic uses: the view's record with the
   /// timestamp floored to config ts_quantum (identity when the quantum is
   /// off). Keeping this the single ingest point is what makes the
   /// quantization-invariance guarantee structural rather than per-site.
   PacketView pkt(std::size_t i) const {
-    PacketView p = cursor_.at(i);
-    p.ts = floor_to(p.ts, config_.ts_quantum);
-    return p;
+    const net::CapturedPacket& cp = view_.packet(i);
+    return {floor_to(cp.timestamp, config_.ts_quantum),
+            cp.tcp.seq,
+            cp.tcp.ack,
+            cp.payload_len,
+            cp.tcp.window,
+            cp.tcp.flags,
+            cp.key == view_.server_to_client,
+            cp.tcp.sack_blocks.span(),
+            cp.truncated};
+  }
+  /// Starts loading packet i's record ahead of use. The pointer pool is
+  /// sequential, but the records it points at are scattered across the
+  /// capture, where the hardware prefetcher cannot follow.
+  void prefetch(std::size_t i) const {
+    if (i >= view_.size()) return;
+    // A record can straddle three cache lines; touch each one.
+    const auto* rec = reinterpret_cast<const char*>(&view_.packet(i));
+    for (std::size_t off = 0; off < sizeof(net::CapturedPacket); off += 64) {
+      __builtin_prefetch(rec + off);
+    }
+    __builtin_prefetch(rec + sizeof(net::CapturedPacket) - 1);
   }
 
   SegMimic* find_seg(net::Seq32 seq);
@@ -408,11 +370,10 @@ class FlowMimic {
                                 TimePoint stall_start, bool& f_double) const;
   net::Seq32 response_end_for(const SegMimic& seg) const;
 
-  /// How many packets ahead of the walk the cursor starts loading.
+  /// How many packets ahead of the walk prefetch() starts loading.
   static constexpr std::size_t kPrefetchAhead = 8;
 
-  const Cursor cursor_;
-  const FlowMeta& meta_;
+  const FlowView& view_;
   const AnalyzerConfig& config_;
   tcp::RtoEstimator rto_;
 
@@ -453,8 +414,7 @@ class FlowMimic {
   std::uint64_t rto_sample_count_ = 0;
 };
 
-template <typename Cursor>
-SegMimic* FlowMimic<Cursor>::find_seg(net::Seq32 seq) {
+SegMimic* FlowMimic::find_seg(net::Seq32 seq) {
   // Segments are sorted by start; binary search for the containing one.
   auto it = std::upper_bound(
       segs_.begin(), segs_.end(), seq,
@@ -464,9 +424,8 @@ SegMimic* FlowMimic<Cursor>::find_seg(net::Seq32 seq) {
   return net::seq_in_range(seq, it->start, it->end) ? &*it : nullptr;
 }
 
-template <typename Cursor>
-bool FlowMimic<Cursor>::is_capture_dup(const PacketView& a,
-                                       const PacketView& b) const {
+bool FlowMimic::is_capture_dup(const PacketView& a,
+                               const PacketView& b) const {
   // Identical header (direction, seq/ack, length, window, flags, SACKs)
   // within dup_window of each other. A retransmission repeats seq but
   // arrives at least an RTT later; capture duplicates arrive back to back
@@ -484,16 +443,14 @@ bool FlowMimic<Cursor>::is_capture_dup(const PacketView& a,
   return d <= config_.dup_window;
 }
 
-template <typename Cursor>
-void FlowMimic<Cursor>::set_sacked(SegMimic& s) {
+void FlowMimic::set_sacked(SegMimic& s) {
   // Only window segments are SACKed, and a SACK is never revoked.
   s.sacked = true;
   ++sacked_out_;
   if (s.index >= lost_cursor_) ++sacked_from_cursor_;
 }
 
-template <typename Cursor>
-void FlowMimic<Cursor>::set_lost(SegMimic& s, bool lost) {
+void FlowMimic::set_lost(SegMimic& s, bool lost) {
   if (s.lost_est == lost) return;
   s.lost_est = lost;
   if (!in_window(s)) return;
@@ -504,8 +461,7 @@ void FlowMimic<Cursor>::set_lost(SegMimic& s, bool lost) {
   }
 }
 
-template <typename Cursor>
-void FlowMimic<Cursor>::set_retrans(SegMimic& s, bool pending) {
+void FlowMimic::set_retrans(SegMimic& s, bool pending) {
   if (s.retrans_pending == pending) return;
   s.retrans_pending = pending;
   if (!in_window(s)) return;
@@ -516,8 +472,7 @@ void FlowMimic<Cursor>::set_retrans(SegMimic& s, bool pending) {
   }
 }
 
-template <typename Cursor>
-void FlowMimic<Cursor>::ack_segment(SegMimic& s, TimePoint at) {
+void FlowMimic::ack_segment(SegMimic& s, TimePoint at) {
   // s is segs_[first_unacked_idx_]: it leaves the window and the counters.
   s.acked_time = at;
   if (s.sacked) {
@@ -530,8 +485,7 @@ void FlowMimic<Cursor>::ack_segment(SegMimic& s, TimePoint at) {
   lost_cursor_ = std::max(lost_cursor_, first_unacked_idx_);
 }
 
-template <typename Cursor>
-void FlowMimic<Cursor>::mark_lost_by_sack() {
+void FlowMimic::mark_lost_by_sack() {
   // An unSACKed window segment is lost once dupthres SACKed segments lie
   // above it. Segments only leave the window from below and SACKs are
   // never revoked, so those segments form a window prefix that only
@@ -552,8 +506,7 @@ void FlowMimic<Cursor>::mark_lost_by_sack() {
 }
 
 #ifndef NDEBUG
-template <typename Cursor>
-void FlowMimic<Cursor>::check_scoreboard() const {
+void FlowMimic::check_scoreboard() const {
   // From-scratch recount of everything the counters and cursor replace.
   std::uint32_t sacked = 0, lost = 0, retrans = 0, sacked_from_cursor = 0;
   for (std::size_t i = first_unacked_idx_; i < segs_.size(); ++i) {
@@ -575,8 +528,7 @@ void FlowMimic<Cursor>::check_scoreboard() const {
 }
 #endif
 
-template <typename Cursor>
-void FlowMimic<Cursor>::snapshot(PktAnno& a) const {
+void FlowMimic::snapshot(PktAnno& a) const {
   a.state = state_;
   a.in_flight = in_flight();
   a.outstanding = packets_out();
@@ -588,9 +540,8 @@ void FlowMimic<Cursor>::snapshot(PktAnno& a) const {
   a.established = established_;
 }
 
-template <typename Cursor>
-void FlowMimic<Cursor>::process_server_packet(const PacketView& p, PktAnno& a,
-                                              FlowAnalysis& out) {
+void FlowMimic::process_server_packet(const PacketView& p, PktAnno& a,
+                                      FlowAnalysis& out) {
   const std::uint32_t eff_len = p.payload + (p.flags.fin ? 1u : 0u);
   if (p.flags.syn) {
     synack_ts_ = p.ts;
@@ -686,8 +637,7 @@ void FlowMimic<Cursor>::process_server_packet(const PacketView& p, PktAnno& a,
   }
 }
 
-template <typename Cursor>
-void FlowMimic<Cursor>::process_client_packet(const PacketView& p, PktAnno& a,
+void FlowMimic::process_client_packet(const PacketView& p, PktAnno& a,
                                       FlowAnalysis& out) {
   if (p.flags.syn) return;
   if (!established_) established_ = true;
@@ -700,7 +650,7 @@ void FlowMimic<Cursor>::process_client_packet(const PacketView& p, PktAnno& a,
     out.rtt_samples_us.push_back(static_cast<double>(rtt.us()));
   }
 
-  rwnd_scaled_ = static_cast<std::uint32_t>(p.window) << meta_.client_wscale;
+  rwnd_scaled_ = static_cast<std::uint32_t>(p.window) << view_.client_wscale;
   if (rwnd_scaled_ == 0) out.had_zero_rwnd = true;
 
   if (p.payload > 0) {
@@ -834,23 +784,21 @@ void FlowMimic<Cursor>::process_client_packet(const PacketView& p, PktAnno& a,
   ++rto_sample_count_;
 }
 
-template <typename Cursor>
-net::Seq32 FlowMimic<Cursor>::response_end_for(const SegMimic& seg) const {
+net::Seq32 FlowMimic::response_end_for(const SegMimic& seg) const {
   auto it = std::upper_bound(head_seqs_.begin(), head_seqs_.end(), seg.start,
                              net::SeqLess{});
   if (it != head_seqs_.end()) return *it;
   return snd_nxt_;  // final: end of everything the server sent
 }
 
-template <typename Cursor>
-void FlowMimic<Cursor>::run(FlowAnalysis& out) {
-  out.key = meta_.server_to_client;
-  out.init_rwnd_bytes = meta_.init_rwnd_bytes;
-  out.init_rwnd_mss = meta_.mss ? meta_.init_rwnd_bytes / meta_.mss : 0;
+void FlowMimic::run(FlowAnalysis& out) {
+  out.key = view_.server_to_client;
+  out.init_rwnd_bytes = view_.init_rwnd_bytes;
+  out.init_rwnd_mss = view_.mss ? view_.init_rwnd_bytes / view_.mss : 0;
 
-  annos_.resize(cursor_.size());
-  for (std::size_t i = 0; i < cursor_.size(); ++i) {
-    cursor_.prefetch(i + kPrefetchAhead);
+  annos_.resize(view_.size());
+  for (std::size_t i = 0; i < view_.size(); ++i) {
+    prefetch(i + kPrefetchAhead);
     const PacketView p = pkt(i);
     PktAnno& a = annos_[i];
     if (p.truncated) ++quality_.truncated_packets;
@@ -946,8 +894,7 @@ void FlowMimic<Cursor>::run(FlowAnalysis& out) {
   }
 }
 
-template <typename Cursor>
-void FlowMimic<Cursor>::detect_and_classify(FlowAnalysis& out) {
+void FlowMimic::detect_and_classify(FlowAnalysis& out) {
   for (std::size_t i = 0; i + 1 < annos_.size(); ++i) {
     const PktAnno& prev = annos_[i];
     const Duration gap = annos_[i + 1].ts - prev.ts;
@@ -966,8 +913,7 @@ void FlowMimic<Cursor>::detect_and_classify(FlowAnalysis& out) {
   }
 }
 
-template <typename Cursor>
-StallRecord FlowMimic<Cursor>::classify_stall(std::size_t prev_idx,
+StallRecord FlowMimic::classify_stall(std::size_t prev_idx,
                                       std::size_t cur_idx) const {
   const PktAnno& prev = annos_[prev_idx];
   const PktAnno& cur = annos_[cur_idx];
@@ -1045,8 +991,7 @@ StallRecord FlowMimic<Cursor>::classify_stall(std::size_t prev_idx,
   return rec;
 }
 
-template <typename Cursor>
-RetransCause FlowMimic<Cursor>::classify_retrans(const PktAnno& prev,
+RetransCause FlowMimic::classify_retrans(const PktAnno& prev,
                                          const PktAnno& cur,
                                          TimePoint stall_start,
                                          bool& f_double) const {
@@ -1070,7 +1015,7 @@ RetransCause FlowMimic<Cursor>::classify_retrans(const PktAnno& prev,
   //    cannot generate enough dupacks (§4.2).
   const net::Seq32 resp_end = response_end_for(seg);
   const std::uint32_t tail_zone =
-      config_.dupthres * static_cast<std::uint32_t>(meta_.mss);
+      config_.dupthres * static_cast<std::uint32_t>(view_.mss);
   if (genuinely_lost && net::distance(seg.end, resp_end) < tail_zone) {
     return RetransCause::kTailRetrans;
   }
@@ -1079,7 +1024,7 @@ RetransCause FlowMimic<Cursor>::classify_retrans(const PktAnno& prev,
   //      attribute to whichever of cwnd / rwnd was the limit.
   if (genuinely_lost && prev.in_flight < config_.small_inflight) {
     const std::uint64_t cwnd_bytes =
-        static_cast<std::uint64_t>(prev.cwnd_est) * meta_.mss;
+        static_cast<std::uint64_t>(prev.cwnd_est) * view_.mss;
     if (cwnd_bytes <= prev.rwnd_scaled) return RetransCause::kSmallCwnd;
     return RetransCause::kSmallRwnd;
   }
@@ -1118,16 +1063,9 @@ Analyzer::Analyzer(AnalyzerConfig config) : config_(config) {
   config_.validate();
 }
 
-FlowAnalysis Analyzer::analyze_flow(const Flow& flow) const {
-  FlowAnalysis out;
-  FlowMimic<FlowCursor> mimic(FlowCursor(flow), config_);
-  mimic.run(out);
-  return out;
-}
-
 FlowAnalysis Analyzer::analyze_flow(const FlowView& view) const {
   FlowAnalysis out;
-  FlowMimic<ViewCursor> mimic(ViewCursor(view), config_);
+  FlowMimic mimic(view, config_);
   mimic.run(out);
   return out;
 }

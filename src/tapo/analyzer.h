@@ -66,8 +66,7 @@ struct StallRecord {
   std::uint32_t in_flight = 0;
   /// Retransmitted packet index / data packets in flow (Fig. 7a / 10a).
   double rel_position = 0.0;
-  /// Index (into the flow's packet sequence — Flow::packets or
-  /// FlowView::packets positions) of the packet ending the stall.
+  /// Index (a FlowView::packets position) of the packet ending the stall.
   std::size_t cur_pkt_index = 0;
   /// The classifier demoted this stall to kUndetermined because capture
   /// artifacts (a sequence gap, a mid-stream start) made the cause
@@ -211,10 +210,8 @@ class Analyzer {
   /// Validates the config (std::invalid_argument on out-of-range fields).
   explicit Analyzer(AnalyzerConfig config = {});
 
-  /// Both overloads run the identical mimic/classifier over a packet
-  /// cursor; the Flow one reads owned FlowPackets, the FlowView one reads
-  /// the PacketTrace arena in place (zero-copy).
-  FlowAnalysis analyze_flow(const Flow& flow) const;
+  /// Runs the mimic/classifier over one flow, reading its packets in
+  /// place through the view (zero-copy).
   FlowAnalysis analyze_flow(const FlowView& view) const;
 
   /// Batch entry point: one FlowAccumulator pass demuxes the trace in

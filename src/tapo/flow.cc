@@ -8,10 +8,9 @@
 namespace tapo::analysis {
 namespace {
 
-// Folds one packet's header facts into the flow meta. Shared by the view
-// demux (reading the arena) and kept deliberately orientation-only: the
-// caller decides from_server.
-void fold_meta(FlowMeta& m, const net::CapturedPacket& cp, bool from_server) {
+// Folds one packet's header facts into the flow's meta. Kept deliberately
+// orientation-only: the caller decides from_server.
+void fold_meta(FlowView& m, const net::CapturedPacket& cp, bool from_server) {
   const net::TcpHeader& tcp = cp.tcp;
   if (tcp.flags.syn && !tcp.flags.ack && !from_server) {
     m.saw_syn = true;
@@ -172,36 +171,6 @@ FlowViewSet demux_flow_views(const net::ChunkedTrace& trace,
   }
   for (const net::CapturedPacket& pkt : trace.open_packets()) acc.ingest(pkt);
   return acc.finish();
-}
-
-std::vector<Flow> demux_flows(const net::PacketTrace& trace,
-                              const DemuxOptions& opts) {
-  const FlowViewSet views = demux_flow_views(trace, opts);
-
-  std::vector<Flow> flows;
-  flows.reserve(views.size());
-  for (const FlowView& view : views) {
-    Flow flow;
-    static_cast<FlowMeta&>(flow) = view;  // meta is already extracted
-    flow.packets.reserve(view.size());
-    for (const net::CapturedPacket* p : view.packets) {
-      const net::CapturedPacket& cp = *p;
-      FlowPacket& fp = flow.append_packet();
-      fp.ts = cp.timestamp;
-      fp.from_server = cp.key == flow.server_to_client;
-      fp.seq = cp.tcp.seq;
-      fp.ack = cp.tcp.ack;
-      fp.payload = cp.payload_len;
-      fp.flags = cp.tcp.flags;
-      fp.window = cp.tcp.window;
-      fp.truncated = cp.truncated;
-      for (const net::SackBlock& b : cp.tcp.sack_blocks) {
-        flow.append_sack(b);
-      }
-    }
-    flows.push_back(std::move(flow));
-  }
-  return flows;
 }
 
 }  // namespace tapo::analysis

@@ -3,13 +3,10 @@
 // parameters TAPO's classifier needs (MSS, SACK permission, window scale,
 // initial receive window — Table 2's "receiver side" category).
 //
-// Two representations share one extraction pass:
-//  - FlowView (preferred, zero-copy): per-flow spans of packet *pointers*
-//    into the demuxed storage, produced by demux_flow_views. Nothing per
-//    packet is copied; the analyzer reads the packets through a cursor.
-//  - Flow (owning): compact FlowPacket records copied out of the trace,
-//    produced by demux_flows — now a thin adapter over the view demux.
-//    Kept for callers that outlive the trace (and for hand-built tests).
+// A FlowView is the one flow representation: the flow's meta plus a span
+// of packet *pointers* into the demuxed storage, produced by
+// demux_flow_views. Nothing per packet is copied; the analyzer reads the
+// packets in place.
 //
 // View lifetime rule: a FlowView borrows the storage that was ingested (a
 // PacketTrace arena, or a ChunkedTrace's retained chunks and open tail) and
@@ -20,7 +17,6 @@
 
 #include <cstdint>
 #include <span>
-#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -28,38 +24,11 @@
 
 namespace tapo::analysis {
 
-/// One packet of a reconstructed flow, reduced to the fields the analyzer
-/// uses. Trivially copyable and 32 bytes (half the legacy record): flags
-/// pack into one byte and SACK blocks live out-of-line in the owning
-/// Flow's sack pool (most packets carry none), addressed by offset+count.
-struct FlowPacket {
-  TimePoint ts;
-  net::Seq32 seq;
-  net::Seq32 ack;
-  std::uint32_t payload = 0;
-  std::uint32_t sack_offset = 0;  // into Flow::sack_pool
-  std::uint16_t window = 0;       // raw field (unscaled)
-  net::TcpFlags flags;
-  std::uint8_t sack_count = 0;
-  /// Orients the packet relative to the data sender.
-  bool from_server = false;
-  /// Snaplen truncation cut this packet's TCP options (CapturedPacket::
-  /// truncated carried through the owning demux).
-  bool truncated = false;
-
-  net::Seq32 end_seq() const {
-    return seq + (payload + (flags.syn ? 1u : 0u) + (flags.fin ? 1u : 0u));
-  }
-};
-static_assert(std::is_trivially_copyable_v<FlowPacket>,
-              "FlowPacket must stay a POD for flat per-flow storage");
-static_assert(sizeof(FlowPacket) <= 32,
-              "FlowPacket is the per-packet cost of the owning path; keep "
-              "it at half the legacy (heap-backed) record size");
-
-/// Flow-level handshake/transfer facts shared by the owning Flow and the
-/// non-owning FlowView, so both run the same classification code.
-struct FlowMeta {
+/// One reconstructed flow: its handshake/transfer facts plus a span of
+/// pointers to its packets wherever they were ingested. Packets keep
+/// capture order. Borrowed storage — see the lifetime rule in the file
+/// comment.
+struct FlowView {
   net::FlowKey server_to_client;  // orientation key (server is src)
 
   bool saw_syn = false;
@@ -90,37 +59,7 @@ struct FlowMeta {
   /// Sequence number of the first server data packet in capture order
   /// (valid when saw_server_data).
   net::Seq32 first_server_data_seq;
-};
 
-struct Flow : FlowMeta {
-  std::vector<FlowPacket> packets;
-  /// Out-of-line SACK storage: each packet's blocks are contiguous at
-  /// [sack_offset, sack_offset + sack_count).
-  std::vector<net::SackBlock> sack_pool;
-
-  /// Appends a packet whose sack range starts at the current pool end.
-  FlowPacket& append_packet() {
-    FlowPacket p;
-    p.sack_offset = static_cast<std::uint32_t>(sack_pool.size());
-    packets.push_back(p);
-    return packets.back();
-  }
-  /// Appends one SACK block to the most recently appended packet. Must be
-  /// called before the next append_packet() so pool ranges stay contiguous.
-  void append_sack(const net::SackBlock& b) {
-    sack_pool.push_back(b);
-    ++packets.back().sack_count;
-  }
-  std::span<const net::SackBlock> sacks_of(const FlowPacket& p) const {
-    return std::span<const net::SackBlock>(sack_pool)
-        .subspan(p.sack_offset, p.sack_count);
-  }
-};
-
-/// Non-owning flow: a span of pointers to the flow's packets wherever they
-/// were ingested. Packets keep capture order. Borrowed storage — see the
-/// lifetime rule in the file comment.
-struct FlowView : FlowMeta {
   std::span<const net::CapturedPacket* const> packets;
 
   std::size_t size() const { return packets.size(); }
@@ -224,10 +163,5 @@ FlowViewSet demux_flow_views(const net::PacketTrace& trace,
 /// tail, demuxed in place (nothing is concatenated).
 FlowViewSet demux_flow_views(const net::ChunkedTrace& trace,
                              const DemuxOptions& opts = {});
-
-/// Splits `trace` into owning flows (adapter over demux_flow_views: same
-/// flow set, packets materialized as compact FlowPackets).
-std::vector<Flow> demux_flows(const net::PacketTrace& trace,
-                              const DemuxOptions& opts = {});
 
 }  // namespace tapo::analysis

@@ -1,5 +1,6 @@
 #include "tapo/live.h"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -101,15 +102,8 @@ void count_flow_event(const char* which) {
 
 }  // namespace
 
-LiveAnalyzer::LiveAnalyzer(LiveConfig config, FlowDoneFn on_flow_done)
-    : config_(config),
-      on_flow_done_(std::move(on_flow_done)),
-      analyzer_(config.analyzer) {
-  config_.validate();
-}
-
 LiveAnalyzer::LiveAnalyzer(LiveConfig config, FlowSink& sink)
-    : config_(config), sink_(&sink), analyzer_(config.analyzer) {
+    : config_(config), sink_(sink), analyzer_(config.analyzer) {
   config_.validate();
 }
 
@@ -128,15 +122,12 @@ void LiveAnalyzer::finalize(const net::FlowKey& key) {
     // The one analysis engine (FlowAccumulator demux + analyze_flow) over
     // this flow's arena.
     AnalysisResult result = analyzer_.analyze(entry.trace, config_.demux);
-    if (on_flow_done_) {
-      for (const auto& fa : result.flows) on_flow_done_(fa);
-    }
-    if (sink_ != nullptr && !result.flows.empty()) {
+    if (!result.flows.empty()) {
       FlowResult fr;
       fr.index = sink_ordinal_++;
       fr.packets = entry.trace.size();
       fr.analyses = std::move(result.flows);
-      sink_->consume(std::move(fr));
+      sink_.consume(std::move(fr));
     }
   }
   // Release only after analysis: the arena was live until here.
@@ -282,6 +273,8 @@ void LiveAnalyzer::add_packet(const net::CapturedPacket& pkt) {
   }
   evict_over_budget();
   stats_.active_flows = flows_.size();
+  stats_.peak_active_flows =
+      std::max(stats_.peak_active_flows, stats_.active_flows);
   update_resident_gauge();
 }
 
@@ -292,60 +285,10 @@ void LiveAnalyzer::add_chunk(const net::TraceChunk& chunk) {
 void LiveAnalyzer::flush() {
   while (!lru_.empty()) finalize(lru_.front());
   stats_.active_flows = 0;
-  if (sink_ != nullptr) {
-    RunStats rs;
-    rs.flows = sink_ordinal_;
-    rs.threads = 1;
-    sink_->finish(rs);
-  }
-}
-
-// ------------------------------------------------- SharedLiveAnalyzer
-
-LiveConfig SharedLiveAnalyzer::rebind(LiveConfig config,
-                                      util::MemoryBudget* owned) {
-  if (config.mem_budget != nullptr) config.with_mem_budget(owned);
-  return config;
-}
-
-SharedLiveAnalyzer::SharedLiveAnalyzer(const LiveConfig& config,
-                                       FlowDoneFn on_flow_done)
-    : budget_(config.mem_budget != nullptr ? config.mem_budget->limit() : 0),
-      live_(rebind(config, &budget_), std::move(on_flow_done)) {}
-
-SharedLiveAnalyzer::SharedLiveAnalyzer(const LiveConfig& config,
-                                       FlowSink& sink)
-    : budget_(config.mem_budget != nullptr ? config.mem_budget->limit() : 0),
-      live_(rebind(config, &budget_), sink) {}
-
-void SharedLiveAnalyzer::add_packet(const net::CapturedPacket& pkt) {
-  util::MutexLock lock(mu_);
-  live_.add_packet(pkt);
-}
-
-void SharedLiveAnalyzer::add_chunk(const net::TraceChunk& chunk) {
-  util::MutexLock lock(mu_);
-  live_.add_chunk(chunk);
-}
-
-void SharedLiveAnalyzer::flush() {
-  util::MutexLock lock(mu_);
-  live_.flush();
-}
-
-LiveStats SharedLiveAnalyzer::stats() const {
-  util::MutexLock lock(mu_);
-  return live_.stats();
-}
-
-std::size_t SharedLiveAnalyzer::budget_resident() const {
-  util::MutexLock lock(mu_);
-  return budget_.resident();
-}
-
-std::size_t SharedLiveAnalyzer::budget_high_water() const {
-  util::MutexLock lock(mu_);
-  return budget_.high_water();
+  RunStats rs;
+  rs.flows = sink_ordinal_;
+  rs.threads = 1;
+  sink_.finish(rs);
 }
 
 }  // namespace tapo::analysis

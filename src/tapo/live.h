@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <list>
 #include <unordered_map>
 
@@ -25,8 +24,6 @@
 #include "tapo/analyzer.h"
 #include "tapo/sink.h"
 #include "util/memory_budget.h"
-#include "util/mutex.h"
-#include "util/thread_annotations.h"
 
 namespace tapo::analysis {
 
@@ -66,7 +63,7 @@ struct LiveConfig {
 
   /// Throws std::invalid_argument on any unusable field (non-positive
   /// idle_timeout, zero max_flows, ...). Called by the LiveAnalyzer
-  /// constructors, plus the nested analyzer/demux validations.
+  /// constructor, plus the nested analyzer/demux validations.
   void validate() const;
 };
 
@@ -78,6 +75,8 @@ struct LiveStats {
   std::uint64_t truncated_flows = 0;  // per-flow packet cap hit
   std::uint64_t budget_evictions = 0; // mem-budget soft-limit evictions
   std::size_t active_flows = 0;
+  /// Most flows the table held at once, after each packet's evictions.
+  std::size_t peak_active_flows = 0;
   /// Bytes currently charged by this analyzer's flow table (subset of the
   /// shared budget's resident() when other stages charge the same ledger).
   std::size_t flow_bytes = 0;
@@ -85,11 +84,6 @@ struct LiveStats {
 
 class LiveAnalyzer {
  public:
-  /// Called with the completed analysis whenever a flow is finalized.
-  using FlowDoneFn = std::function<void(const FlowAnalysis&)>;
-
-  explicit LiveAnalyzer(LiveConfig config, FlowDoneFn on_flow_done);
-
   /// Streams finalized flows into a tapo::FlowSink — the same delivery API
   /// the parallel experiment runner uses, so one sink implementation (an
   /// aggregator, a CSV writer) serves both producers. Each finalized flow
@@ -109,8 +103,8 @@ class LiveAnalyzer {
   /// holding both doubles residency.
   void add_chunk(const net::TraceChunk& chunk);
 
-  /// Finalizes every remaining flow (end of capture / shutdown). With a
-  /// FlowSink attached, also invokes its finish() — call flush() once.
+  /// Finalizes every remaining flow (end of capture / shutdown) and
+  /// invokes the sink's finish() — call flush() once.
   void flush();
 
   const LiveStats& stats() const { return stats_; }
@@ -147,62 +141,14 @@ class LiveAnalyzer {
   void update_resident_gauge();
 
   LiveConfig config_;
-  FlowDoneFn on_flow_done_;
-  FlowSink* sink_ = nullptr;        // optional streaming delivery target
-  std::size_t sink_ordinal_ = 0;    // FlowResult::index for the next flow
+  FlowSink& sink_;
+  std::size_t sink_ordinal_ = 0;  // FlowResult::index for the next flow
   Analyzer analyzer_;
 
   std::unordered_map<net::FlowKey, Entry, net::FlowKeyHash> flows_;
   /// LRU order: front = least recently active.
   std::list<net::FlowKey> lru_;
   LiveStats stats_;
-};
-
-/// Thread-safe facade over LiveAnalyzer for multi-threaded capture: N
-/// ingest threads call add_packet()/add_chunk() concurrently while another
-/// thread polls stats(), all serialized by one annotated util::Mutex
-/// capability. LiveAnalyzer itself (and util::MemoryBudget, its ledger)
-/// stays deliberately single-threaded — one pipeline, one thread — so the
-/// facade owns a private MemoryBudget and rebinds the config's ledger
-/// pointer to it, making the budget's every charge/release/evict decision
-/// happen under the same capability as the flow table it bounds
-/// (TAPO_GUARDED_BY below is the compile-time form of that contract).
-///
-/// Callback caveat: on_flow_done / sink callbacks fire while the lock is
-/// held (finalization happens inside ingest). They must not call back into
-/// the same SharedLiveAnalyzer — the annotated API makes that re-entrance
-/// a -Wthread-safety error in any code path the analysis can see.
-class SharedLiveAnalyzer {
- public:
-  using FlowDoneFn = LiveAnalyzer::FlowDoneFn;
-
-  /// Both constructors mirror LiveAnalyzer's. When `config.mem_budget` is
-  /// set, only its *limit* is taken: the facade charges an owned ledger
-  /// instead, so an external (unguarded) MemoryBudget is never shared
-  /// across the ingest threads.
-  SharedLiveAnalyzer(const LiveConfig& config, FlowDoneFn on_flow_done);
-  SharedLiveAnalyzer(const LiveConfig& config, FlowSink& sink);
-
-  void add_packet(const net::CapturedPacket& pkt) TAPO_EXCLUDES(mu_);
-  void add_chunk(const net::TraceChunk& chunk) TAPO_EXCLUDES(mu_);
-  /// Finalizes every remaining flow; call once, after ingest threads join.
-  void flush() TAPO_EXCLUDES(mu_);
-
-  /// Snapshot by value (the underlying stats mutate under the lock).
-  LiveStats stats() const TAPO_EXCLUDES(mu_);
-  /// Owned ledger readings (0 / high-water when no budget was configured).
-  std::size_t budget_resident() const TAPO_EXCLUDES(mu_);
-  std::size_t budget_high_water() const TAPO_EXCLUDES(mu_);
-
- private:
-  /// Returns `config` with its ledger pointer rebound to `owned` (when a
-  /// budget was configured at all). Static so constructor member-init can
-  /// use it without touching guarded members outside the ctor exemption.
-  static LiveConfig rebind(LiveConfig config, util::MemoryBudget* owned);
-
-  mutable util::Mutex mu_;
-  util::MemoryBudget budget_ TAPO_GUARDED_BY(mu_);
-  LiveAnalyzer live_ TAPO_GUARDED_BY(mu_);
 };
 
 }  // namespace tapo::analysis

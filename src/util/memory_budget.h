@@ -11,12 +11,9 @@
 // A limit of 0 means unlimited: charges are still tracked (resident /
 // high_water stay meaningful for reporting) but over_budget() is never
 // true. Not thread-safe by design: one pipeline, one thread, one budget —
-// the parallel runner gives each worker its own. When a budget must be
-// shared across threads, it is held behind a capability instead of grown
-// locks of its own: analysis::SharedLiveAnalyzer declares its owned ledger
-// `util::MemoryBudget budget_ TAPO_GUARDED_BY(mu_)`, so every charge/
-// release happens inside the same annotated critical section as the flow
-// table it bounds, and -Wthread-safety rejects any unguarded path.
+// the parallel runner gives each worker its own. A budget shared across
+// threads would belong behind a util::Mutex capability
+// (TAPO_GUARDED_BY), not grow locks of its own.
 #pragma once
 
 #include <cstddef>

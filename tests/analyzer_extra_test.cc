@@ -7,88 +7,13 @@
 
 #include <sstream>
 
+#include "support/flow_builder.h"
+
 namespace tapo::analysis {
 namespace {
 
-constexpr std::uint32_t kMss = 1000;
-constexpr std::uint32_t kServerIsn = 5000;
-constexpr std::uint32_t kClientIsn = 1000;
-constexpr std::uint32_t kBigWindow = 63000;
-
-struct FlowBuilder {
-  Flow flow;
-
-  FlowBuilder() {
-    flow.server_to_client = {0xc0a80101, 0x0a000001, 80, 40001};
-    flow.saw_syn = true;
-    flow.saw_synack = true;
-    flow.server_isn = net::Seq32{kServerIsn};
-    flow.client_isn = net::Seq32{kClientIsn};
-    flow.mss = kMss;
-    flow.sack_permitted = true;
-    flow.init_rwnd_bytes = kBigWindow;
-  }
-
-  static net::Seq32 seg(int i) {
-    return net::Seq32{kServerIsn + 1 + static_cast<std::uint32_t>(i) * kMss};
-  }
-
-  FlowPacket& add(double t, bool from_server) {
-    FlowPacket& p = flow.append_packet();
-    p.ts = TimePoint::from_us(static_cast<std::int64_t>(t * 1e6));
-    p.from_server = from_server;
-    p.window = kBigWindow;
-    return p;
-  }
-
-  void handshake(double t = 0.0, double rtt = 0.1) {
-    auto& syn = add(t, false);
-    syn.seq = net::Seq32{kClientIsn};
-    syn.flags.syn = true;
-    auto& synack = add(t, true);
-    synack.seq = net::Seq32{kServerIsn};
-    synack.ack = net::Seq32{kClientIsn + 1};
-    synack.flags.syn = true;
-    synack.flags.ack = true;
-    auto& ack = add(t + rtt, false);
-    ack.seq = net::Seq32{kClientIsn + 1};
-    ack.ack = net::Seq32{kServerIsn + 1};
-    ack.flags.ack = true;
-  }
-
-  void request(double t, std::uint32_t len = 200) {
-    auto& p = add(t, false);
-    p.seq = net::Seq32{kClientIsn + 1};
-    p.flags.ack = true;
-    p.payload = len;
-  }
-
-  void data(double t, int i, std::uint32_t len = kMss) {
-    auto& p = add(t, true);
-    p.seq = seg(i);
-    p.flags.ack = true;
-    p.payload = len;
-  }
-
-  void fin(double t, int i) {
-    auto& p = add(t, true);
-    p.seq = seg(i);
-    p.flags.ack = true;
-    p.flags.fin = true;
-  }
-
-  void ack(double t, net::Seq32 ackno, std::uint32_t window = kBigWindow) {
-    auto& p = add(t, false);
-    p.seq = net::Seq32{kClientIsn + 201};
-    p.ack = ackno;
-    p.flags.ack = true;
-    p.window = window;
-  }
-
-  FlowAnalysis analyze(AnalyzerConfig cfg = {}) const {
-    return Analyzer(cfg).analyze_flow(flow);
-  }
-};
+using test::FlowBuilder;
+using test::kBigWindow;
 
 TEST(AnalyzerExtra, LostFinClassifiedAsTailRetransmission) {
   FlowBuilder b;
@@ -120,9 +45,9 @@ TEST(AnalyzerExtra, PersistProbeGapsClassifiedAsZeroWindow) {
   // Second probe after a backed-off interval.
   {
     auto& p = b.add(1.55, true);
-    p.seq = FlowBuilder::seg(2) + 1;
-    p.flags.ack = true;
-    p.payload = 1;
+    p.tcp.seq = FlowBuilder::seg(2) + 1;
+    p.tcp.flags.ack = true;
+    p.payload_len = 1;
   }
   b.ack(1.65, FlowBuilder::seg(2) + 2, kBigWindow);  // window reopens
   const auto fa = b.analyze();

@@ -6,107 +6,14 @@
 #include "tapo/analyzer.h"
 #include "tapo/report.h"
 
+#include "support/flow_builder.h"
+
 namespace tapo::analysis {
 namespace {
 
-constexpr std::uint32_t kMss = 1000;
-constexpr std::uint32_t kServerIsn = 5000;
-constexpr std::uint32_t kClientIsn = 1000;
-constexpr std::uint32_t kBigWindow = 63000;
-
-/// Builds a Flow packet-by-packet. Times are absolute seconds.
-struct FlowBuilder {
-  Flow flow;
-
-  FlowBuilder() {
-    flow.server_to_client = {0xc0a80101, 0x0a000001, 80, 40001};
-    flow.saw_syn = true;
-    flow.saw_synack = true;
-    flow.server_isn = net::Seq32{kServerIsn};
-    flow.client_isn = net::Seq32{kClientIsn};
-    flow.mss = kMss;
-    flow.sack_permitted = true;
-    flow.client_wscale = 0;
-    flow.init_rwnd_bytes = kBigWindow;
-  }
-
-  static net::Seq32 seg(int i) {
-    return net::Seq32{kServerIsn + 1 + static_cast<std::uint32_t>(i) * kMss};
-  }
-
-  FlowPacket& add(double t, bool from_server) {
-    FlowPacket& p = flow.append_packet();
-    p.ts = TimePoint::from_us(static_cast<std::int64_t>(t * 1e6));
-    p.from_server = from_server;
-    p.window = kBigWindow;
-    return p;
-  }
-
-  /// Standard handshake: SYN at t, SYN-ACK at t, client ACK at t+rtt.
-  /// Seeds the mimic's SRTT with `rtt`.
-  void handshake(double t = 0.0, double rtt = 0.1) {
-    auto& syn = add(t, false);
-    syn.seq = net::Seq32{kClientIsn};
-    syn.flags.syn = true;
-    auto& synack = add(t, true);
-    synack.seq = net::Seq32{kServerIsn};
-    synack.ack = net::Seq32{kClientIsn + 1};
-    synack.flags.syn = true;
-    synack.flags.ack = true;
-    auto& ack = add(t + rtt, false);
-    ack.seq = net::Seq32{kClientIsn + 1};
-    ack.ack = net::Seq32{kServerIsn + 1};
-    ack.flags.ack = true;
-  }
-
-  net::Seq32 next_req_seq = net::Seq32{kClientIsn + 1};
-
-  /// Client request of `len` bytes arriving at t.
-  void request(double t, std::uint32_t len = 200, std::uint32_t req_seq = 0) {
-    auto& p = add(t, false);
-    p.seq = req_seq ? net::Seq32{req_seq} : next_req_seq;
-    next_req_seq = p.seq + len;
-    p.ack = net::Seq32{0};  // caller may not care
-    p.flags.ack = true;
-    p.payload = len;
-  }
-
-  /// Server data segment i at t (new transmission or retransmission —
-  /// the analyzer decides from sequence numbers).
-  void data(double t, int i, std::uint32_t len = kMss) {
-    auto& p = add(t, true);
-    p.seq = seg(i);
-    p.flags.ack = true;
-    p.payload = len;
-  }
-
-  /// Client ACK at t, cumulative up to segment `upto` (exclusive), with
-  /// optional SACK blocks given as segment index ranges.
-  void ack(double t, int upto,
-           std::vector<std::pair<int, int>> sack_segs = {},
-           std::uint32_t window = kBigWindow) {
-    std::vector<net::SackBlock> blocks;
-    for (const auto& [s, e] : sack_segs) blocks.push_back({seg(s), seg(e)});
-    ack_at(t, seg(upto), blocks, window);
-  }
-
-  /// Client ACK at t with a raw cumulative ACK and raw SACK blocks, for
-  /// edges that fall mid-segment.
-  void ack_at(double t, net::Seq32 cum_ack,
-              const std::vector<net::SackBlock>& blocks = {},
-              std::uint32_t window = kBigWindow) {
-    auto& p = add(t, false);
-    p.seq = net::Seq32{kClientIsn + 1};
-    p.ack = cum_ack;
-    p.flags.ack = true;
-    p.window = window;
-    for (const auto& b : blocks) flow.append_sack(b);
-  }
-
-  FlowAnalysis analyze(AnalyzerConfig cfg = {}) const {
-    return Analyzer(cfg).analyze_flow(flow);
-  }
-};
+using test::FlowBuilder;
+using test::kBigWindow;
+using test::kMss;
 
 // With rtt=0.1: SRTT=100 ms, RTO ~= 300 ms; stall threshold 200 ms.
 
@@ -427,14 +334,8 @@ TEST(Analyzer, AckDelayLossStall) {
   // Timeout retransmission of the head of the window...
   b.data(t + 0.5, 10);
   // ...and the client's (delayed) ACK reveals everything arrived: DSACK.
-  {
-    auto& p = b.add(t + 0.6, false);
-    p.seq = net::Seq32{kClientIsn + 201};
-    p.ack = FlowBuilder::seg(16);
-    p.flags.ack = true;
-    p.window = kBigWindow;
-    b.flow.append_sack({FlowBuilder::seg(10), FlowBuilder::seg(11)});  // DSACK
-  }
+  b.ack_at(t + 0.6, FlowBuilder::seg(16),
+           {{FlowBuilder::seg(10), FlowBuilder::seg(11)}});  // DSACK
   for (int i = 16; i < 20; ++i) b.data(t + 0.7, i);
   b.ack(t + 0.8, 20);
   const auto fa = b.analyze();
@@ -538,14 +439,8 @@ TEST(Analyzer, SpuriousFastRetransmitCountedViaDsack) {
   b.ack(t + 0.12, 0, {{1, 4}});
   b.data(t + 0.13, 0);  // fast retransmit
   // ...but the original arrives: cumulative ack + DSACK for segment 0.
-  {
-    auto& p = b.add(t + 0.2, false);
-    p.seq = net::Seq32{kClientIsn + 201};
-    p.ack = FlowBuilder::seg(5);
-    p.flags.ack = true;
-    p.window = kBigWindow;
-    b.flow.append_sack({FlowBuilder::seg(0), FlowBuilder::seg(1)});
-  }
+  b.ack_at(t + 0.2, FlowBuilder::seg(5),
+           {{FlowBuilder::seg(0), FlowBuilder::seg(1)}});
   const auto fa = b.analyze();
   EXPECT_EQ(fa.spurious_retrans, 1u);
   EXPECT_EQ(fa.fast_retrans, 1u);

@@ -17,6 +17,8 @@
 #include "workload/experiment.h"
 #include "workload/runner.h"
 
+#include "support/analysis_collector.h"
+
 namespace tapo {
 namespace {
 
@@ -374,7 +376,8 @@ TEST(ConfigBuilders, LiveConfigValidates) {
 
   analysis::LiveConfig bad;
   bad.max_flows = 0;
-  EXPECT_THROW(analysis::LiveAnalyzer(bad, nullptr), std::invalid_argument);
+  test::AnalysisCollector sink;
+  EXPECT_THROW(analysis::LiveAnalyzer(bad, sink), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------

@@ -26,21 +26,21 @@ TEST(Demux, SplitsByFourTuple) {
   trace.add(pkt(2, 11, 20, 2222, 80, 100));
   trace.add(pkt(3, 20, 10, 80, 1111, 500));
   trace.add(pkt(4, 20, 11, 80, 2222, 500));
-  const auto flows = demux_flows(trace);
+  const auto flows = demux_flow_views(trace);
   ASSERT_EQ(flows.size(), 2u);
-  EXPECT_EQ(flows[0].packets.size(), 2u);
-  EXPECT_EQ(flows[1].packets.size(), 2u);
+  EXPECT_EQ(flows[0].size(), 2u);
+  EXPECT_EQ(flows[1].size(), 2u);
 }
 
 TEST(Demux, BothDirectionsSameFlow) {
   net::PacketTrace trace;
   trace.add(pkt(1, 10, 20, 1111, 80, 100));
   trace.add(pkt(2, 20, 10, 80, 1111, 1000));
-  const auto flows = demux_flows(trace);
+  const auto flows = demux_flow_views(trace);
   ASSERT_EQ(flows.size(), 1u);
-  EXPECT_EQ(flows[0].packets.size(), 2u);
-  EXPECT_FALSE(flows[0].packets[0].from_server);
-  EXPECT_TRUE(flows[0].packets[1].from_server);
+  EXPECT_EQ(flows[0].size(), 2u);
+  EXPECT_NE(flows[0].packet(0).key, flows[0].server_to_client);
+  EXPECT_EQ(flows[0].packet(1).key, flows[0].server_to_client);
 }
 
 TEST(Demux, ServerIdentifiedBySynAck) {
@@ -55,7 +55,7 @@ TEST(Demux, ServerIdentifiedBySynAck) {
   trace.add(synack);
   // Client sends MORE payload than the server here — SYN-ACK still wins.
   trace.add(pkt(3, 10, 20, 1111, 80, 5000));
-  const auto flows = demux_flows(trace);
+  const auto flows = demux_flow_views(trace);
   ASSERT_EQ(flows.size(), 1u);
   EXPECT_EQ(flows[0].server_to_client.src_ip, 20u);
   EXPECT_TRUE(flows[0].saw_syn);
@@ -66,7 +66,7 @@ TEST(Demux, ServerIdentifiedByPayloadWithoutHandshake) {
   net::PacketTrace trace;
   trace.add(pkt(1, 10, 20, 1111, 80, 100));
   trace.add(pkt(2, 20, 10, 80, 1111, 9000));
-  const auto flows = demux_flows(trace);
+  const auto flows = demux_flow_views(trace);
   ASSERT_EQ(flows.size(), 1u);
   EXPECT_EQ(flows[0].server_to_client.src_ip, 20u);
 }
@@ -77,7 +77,7 @@ TEST(Demux, ServerPortOptionOverrides) {
   trace.add(pkt(2, 20, 10, 8080, 1111, 10));
   DemuxOptions opts;
   opts.server_port = 8080;
-  const auto flows = demux_flows(trace, opts);
+  const auto flows = demux_flow_views(trace, opts);
   ASSERT_EQ(flows.size(), 1u);
   EXPECT_EQ(flows[0].server_to_client.src_port, 8080);
 }
@@ -102,7 +102,7 @@ TEST(Demux, HandshakeParamsExtracted) {
   ack.tcp.window = 100;  // scaled by 2^7 = 12800 bytes
   trace.add(ack);
 
-  const auto flows = demux_flows(trace);
+  const auto flows = demux_flow_views(trace);
   ASSERT_EQ(flows.size(), 1u);
   const auto& f = flows[0];
   EXPECT_EQ(f.client_isn, net::Seq32{999});
@@ -125,7 +125,7 @@ TEST(Demux, InitRwndFallsBackToSynWindow) {
   synack.tcp.flags.syn = true;
   synack.tcp.flags.ack = true;
   trace.add(synack);
-  const auto flows = demux_flows(trace);
+  const auto flows = demux_flow_views(trace);
   ASSERT_EQ(flows.size(), 1u);
   EXPECT_EQ(flows[0].init_rwnd_bytes, 4096u);
 }
@@ -137,7 +137,7 @@ TEST(Demux, MinPacketsFilters) {
   trace.add(pkt(3, 20, 11, 80, 2222, 100));
   DemuxOptions opts;
   opts.min_packets = 2;
-  const auto flows = demux_flows(trace, opts);
+  const auto flows = demux_flow_views(trace, opts);
   EXPECT_EQ(flows.size(), 1u);
 }
 
@@ -146,7 +146,7 @@ TEST(Demux, PayloadByteCounters) {
   trace.add(pkt(1, 10, 20, 1111, 80, 100));
   trace.add(pkt(2, 20, 10, 80, 1111, 1448));
   trace.add(pkt(3, 20, 10, 80, 1111, 1448));
-  const auto flows = demux_flows(trace);
+  const auto flows = demux_flow_views(trace);
   ASSERT_EQ(flows.size(), 1u);
   EXPECT_EQ(flows[0].server_payload_bytes, 2896u);
   EXPECT_EQ(flows[0].client_payload_bytes, 100u);
@@ -158,7 +158,7 @@ TEST(Demux, FinTracked) {
   auto fin = pkt(2, 20, 10, 80, 1111);
   fin.tcp.flags.fin = true;
   trace.add(fin);
-  const auto flows = demux_flows(trace);
+  const auto flows = demux_flow_views(trace);
   ASSERT_EQ(flows.size(), 1u);
   EXPECT_TRUE(flows[0].saw_fin);
 }

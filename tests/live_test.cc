@@ -9,8 +9,12 @@
 #include "tapo/live.h"
 #include "workload/experiment.h"
 
+#include "support/analysis_collector.h"
+
 namespace tapo::analysis {
 namespace {
+
+using test::AnalysisCollector;
 
 /// Builds an interleaved multi-flow trace from simulated service flows,
 /// staggering flow start times by `stagger` (each flow's private simulator
@@ -47,12 +51,14 @@ TEST(Live, MatchesOfflineAnalysis) {
   }
 
   // Live run over the same packets.
-  std::map<std::string, std::size_t> live_stalls;
-  LiveAnalyzer live({}, [&](const FlowAnalysis& fa) {
-    live_stalls[fa.key.to_string()] = fa.stalls.size();
-  });
+  AnalysisCollector sink;
+  LiveAnalyzer live({}, sink);
   for (const auto& pkt : trace.packets()) live.add_packet(pkt);
   live.flush();
+  std::map<std::string, std::size_t> live_stalls;
+  for (const auto& fa : sink.analyses) {
+    live_stalls[fa.key.to_string()] = fa.stalls.size();
+  }
 
   EXPECT_EQ(live.stats().packets, trace.size());
   EXPECT_EQ(live_stalls, ref_stalls);
@@ -61,23 +67,23 @@ TEST(Live, MatchesOfflineAnalysis) {
 
 TEST(Live, FinLingerFinalizesPromptly) {
   const auto trace = sample_trace(3, 21, Duration::seconds(30.0));
-  std::size_t done = 0;
   LiveConfig cfg;
   cfg.fin_linger = Duration::seconds(1.0);
-  LiveAnalyzer live(cfg, [&](const FlowAnalysis&) { ++done; });
+  AnalysisCollector sink;
+  LiveAnalyzer live(cfg, sink);
   for (const auto& pkt : trace.packets()) live.add_packet(pkt);
   // The trace interleaves flows spanning seconds; earlier FIN'd flows are
   // finalized before the feed ends.
-  EXPECT_GE(done, 1u);
+  EXPECT_GE(sink.analyses.size(), 1u);
   live.flush();
-  EXPECT_EQ(done, 3u);
+  EXPECT_EQ(sink.analyses.size(), 3u);
 }
 
 TEST(Live, IdleTimeoutWithoutFin) {
   LiveConfig cfg;
   cfg.idle_timeout = Duration::seconds(5.0);
-  std::size_t done = 0;
-  LiveAnalyzer live(cfg, [&](const FlowAnalysis&) { ++done; });
+  AnalysisCollector sink;
+  LiveAnalyzer live(cfg, sink);
 
   auto pkt_at = [](std::int64_t us, std::uint16_t sport) {
     net::CapturedPacket p;
@@ -91,15 +97,15 @@ TEST(Live, IdleTimeoutWithoutFin) {
   live.add_packet(pkt_at(100, 1000));
   // A second flow starts much later: the first idles out.
   live.add_packet(pkt_at(10'000'000, 2000));
-  EXPECT_EQ(done, 1u);
+  EXPECT_EQ(sink.analyses.size(), 1u);
   EXPECT_EQ(live.stats().active_flows, 1u);
 }
 
 TEST(Live, LruEvictionBoundsTable) {
   LiveConfig cfg;
   cfg.max_flows = 4;
-  std::size_t done = 0;
-  LiveAnalyzer live(cfg, [&](const FlowAnalysis&) { ++done; });
+  AnalysisCollector sink;
+  LiveAnalyzer live(cfg, sink);
   for (std::uint16_t port = 1; port <= 10; ++port) {
     net::CapturedPacket p;
     p.timestamp = TimePoint::from_us(port * 1000);
@@ -109,17 +115,18 @@ TEST(Live, LruEvictionBoundsTable) {
     live.add_packet(p);
   }
   EXPECT_LE(live.stats().active_flows, 4u);
+  EXPECT_EQ(live.stats().peak_active_flows, 4u);
   EXPECT_EQ(live.stats().flows_evicted, 6u);
-  EXPECT_EQ(done, 6u);
+  EXPECT_EQ(sink.analyses.size(), 6u);
   live.flush();
-  EXPECT_EQ(done, 10u);
+  EXPECT_EQ(sink.analyses.size(), 10u);
 }
 
 TEST(Live, ElephantFlowTruncated) {
   LiveConfig cfg;
   cfg.max_packets_per_flow = 50;
-  std::size_t done = 0;
-  LiveAnalyzer live(cfg, [&](const FlowAnalysis&) { ++done; });
+  AnalysisCollector sink;
+  LiveAnalyzer live(cfg, sink);
   for (int i = 0; i < 120; ++i) {
     net::CapturedPacket p;
     p.timestamp = TimePoint::from_us(i * 100);
@@ -130,19 +137,16 @@ TEST(Live, ElephantFlowTruncated) {
     live.add_packet(p);
   }
   EXPECT_EQ(live.stats().truncated_flows, 2u);  // at 50 and 100 packets
-  EXPECT_EQ(done, 2u);
+  EXPECT_EQ(sink.analyses.size(), 2u);
   live.flush();
-  EXPECT_EQ(done, 3u);
+  EXPECT_EQ(sink.analyses.size(), 3u);
 }
 
 TEST(Live, LruEvictionOrderIsLeastRecentlyActive) {
   LiveConfig cfg;
   cfg.max_flows = 2;
-  std::vector<std::uint16_t> evicted_ports;
-  LiveAnalyzer live(cfg, [&](const FlowAnalysis& fa) {
-    evicted_ports.push_back(fa.key.src_port == 80 ? fa.key.dst_port
-                                                  : fa.key.src_port);
-  });
+  AnalysisCollector sink;
+  LiveAnalyzer live(cfg, sink);
   auto pkt = [](std::int64_t us, std::uint16_t port) {
     net::CapturedPacket p;
     p.timestamp = TimePoint::from_us(us);
@@ -156,6 +160,11 @@ TEST(Live, LruEvictionOrderIsLeastRecentlyActive) {
   live.add_packet(pkt(2000, 1));  // touch A: B is now least recently active
   live.add_packet(pkt(3000, 3));  // flow C -> evicts B, not A
   live.add_packet(pkt(4000, 4));  // flow D -> evicts A
+  std::vector<std::uint16_t> evicted_ports;
+  for (const auto& fa : sink.analyses) {
+    evicted_ports.push_back(fa.key.src_port == 80 ? fa.key.dst_port
+                                                  : fa.key.src_port);
+  }
   EXPECT_EQ(evicted_ports, (std::vector<std::uint16_t>{2, 1}));
   EXPECT_EQ(live.stats().flows_evicted, 2u);
   EXPECT_EQ(live.stats().active_flows, 2u);
@@ -164,9 +173,8 @@ TEST(Live, LruEvictionOrderIsLeastRecentlyActive) {
 TEST(Live, EvictedFlowStillProducesAnalysis) {
   LiveConfig cfg;
   cfg.max_flows = 1;
-  std::vector<FlowAnalysis> analyses;
-  LiveAnalyzer live(cfg,
-                    [&](const FlowAnalysis& fa) { analyses.push_back(fa); });
+  AnalysisCollector sink;
+  LiveAnalyzer live(cfg, sink);
   // Give the evicted flow real content: three data packets from the server
   // endpoint so its analysis has observable segments.
   for (int i = 0; i < 3; ++i) {
@@ -186,8 +194,9 @@ TEST(Live, EvictedFlowStillProducesAnalysis) {
   live.add_packet(other);  // table full -> first flow evicted
 
   EXPECT_EQ(live.stats().flows_evicted, 1u);
-  ASSERT_EQ(analyses.size(), 1u);  // eviction went through full analysis
-  const FlowAnalysis& fa = analyses.front();
+  // Eviction went through full analysis.
+  ASSERT_EQ(sink.analyses.size(), 1u);
+  const FlowAnalysis& fa = sink.analyses.front();
   EXPECT_TRUE(fa.key.src_port == 80 || fa.key.dst_port == 80);
   EXPECT_EQ(fa.data_segments, 3u);
   EXPECT_EQ(fa.unique_bytes, 300u);
@@ -196,10 +205,8 @@ TEST(Live, EvictedFlowStillProducesAnalysis) {
 TEST(Live, TruncationAccounting) {
   LiveConfig cfg;
   cfg.max_packets_per_flow = 10;
-  std::vector<std::uint64_t> segment_counts;
-  LiveAnalyzer live(cfg, [&](const FlowAnalysis& fa) {
-    segment_counts.push_back(fa.data_segments);
-  });
+  AnalysisCollector sink;
+  LiveAnalyzer live(cfg, sink);
   for (int i = 0; i < 25; ++i) {
     net::CapturedPacket p;
     p.timestamp = TimePoint::from_us(i * 100);
@@ -215,14 +222,44 @@ TEST(Live, TruncationAccounting) {
   live.flush();
   EXPECT_EQ(live.stats().truncated_flows, 2u);  // flush is not a truncation
   EXPECT_EQ(live.stats().flows_finalized, 3u);
+  std::vector<std::uint64_t> segment_counts;
+  for (const auto& fa : sink.analyses) {
+    segment_counts.push_back(fa.data_segments);
+  }
   EXPECT_EQ(segment_counts, (std::vector<std::uint64_t>{10, 10, 5}));
   EXPECT_EQ(live.stats().packets, 25u);
 }
 
 TEST(Live, FlushOnEmptyIsSafe) {
-  LiveAnalyzer live({}, nullptr);
+  AnalysisCollector sink;
+  LiveAnalyzer live({}, sink);
   EXPECT_NO_THROW(live.flush());
   EXPECT_EQ(live.stats().flows_finalized, 0u);
+  EXPECT_EQ(live.stats().peak_active_flows, 0u);
+}
+
+TEST(Live, PeakActiveFlowsCountsInterleavedFlows) {
+  // N flows whose packets interleave round-robin are all open at once, so
+  // the table peaks at exactly N; flush() empties it but keeps the peak.
+  constexpr std::uint16_t kFlows = 5;
+  AnalysisCollector sink;
+  LiveAnalyzer live({}, sink);
+  for (int round = 0; round < 3; ++round) {
+    for (std::uint16_t port = 1; port <= kFlows; ++port) {
+      net::CapturedPacket p;
+      p.timestamp = TimePoint::from_us(round * 1000 + port);
+      p.key = {1, 2, port, 80};
+      p.payload_len = 10;
+      p.tcp.flags.ack = true;
+      live.add_packet(p);
+    }
+  }
+  EXPECT_EQ(live.stats().active_flows, kFlows);
+  EXPECT_EQ(live.stats().peak_active_flows, kFlows);
+  live.flush();
+  EXPECT_EQ(live.stats().active_flows, 0u);
+  EXPECT_EQ(live.stats().peak_active_flows, kFlows);
+  EXPECT_EQ(sink.analyses.size(), kFlows);
 }
 
 }  // namespace

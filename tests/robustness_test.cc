@@ -143,9 +143,9 @@ TEST(Fuzz, DemuxHandlesManyFlows) {
     p.payload_len = 100;
     trace.add(p);
   }
-  const auto flows = analysis::demux_flows(trace);
+  const auto flows = analysis::demux_flow_views(trace);
   std::size_t total = 0;
-  for (const auto& f : flows) total += f.packets.size();
+  for (const auto& f : flows) total += f.size();
   EXPECT_EQ(total, 5'000u);  // every packet lands in exactly one flow
 }
 

@@ -22,6 +22,8 @@
 #include "workload/experiment.h"
 #include "workload/profiles.h"
 
+#include "support/analysis_collector.h"
+
 namespace tapo::analysis {
 namespace {
 
@@ -153,9 +155,8 @@ AnalysisResult analyze_via_streaming_pipeline(const net::PacketTrace& trace,
           .with_max_flows(std::numeric_limits<std::size_t>::max())
           .with_max_packets_per_flow(std::numeric_limits<std::size_t>::max())
           .with_mem_budget(budget);
-  AnalysisResult result;
-  LiveAnalyzer live(config, LiveAnalyzer::FlowDoneFn(
-      [&result](const FlowAnalysis& fa) { result.flows.push_back(fa); }));
+  test::AnalysisCollector sink;
+  LiveAnalyzer live(config, sink);
 
   std::unordered_map<net::FlowKey, std::size_t, net::FlowKeyHash> first_seen;
   pcap::StreamingReader reader(
@@ -169,6 +170,8 @@ AnalysisResult analyze_via_streaming_pipeline(const net::PacketTrace& trace,
   }
   live.flush();
   if (stats_out != nullptr) *stats_out = live.stats();
+  AnalysisResult result;
+  result.flows = std::move(sink.analyses);
   std::stable_sort(result.flows.begin(), result.flows.end(),
                    [&first_seen](const FlowAnalysis& a, const FlowAnalysis& b) {
                      return first_seen.at(a.key.canonical()) <

@@ -1,7 +1,8 @@
-// Zero-copy data-path tests: the view-based demux+analysis pipeline must be
-// bit-identical to the copying path on randomized simulated workloads, view
-// lifetimes must follow the sort-then-demux rule, and the pcap reader must
-// keep its arena consistent across rejected/truncated frames.
+// Zero-copy data-path tests: batch analysis must be bit-identical to
+// analyzing each demuxed view on its own, on randomized simulated
+// workloads, view lifetimes must follow the sort-then-demux rule, and the
+// pcap reader must keep its arena consistent across rejected/truncated
+// frames.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,9 +20,9 @@ namespace tapo::analysis {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Deep FlowAnalysis equality. EXPECT_EQ on doubles is deliberate: both paths
-// must execute the identical instruction stream, so results are bit-equal,
-// not merely close.
+// Deep FlowAnalysis equality. EXPECT_EQ on doubles is deliberate: both
+// entry points must execute the identical instruction stream, so results
+// are bit-equal, not merely close.
 // ---------------------------------------------------------------------------
 
 void expect_same_stall(const StallRecord& a, const StallRecord& b) {
@@ -64,23 +65,15 @@ void expect_same_analysis(const FlowAnalysis& a, const FlowAnalysis& b) {
   }
 }
 
-/// Runs both pipelines over `trace` and asserts flow-by-flow equality.
-void expect_view_path_matches_copy_path(const net::PacketTrace& trace) {
+/// Analyzes `trace` through Analyzer::analyze and asserts that it returns,
+/// flow by flow, exactly what analyze_flow gives on each demuxed view.
+void expect_batch_matches_per_view(const net::PacketTrace& trace) {
   const Analyzer analyzer;
-  const std::vector<Flow> flows = demux_flows(trace);
   const FlowViewSet views = demux_flow_views(trace);
-  ASSERT_EQ(flows.size(), views.size());
-  for (std::size_t i = 0; i < flows.size(); ++i) {
-    ASSERT_EQ(flows[i].packets.size(), views[i].size());
-    EXPECT_EQ(flows[i].server_to_client, views[i].server_to_client);
-    expect_same_analysis(analyzer.analyze_flow(flows[i]),
-                         analyzer.analyze_flow(views[i]));
-  }
-  // And through the Analyzer::analyze entry point (view path by default).
   const AnalysisResult whole = analyzer.analyze(trace);
-  ASSERT_EQ(whole.flows.size(), flows.size());
-  for (std::size_t i = 0; i < flows.size(); ++i) {
-    expect_same_analysis(analyzer.analyze_flow(flows[i]), whole.flows[i]);
+  ASSERT_EQ(whole.flows.size(), views.size());
+  for (std::size_t i = 0; i < views.size(); ++i) {
+    expect_same_analysis(analyzer.analyze_flow(views[i]), whole.flows[i]);
   }
 }
 
@@ -127,26 +120,26 @@ std::vector<ProfileCase> all_profiles() {
           {"web_search", workload::web_search_profile()}};
 }
 
-TEST(ZeroCopyProperty, ViewAnalysisBitIdenticalToCopyAnalysis) {
+TEST(ZeroCopyProperty, BatchAnalysisBitIdenticalToPerViewAnalysis) {
   for (const auto& [name, profile] : all_profiles()) {
     SCOPED_TRACE(name);
     net::PacketTrace trace = merged_trace(profile, /*seed=*/1234, 6);
     ASSERT_GT(trace.size(), 0u);
     trace.sort_by_time();  // interleave the flows chronologically
-    expect_view_path_matches_copy_path(trace);
+    expect_batch_matches_per_view(trace);
   }
 }
 
 TEST(ZeroCopyProperty, HoldsOnShuffledCaptureOrder) {
   // Demux preserves per-flow capture order whatever the global order is;
-  // both paths must agree on arbitrarily permuted traces too (their output
-  // just reflects the garbled timestamps identically).
+  // both entry points must agree on arbitrarily permuted traces too (their
+  // output just reflects the garbled timestamps identically).
   for (const auto& [name, profile] : all_profiles()) {
     SCOPED_TRACE(name);
     const net::PacketTrace base = merged_trace(profile, /*seed=*/77, 4);
     ASSERT_GT(base.size(), 0u);
     const net::PacketTrace garbled = shuffled(base, /*seed=*/5);
-    expect_view_path_matches_copy_path(garbled);
+    expect_batch_matches_per_view(garbled);
   }
 }
 
@@ -178,8 +171,8 @@ TEST(ZeroCopyProperty, ViewsSurviveSortCalledBeforeDemux) {
   // Every arena packet belongs to exactly one view (min_packets is 1).
   EXPECT_EQ(viewed, arena.size());
   EXPECT_EQ(views.pool_bytes(), arena.size() * sizeof(net::CapturedPacket*));
-  // The sorted trace analyzes identically via both paths.
-  expect_view_path_matches_copy_path(work);
+  // The sorted trace analyzes identically via both entry points.
+  expect_batch_matches_per_view(work);
 }
 
 TEST(ZeroCopy, FlowViewSetSurvivesMove) {
@@ -196,10 +189,8 @@ TEST(ZeroCopy, FlowViewSetSurvivesMove) {
 }
 
 TEST(ZeroCopy, PacketRecordsStayCompact) {
-  // The static_asserts enforce these at compile time; restating the sizes
-  // here keeps the budget visible in test output when they change.
-  EXPECT_LE(sizeof(FlowPacket), 32u);
-  EXPECT_TRUE(std::is_trivially_copyable_v<FlowPacket>);
+  // The static_asserts enforce these at compile time; restating them here
+  // keeps the flat-arena contract visible in test output.
   EXPECT_TRUE(std::is_trivially_copyable_v<net::CapturedPacket>);
   EXPECT_TRUE(std::is_trivially_copyable_v<net::TcpHeader>);
 }

@@ -18,8 +18,8 @@
 #   tsan     -fsanitize=thread, full ctest (includes the runner_parallel_tsan
 #            and telemetry_tsan race-check entries), then an explicit
 #            `concurrency`-labeled pass: the annotated-mutex API tests and
-#            the Registry/SharedLiveAnalyzer/FleetAggregator lock-contention
-#            stress suites race-checked under TSan
+#            the Registry lock-contention stress suite race-checked under
+#            TSan
 #   thread-safety  Clang-only static gate: builds with clang++ and
 #            -DTAPO_THREAD_SAFETY=ON (-Wthread-safety -Werror=thread-safety
 #            over the TAPO_* capability annotations, plus the configure-time
