@@ -9,12 +9,12 @@
 // system bans them — Seq32 does not convert to or from integers, so every
 // comparison and every advance goes through wraparound-safe operations.
 //
-// Project style (enforced by tools/tapo_lint's seq-compare rule): inside
-// src/, sequence ordering uses the named helpers below — before(),
-// after(), at_or_before(), at_or_after() — never bare relational
-// operators, so a token-level linter can vouch that no raw-integer
-// comparison snuck back in. The relational operators on Seq32 itself are
-// wrap-safe and remain available for generic code and tests.
+// The type carries the guarantee: a Seq32 never compares with a raw
+// integer, and its relational operators are wrap-safe (tests/seq_test.cc
+// pins both at compile time). Project style inside src/ still prefers the
+// named helpers below — before(), after(), at_or_before(), at_or_after() —
+// which read like the Linux code they mirror; the operators serve generic
+// code and tests.
 //
 // Distances: distance(from, to) is the forward byte count (mod 2^32) and
 // is the wrap-safe spelling of `to - from`; the subtraction operator

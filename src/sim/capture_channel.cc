@@ -281,6 +281,7 @@ void CaptureChannel::emit(const net::CapturedPacket& pkt) {
 net::PacketTrace apply_impairments(const net::PacketTrace& pristine,
                                    const CaptureImpairments& impairments,
                                    CaptureChannelStats* stats) {
+  impairments.validate();
   if (!impairments.enabled()) {
     if (stats != nullptr) {
       stats->seen += pristine.size();

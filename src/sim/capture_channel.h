@@ -126,8 +126,9 @@ class CaptureChannel {
   std::optional<net::CapturedPacket> held_;  // reorder hold slot
 };
 
-/// Replays a pristine trace through a CaptureChannel. With no impairment
-/// enabled the result is a bit-identical clone of the input.
+/// Replays a pristine trace through a CaptureChannel. The config is
+/// validated first, even when no impairment is enabled; with none enabled
+/// the result is a bit-identical clone of the input.
 net::PacketTrace apply_impairments(const net::PacketTrace& pristine,
                                    const CaptureImpairments& impairments,
                                    CaptureChannelStats* stats = nullptr);

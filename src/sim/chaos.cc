@@ -106,7 +106,6 @@ void ChaosConfig::validate() const {
   require_rate(blackhole_rate, blackhole_duration, "blackhole");
   require(reorder_prob >= 0.0 && reorder_prob <= 1.0,
           "ChaosConfig: reorder_prob must be in [0, 1]");
-  // tapo-lint: allow(seq-compare) — a drop probability, not a sequence number
   require(ack_loss_prob >= 0.0 && ack_loss_prob <= 1.0,
           "ChaosConfig: ack_loss_prob must be in [0, 1]");
   require(retrans_drop_prob >= 0.0 && retrans_drop_prob < 1.0,

@@ -83,9 +83,7 @@ struct ChaosConfig {
   /// True when any impairment is configured; false = the injector is never
   /// constructed and the flow is bit-identical to a chaos-free run.
   bool enabled() const {
-    // tapo-lint: allow(seq-compare) — episode rates, not sequence numbers
     return reorder_storm_rate > 0.0 || ack_loss_rate > 0.0 ||
-           // tapo-lint: allow(seq-compare) — episode rates
            ack_compress_rate > 0.0 || rwnd_flap_rate > 0.0 ||
            rtt_spike_rate > 0.0 || blackhole_rate > 0.0 ||
            retrans_drop_prob > 0.0;

@@ -165,7 +165,6 @@ void TcpReceiver::on_data_impl(Seq32 seq, std::uint32_t len) {
     }
     if (!recent_sacks_.empty()) recent_sacks_.clear();
     ++unacked_segments_;
-    // tapo-lint: allow(seq-compare) — segment *counts*, not sequence numbers
     if (unacked_segments_ >= config_.ack_every) {
       emit_ack(std::nullopt);
     } else {

@@ -3,17 +3,11 @@
 namespace tapo::telemetry {
 
 namespace detail {
-#if TAPO_TELEMETRY
 std::atomic<bool> g_metrics_enabled{false};
-#endif
 }  // namespace detail
 
 void set_metrics_enabled(bool on) {
-#if TAPO_TELEMETRY
   detail::g_metrics_enabled.store(on, std::memory_order_relaxed);
-#else
-  (void)on;
-#endif
 }
 
 void enable_all() {

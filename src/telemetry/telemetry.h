@@ -1,15 +1,11 @@
 // Telemetry subsystem entry point: event tracing + metrics registry.
 //
 // Instrumented layers (sim, tcp, tapo, workload, bench) include only this
-// header. Two gates keep the cost at zero when telemetry is off:
-//
-//  - Compile time: the TAPO_TELEMETRY macro (CMake option, default ON).
-//    With -DTAPO_TELEMETRY=OFF, tracing_enabled()/metrics_enabled() are
-//    constant false and every TAPO_TRACE site folds away.
-//  - Run time: both the tracer and the metrics side start DISABLED and
-//    cost one relaxed atomic load + branch per site until enable_all()
-//    (or the bench --telemetry-out flag / TAPO_TELEMETRY_OUT env var)
-//    turns them on.
+// header. A run-time gate keeps the cost near zero when telemetry is off:
+// both the tracer and the metrics side start DISABLED and cost one relaxed
+// atomic load + branch per site until enable_all() (or the bench
+// --telemetry-out flag / TAPO_TELEMETRY_OUT env var) turns them on. A
+// TAPO_TRACE site evaluates its arguments only while tracing is on.
 //
 // Instrumentation idioms:
 //
@@ -29,33 +25,17 @@
 #include "telemetry/registry.h"
 #include "telemetry/tracer.h"
 
-#ifndef TAPO_TELEMETRY
-#define TAPO_TELEMETRY 1
-#endif
-
 namespace tapo::telemetry {
 
 namespace detail {
-#if TAPO_TELEMETRY
 extern std::atomic<bool> g_metrics_enabled;
-#endif
 }  // namespace detail
 
 inline bool metrics_enabled() {
-#if TAPO_TELEMETRY
   return detail::g_metrics_enabled.load(std::memory_order_relaxed);
-#else
-  return false;
-#endif
 }
 
-inline bool tracing_enabled() {
-#if TAPO_TELEMETRY
-  return Tracer::instance().enabled();
-#else
-  return false;
-#endif
-}
+inline bool tracing_enabled() { return Tracer::instance().enabled(); }
 
 void set_metrics_enabled(bool on);
 
@@ -66,15 +46,9 @@ void disable_and_reset_all();
 
 }  // namespace tapo::telemetry
 
-#if TAPO_TELEMETRY
 #define TAPO_TRACE(kind, ts_us, a, b)                                     \
   do {                                                                    \
     if (tapo::telemetry::tracing_enabled()) {                             \
       tapo::telemetry::Tracer::instance().record((kind), (ts_us), (a), (b)); \
     }                                                                     \
   } while (0)
-#else
-#define TAPO_TRACE(kind, ts_us, a, b) \
-  do {                                \
-  } while (0)
-#endif

@@ -5,11 +5,10 @@
 // the ring, so instrumented hot paths never contend on a lock. When a ring
 // wraps, the oldest events are overwritten and counted in dropped().
 //
-// Recording is gated three ways, cheapest first:
-//   1. compile time — with -DTAPO_TELEMETRY=OFF every TAPO_TRACE site is
-//      dead code (see telemetry.h);
-//   2. a process-wide enabled flag (one relaxed atomic load);
-//   3. per-flow sampling — FlowScope marks the current thread's flow, and
+// Recording is gated two ways, cheapest first:
+//   1. a process-wide enabled flag (one relaxed atomic load; see
+//      telemetry.h);
+//   2. per-flow sampling — FlowScope marks the current thread's flow, and
 //      only every `sample_every`-th flow records (plus a category mask
 //      that keeps high-volume packet events off by default).
 //

@@ -69,9 +69,9 @@ constexpr bool serial_after(UInt a, UInt b) {
 ///    Note they are NOT a total order over the whole number space (serial
 ///    comparison cannot be); they are a strict weak ordering over any set
 ///    of values spanning less than half the space, which TCP windows
-///    guarantee. Project style in src/ is the named helpers (seq.h's
-///    before()/after()/...), enforced by tapo_lint's seq-compare rule;
-///    the operators exist for generic code, tests and assertions.
+///    guarantee. Project style in src/ prefers the named helpers (seq.h's
+///    before()/after()/...); the operators are equally wrap-safe and serve
+///    generic code, tests and assertions.
 ///  - operator+/-(UInt) advance/retreat along the stream (mod 2^N);
 ///    operator-(SerialNumber) yields the signed serial difference.
 template <typename Tag, typename UInt>

@@ -108,6 +108,7 @@ void ExperimentConfig::validate() const {
 FlowOutcome run_flow(const FlowScenario& scenario, Rng link_rng,
                      Duration max_flow_time, TraceCapture capture,
                      const FlowGuards& guards) {
+  guards.chaos.validate();
   FlowOutcome out;
   if (capture == TraceCapture::kServerNic) out.trace.emplace();
 

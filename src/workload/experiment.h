@@ -140,6 +140,8 @@ struct ExperimentResult {
 /// simulator. With TraceCapture::kServerNic the captured packets are
 /// returned inside the outcome. `guards` layers chaos injection, delivery
 /// verification, and the event watchdog on top; the default is inert.
+/// Throws std::invalid_argument when `guards.chaos` fails validate(), even
+/// when it configures no impairment.
 FlowOutcome run_flow(const FlowScenario& scenario, Rng link_rng,
                      Duration max_flow_time,
                      TraceCapture capture = TraceCapture::kNone,

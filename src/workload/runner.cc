@@ -113,8 +113,6 @@ RunStats ParallelRunner::run(FlowSink& sink) {
       // Degrade the pristine tap before anything downstream sees it, with
       // a per-flow channel seed so parallel stays bit-identical to serial.
       sim::CaptureImpairments imp = config_.impairments;
-      // Per-flow reseed of a private copy; the validated base config is
-      // untouched and any seed is legal. tapo-lint: allow(config-mutation)
       imp.seed ^= seeds[i];
       outcome.trace = sim::apply_impairments(*outcome.trace, imp);
     }

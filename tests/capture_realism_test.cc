@@ -220,6 +220,12 @@ TEST(CaptureChannel, BuilderValidationThrows) {
   // validate() failure at the experiment boundary too.
   workload::ExperimentConfig cfg;
   EXPECT_THROW(cfg.with_impairments(bad), std::invalid_argument);
+  // apply_impairments validates a config that reads as disabled, too.
+  sim::CaptureImpairments negative;
+  negative.drop_prob = -0.1;
+  EXPECT_FALSE(negative.enabled());
+  EXPECT_THROW(sim::apply_impairments(net::PacketTrace{}, negative),
+               std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------

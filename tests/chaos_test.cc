@@ -81,6 +81,16 @@ TEST(ChaosConfigValidation, RejectsNonsense) {
   EXPECT_THROW(certain_drop.validate(), std::invalid_argument);
   EXPECT_NO_THROW(sim::ChaosConfig{}.validate());
   EXPECT_FALSE(sim::ChaosConfig{}.enabled());
+  // run_flow validates its chaos guard even when no episode is enabled.
+  FlowGuards guards;
+  guards.chaos.reorder_prob = 5.0;
+  EXPECT_FALSE(guards.chaos.enabled());
+  Rng rng(kSeed);
+  const FlowScenario scenario =
+      draw_scenario(cloud_storage_profile(), rng, 1);
+  EXPECT_THROW(run_flow(scenario, Rng(kSeed ^ 7), Duration::seconds(120.0),
+                        TraceCapture::kNone, guards),
+               std::invalid_argument);
 }
 
 // Baseline: with chaos off, delivery verification must report every flow

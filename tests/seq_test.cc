@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <memory>
 #include <set>
+#include <type_traits>
 
 #include "net/ipv4.h"
 #include "net/seq.h"
@@ -20,6 +21,20 @@ namespace tapo::net {
 namespace {
 
 constexpr Seq32 S(std::uint32_t v) { return Seq32{v}; }
+
+// The type carries the wrap-safety guarantee: a Seq32 never meets a raw
+// integer, so no comparison can fall back to integer ordering.
+template <typename L, typename R>
+constexpr bool kLessCompiles = requires(L l, R r) { l < r; };
+template <typename L, typename R>
+constexpr bool kEqualCompiles = requires(L l, R r) { l == r; };
+
+static_assert(!std::is_convertible_v<Seq32, std::uint32_t>);
+static_assert(!std::is_convertible_v<std::uint32_t, Seq32>);
+static_assert(!kLessCompiles<Seq32, std::uint32_t>);  // a < 5u
+static_assert(!kLessCompiles<std::uint32_t, Seq32>);  // 5u < a
+static_assert(!kEqualCompiles<Seq32, std::uint32_t>);  // a == 5u
+static_assert(kLessCompiles<Seq32, Seq32>);
 
 TEST(Seq32, OrderingWithoutWrap) {
   EXPECT_TRUE(before(S(1), S(2)));

@@ -6,9 +6,11 @@
 #   tools/ci/run_matrix.sh lint asan  # any subset
 #
 # Configurations:
-#   lint     tapo_lint self-test + full-tree lint, plus clang-tidy when
-#            available (with CI=1 a missing clang-tidy fails the build —
-#            see the tidy target in CMakeLists.txt)
+#   lint     the `lint` ctest label (tapo_lint fixture self-test +
+#            full-tree lint, the same gate a plain ctest run includes),
+#            plus clang-tidy when available (with CI=1 a missing
+#            clang-tidy fails the build — see the tidy target in
+#            CMakeLists.txt)
 #   default  plain RelWithDebInfo build, full ctest
 #   asan     -fsanitize=address, full ctest
 #   ubsan    -fsanitize=undefined, full ctest
@@ -90,8 +92,7 @@ for cfg in "${CONFIGS[@]}"; do
       dir="build-ci/lint"
       cmake -B "${dir}" -S . -DTAPO_WERROR=ON
       cmake --build "${dir}" -j "${JOBS}" --target tapo_lint
-      "${dir}"/tools/tapo_lint/tapo_lint --self-test tools/tapo_lint/fixtures
-      cmake --build "${dir}" --target lint
+      ctest --test-dir "${dir}" --output-on-failure -L lint
       # tidy is part of the lint job: clang-tidy runs when installed; under
       # CI=1 a missing binary is a hard failure instead of a silent skip.
       cmake --build "${dir}" --target tidy

@@ -5,7 +5,7 @@
 
 namespace fixture {
 
-// tapo-lint: allow(seq-compare) — nothing here compares sequence numbers;  expect-lint: stale-allow
+// tapo-lint: allow(raw-rand) — nothing here draws random numbers;  expect-lint: stale-allow
 int idle() { return 0; }
 
 // tapo-lint: allow(no-such-rule) — misspelled rule name;  expect-lint: stale-allow

@@ -10,14 +10,6 @@
 //
 // Rules (see DESIGN.md "Static analysis & invariants" for rationale):
 //
-//   seq-compare        Relational operators (< > <= >=) applied to an
-//                      identifier whose snake_case segments name a TCP
-//                      sequence variable (seq, ack, una, nxt, fack, rxt).
-//                      Sequence ordering must go through net/seq.h's
-//                      wrap-safe helpers; a raw comparison silently breaks
-//                      on flows crossing the 2^32 wrap. net/seq.h itself
-//                      (the one sanctioned home of serial arithmetic) is
-//                      exempt.
 //   relaxed-atomic     memory_order_relaxed outside src/telemetry/. The
 //                      telemetry fast path owns the only sanctioned relaxed
 //                      atomics; anywhere else it is usually an unintended
@@ -27,10 +19,10 @@
 //                      Experiments must be reproducible from an explicit
 //                      seed (util::Rng).
 //   trace-side-effect  Side effects (++ / -- / assignment) inside
-//                      TAPO_TRACE(...) arguments. The macro's arguments are
-//                      evaluated only when tracing is enabled and compile
-//                      away entirely under -DTAPO_TELEMETRY=OFF, so side
-//                      effects there change behaviour between builds.
+//                      TAPO_TRACE(...) arguments. The macro evaluates its
+//                      arguments only while tracing is switched on at run
+//                      time, so a side effect there makes traced and
+//                      untraced runs behave differently.
 //   pragma-once        Header files must start their preprocessor life with
 //                      #pragma once (the project's include-guard idiom).
 //   naked-parse        atoi/strtoul/std::stoul-family calls outside
@@ -38,18 +30,6 @@
 //                      validated util parse helpers (util::parse_u64,
 //                      util::env_positive_size, ...) so malformed input
 //                      warns instead of silently truncating to 0.
-//   config-mutation    Direct field assignment through a config-named
-//                      receiver (`cfg.tau = ...`, `imp.seed ^= ...`) in
-//                      src/. The validated config structs (AnalyzerConfig,
-//                      LiveConfig, DemuxOptions, ExperimentConfig,
-//                      CaptureImpairments) are built with aggregate init or
-//                      the fluent with_* setters, both of which validate
-//                      eagerly; a later field poke skips that validation.
-//                      Bare assignments inside with_* bodies, designated
-//                      initializers (`.field = v`), declarations with
-//                      initializers and a class mutating its own `config_`
-//                      member through its sanctioned setters are all exempt
-//                      by construction.
 //   raw-struct-io      fwrite()/fread() calls, or memcpy() with a sizeof
 //                      operand (a struct image copied to/from a byte
 //                      buffer), outside src/net/ and src/fleet/. Raw struct
@@ -134,30 +114,6 @@ struct Finding {
 
 bool is_ident_char(char c) {
   return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
-}
-
-/// True when `id` is a lowercase identifier with a snake_case segment that
-/// names a sequence variable. CamelCase identifiers are type names in this
-/// codebase (Seq32, SeqLess) and are exempt: types appear as template
-/// arguments next to '<' and '>' all the time.
-bool names_sequence_var(const std::string& id) {
-  static const std::set<std::string> kWords = {"seq", "ack", "una",
-                                               "nxt", "fack", "rxt"};
-  if (std::any_of(id.begin(), id.end(), [](char c) {
-        return std::isupper(static_cast<unsigned char>(c)) != 0;
-      })) {
-    return false;
-  }
-  std::string segment;
-  for (const char c : id + "_") {
-    if (c == '_' || std::isdigit(static_cast<unsigned char>(c)) != 0) {
-      if (kWords.count(segment) > 0) return true;
-      segment.clear();
-    } else {
-      segment += c;
-    }
-  }
-  return false;
 }
 
 /// One scanned file: per-line code with comments, string and char literals
@@ -265,115 +221,6 @@ bool ends_with(const std::string& s, const std::string& suffix) {
          s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
 
-/// True when `id` names a shared analysis/experiment config value: a
-/// lowercase identifier with a snake_case segment naming a config noun
-/// (config, cfg, options, opts, imp, impairments) or a cfg/config suffix
-/// (acfg, dup_cfg). Trailing-underscore identifiers (config_) are a class's
-/// own member behind its sanctioned setters, not a config in flight, and
-/// are exempt.
-bool names_config_var(const std::string& id) {
-  if (id.empty() || id.back() == '_') return false;
-  if (std::any_of(id.begin(), id.end(), [](char c) {
-        return std::isupper(static_cast<unsigned char>(c)) != 0;
-      })) {
-    return false;
-  }
-  static const std::set<std::string> kWords = {
-      "config", "cfg", "options", "opts", "imp", "impairments"};
-  std::string segment;
-  for (const char c : id + "_") {
-    if (c == '_' || std::isdigit(static_cast<unsigned char>(c)) != 0) {
-      if (kWords.count(segment) > 0) return true;
-      segment.clear();
-    } else {
-      segment += c;
-    }
-  }
-  return ends_with(id, "cfg") || ends_with(id, "config");
-}
-
-/// Identifiers chained by '.' or '->' to the left of position `pos`
-/// (exclusive), skipping one balanced ')' group: `b.snd_una() ` yields
-/// {snd_una, b}.
-std::vector<std::string> left_operand_chain(const std::string& line,
-                                            std::size_t pos) {
-  std::vector<std::string> ids;
-  std::size_t i = pos;
-  for (;;) {
-    while (i > 0 && line[i - 1] == ' ') --i;
-    if (i > 0 && line[i - 1] == ')') {
-      int depth = 0;
-      while (i > 0) {
-        --i;
-        if (line[i] == ')') ++depth;
-        if (line[i] == '(') {
-          --depth;
-          if (depth == 0) break;
-        }
-      }
-      continue;  // then read the identifier being called
-    }
-    std::size_t end = i;
-    while (i > 0 && is_ident_char(line[i - 1])) --i;
-    if (i == end) break;
-    ids.push_back(line.substr(i, end - i));
-    while (i > 0 && line[i - 1] == ' ') --i;
-    if (i >= 2 && line[i - 2] == '-' && line[i - 1] == '>') {
-      i -= 2;
-    } else if (i >= 1 && line[i - 1] == '.') {
-      i -= 1;
-    } else {
-      break;
-    }
-  }
-  return ids;
-}
-
-/// Identifiers chained by '.' or '->' starting at/after position `pos`:
-/// `pkt.tcp.seq` yields {pkt, tcp, seq}.
-std::vector<std::string> right_operand_chain(const std::string& line,
-                                             std::size_t pos) {
-  std::vector<std::string> ids;
-  std::size_t i = pos;
-  for (;;) {
-    while (i < line.size() && line[i] == ' ') ++i;
-    std::size_t start = i;
-    while (i < line.size() && is_ident_char(line[i])) ++i;
-    if (i == start) break;
-    ids.push_back(line.substr(start, i - start));
-    while (i < line.size() && line[i] == ' ') ++i;
-    if (i + 1 < line.size() && line[i] == '-' && line[i + 1] == '>') {
-      i += 2;
-    } else if (i < line.size() && line[i] == '.') {
-      i += 1;
-    } else {
-      break;
-    }
-  }
-  return ids;
-}
-
-/// True when the '>' at `pos` closes a template argument list rather than
-/// comparing: there is a matching '<' to the left on the same line, the
-/// span between them holds only type-ish tokens (identifiers, '::', commas,
-/// nested angles, '*' and spaces), and the '<' directly follows an
-/// identifier (`vector<`, `optional<`, ...).
-bool is_template_closer(const std::string& line, std::size_t pos) {
-  int depth = 1;
-  for (std::size_t j = pos; j-- > 0;) {
-    const char c = line[j];
-    if (c == '>') {
-      ++depth;
-    } else if (c == '<') {
-      if (--depth == 0) return j > 0 && is_ident_char(line[j - 1]);
-    } else if (!is_ident_char(c) && c != ':' && c != ',' && c != '*' &&
-               c != ' ') {
-      return false;
-    }
-  }
-  return false;
-}
-
 // --------------------------------------------------- class/member table
 
 bool word_at(const std::string& line, std::size_t pos,
@@ -396,7 +243,8 @@ struct ClassInfo {
   std::set<std::string> annotation_refs;
 };
 
-/// Symbol tables built once per file, shared by every symbol-aware rule.
+/// One file as every rule sees it: its text plus the symbol tables built
+/// once per file.
 struct FileAnalysis {
   FileText text;
   std::vector<ClassInfo> classes;
@@ -548,42 +396,8 @@ std::vector<ClassInfo> build_class_table(const FileText& f) {
   return done;
 }
 
-void rule_seq_compare(const FileText& f, std::vector<Finding>& out) {
-  if (ends_with(normalized(f.path), "net/seq.h")) return;
-  for (std::size_t n = 0; n < f.code.size(); ++n) {
-    const std::string& line = f.code[n];
-    const std::size_t first = line.find_first_not_of(' ');
-    if (first != std::string::npos && line[first] == '#') continue;
-    for (std::size_t i = 0; i < line.size(); ++i) {
-      const char c = line[i];
-      if (c != '<' && c != '>') continue;
-      const char prev = i > 0 ? line[i - 1] : '\0';
-      const char next = i + 1 < line.size() ? line[i + 1] : '\0';
-      // Exclude <<, >>, ->, <<=, >>= and the digraph-free single tokens.
-      if (next == c || prev == c) continue;
-      if (c == '>' && prev == '-') continue;
-      if (c == '>' && is_template_closer(line, i)) continue;
-      std::size_t after = i + 1;
-      if (next == '=') ++after;  // <= / >=
-      bool hit = false;
-      for (const auto& id : left_operand_chain(line, i)) {
-        if (names_sequence_var(id)) hit = true;
-      }
-      for (const auto& id : right_operand_chain(line, after)) {
-        if (names_sequence_var(id)) hit = true;
-      }
-      if (hit) {
-        out.push_back({f.path, n + 1, "seq-compare",
-                       "relational operator on a sequence-number identifier; "
-                       "use net/seq.h before()/after()/at_or_before()/"
-                       "at_or_after() instead"});
-        break;  // one finding per line is enough
-      }
-    }
-  }
-}
-
-void rule_relaxed_atomic(const FileText& f, std::vector<Finding>& out) {
+void rule_relaxed_atomic(const FileAnalysis& a, std::vector<Finding>& out) {
+  const FileText& f = a.text;
   if (path_contains(f.path, "src/telemetry/")) return;
   for (std::size_t n = 0; n < f.code.size(); ++n) {
     if (f.code[n].find("memory_order_relaxed") != std::string::npos) {
@@ -606,7 +420,8 @@ bool word_then_paren(const std::string& line, const std::string& word) {
   return false;
 }
 
-void rule_raw_rand(const FileText& f, std::vector<Finding>& out) {
+void rule_raw_rand(const FileAnalysis& a, std::vector<Finding>& out) {
+  const FileText& f = a.text;
   if (path_contains(f.path, "src/workload/")) return;
   static const std::vector<std::string> kCalls = {"rand", "srand", "random",
                                                   "drand48"};
@@ -645,16 +460,16 @@ void rule_raw_rand(const FileText& f, std::vector<Finding>& out) {
   }
 }
 
-void rule_trace_side_effect(const FileText& f, std::vector<Finding>& out) {
-  // TAPO_TRACE argument lists are evaluated only when tracing is enabled
-  // and vanish under -DTAPO_TELEMETRY=OFF. Find each invocation, collect
-  // the balanced argument text (possibly spanning lines), and flag
-  // mutations inside it. The macro definition itself (src/telemetry/) is
-  // exempt.
+void rule_trace_side_effect(const FileAnalysis& a, std::vector<Finding>& out) {
+  // TAPO_TRACE argument lists are evaluated only while tracing is switched
+  // on at run time. Find each invocation, collect the balanced argument
+  // text (possibly spanning lines), and flag mutations inside it. The
+  // macro definition itself (src/telemetry/) is exempt.
+  const FileText& f = a.text;
   if (path_contains(f.path, "src/telemetry/")) return;
   for (std::size_t n = 0; n < f.code.size(); ++n) {
     const std::string& line = f.code[n];
-    // Any TAPO_TRACE* variant counts; all of them compile away.
+    // Any TAPO_TRACE* variant counts; all of them gate their arguments.
     const std::size_t pos = line.find("TAPO_TRACE");
     if (pos == std::string::npos) continue;
     if (pos > 0 && is_ident_char(line[pos - 1])) continue;
@@ -694,14 +509,15 @@ void rule_trace_side_effect(const FileText& f, std::vector<Finding>& out) {
     }
     if (mutation) {
       out.push_back({f.path, n + 1, "trace-side-effect",
-                     "side effect inside TAPO_TRACE arguments; the macro "
-                     "compiles away under TAPO_TELEMETRY=OFF, so behaviour "
-                     "would differ between builds"});
+                     "side effect inside TAPO_TRACE arguments; they run "
+                     "only while tracing is on, so traced and untraced runs "
+                     "would behave differently"});
     }
   }
 }
 
-void rule_pragma_once(const FileText& f, std::vector<Finding>& out) {
+void rule_pragma_once(const FileAnalysis& a, std::vector<Finding>& out) {
+  const FileText& f = a.text;
   if (!ends_with(normalized(f.path), ".h")) return;
   for (const std::string& line : f.code) {
     const std::size_t first = line.find_first_not_of(' ');
@@ -720,7 +536,8 @@ void rule_pragma_once(const FileText& f, std::vector<Finding>& out) {
                  "include-guard idiom)"});
 }
 
-void rule_naked_parse(const FileText& f, std::vector<Finding>& out) {
+void rule_naked_parse(const FileAnalysis& a, std::vector<Finding>& out) {
+  const FileText& f = a.text;
   if (path_contains(f.path, "src/util/")) return;
   static const std::vector<std::string> kParsers = {
       "atoi", "atol", "atoll", "strtol", "strtoul", "strtoull",
@@ -738,55 +555,12 @@ void rule_naked_parse(const FileText& f, std::vector<Finding>& out) {
   }
 }
 
-void rule_config_mutation(const FileText& f, std::vector<Finding>& out) {
-  // The validated config structs are constructed by aggregate init or the
-  // fluent with_* setters, both of which validate eagerly; assigning a
-  // field through a config-named receiver afterwards skips validation.
-  // Builder bodies assign the bare field (no receiver), designated
-  // initializers have no receiver either, and declarations-with-init have
-  // no '.' chain — all exempt by construction. src/ only: tests and
-  // benches deliberately build invalid configs to test the validators.
-  if (!path_contains(f.path, "src/")) return;
-  for (std::size_t n = 0; n < f.code.size(); ++n) {
-    const std::string& line = f.code[n];
-    const std::size_t first = line.find_first_not_of(' ');
-    if (first != std::string::npos && line[first] == '#') continue;
-    for (std::size_t i = 0; i < line.size(); ++i) {
-      if (line[i] != '=') continue;
-      const char prev = i > 0 ? line[i - 1] : '\0';
-      const char next = i + 1 < line.size() ? line[i + 1] : '\0';
-      // Skip comparisons: == (either half), !=, <=, >=.
-      if (next == '=' || prev == '=' || prev == '!' || prev == '<' ||
-          prev == '>') {
-        continue;
-      }
-      // Compound assignments (+= ^= |= ...) mutate too; their left
-      // operand ends before the operator character.
-      std::size_t lhs_end = i;
-      if (prev == '+' || prev == '-' || prev == '*' || prev == '/' ||
-          prev == '%' || prev == '^' || prev == '&' || prev == '|') {
-        lhs_end = i - 1;
-      }
-      const auto ids = left_operand_chain(line, lhs_end);
-      // Only `receiver.field = ...` (chain of >= 2) can bypass the
-      // builders; a bare identifier is a declaration or a builder body.
-      if (ids.size() < 2 || !names_config_var(ids.back())) continue;
-      out.push_back(
-          {f.path, n + 1, "config-mutation",
-           "direct field mutation of a validated config (" + ids.back() +
-               "." + ids.front() +
-               " = ...) bypasses with_*/aggregate-init validation; use the "
-               "builders or justify with tapo-lint: allow(config-mutation)"});
-      break;  // one finding per line is enough
-    }
-  }
-}
-
-void rule_raw_struct_io(const FileText& f, std::vector<Finding>& out) {
+void rule_raw_struct_io(const FileAnalysis& a, std::vector<Finding>& out) {
   // src/net/ (the packet wire codecs) and src/fleet/ (the versioned,
   // CRC-framed record serializer) are the sanctioned homes of binary
   // struct I/O; anywhere else a raw struct image on disk or in a buffer is
   // an unversioned format waiting to corrupt silently.
+  const FileText& f = a.text;
   if (path_contains(f.path, "src/net/") ||
       path_contains(f.path, "src/fleet/")) {
     return;
@@ -815,13 +589,14 @@ void rule_raw_struct_io(const FileText& f, std::vector<Finding>& out) {
   }
 }
 
-void rule_trace_retain(const FileText& f, std::vector<Finding>& out) {
+void rule_trace_retain(const FileAnalysis& a, std::vector<Finding>& out) {
   // src/net/ is the trace/chunk layer itself: TraceBuilder's attachment
   // pointer and ChunkedTrace's internals are the sanctioned retention
   // points whose lifetimes the layer manages. Anywhere else, a member
   // (trailing-underscore identifier) holding `PacketTrace*` or
   // `PacketTrace&` can dangle once streaming seals/evicts the arena it
   // points into. src/ only: tests and benches pin traces on the stack.
+  const FileText& f = a.text;
   if (!path_contains(f.path, "src/") || path_contains(f.path, "src/net/")) {
     return;
   }
@@ -854,11 +629,12 @@ void rule_trace_retain(const FileText& f, std::vector<Finding>& out) {
   }
 }
 
-void rule_invariant_pure(const FileText& f, std::vector<Finding>& out) {
+void rule_invariant_pure(const FileAnalysis& a, std::vector<Finding>& out) {
   // The invariant monitor observes the TCP machinery; it must never be able
   // to mutate it. Inside src/tcp/invariants.* any reference/pointer to an
   // observed protocol type has to be const — a mutable handle would let a
   // "check" perturb the state machine it audits.
+  const FileText& f = a.text;
   if (!path_contains(f.path, "src/tcp/invariants")) return;
   static const std::vector<std::string> kObserved = {
       "TcpSender", "TcpReceiver", "Scoreboard", "RtoEstimator",
@@ -962,46 +738,14 @@ struct RuleSpec {
 /// pragma text itself), run last by lint_file().
 const std::vector<RuleSpec>& rule_registry() {
   static const std::vector<RuleSpec> kRules = {
-      {"seq-compare",
-       [](const FileAnalysis& a, std::vector<Finding>& out) {
-         rule_seq_compare(a.text, out);
-       }},
-      {"relaxed-atomic",
-       [](const FileAnalysis& a, std::vector<Finding>& out) {
-         rule_relaxed_atomic(a.text, out);
-       }},
-      {"raw-rand",
-       [](const FileAnalysis& a, std::vector<Finding>& out) {
-         rule_raw_rand(a.text, out);
-       }},
-      {"trace-side-effect",
-       [](const FileAnalysis& a, std::vector<Finding>& out) {
-         rule_trace_side_effect(a.text, out);
-       }},
-      {"pragma-once",
-       [](const FileAnalysis& a, std::vector<Finding>& out) {
-         rule_pragma_once(a.text, out);
-       }},
-      {"naked-parse",
-       [](const FileAnalysis& a, std::vector<Finding>& out) {
-         rule_naked_parse(a.text, out);
-       }},
-      {"config-mutation",
-       [](const FileAnalysis& a, std::vector<Finding>& out) {
-         rule_config_mutation(a.text, out);
-       }},
-      {"raw-struct-io",
-       [](const FileAnalysis& a, std::vector<Finding>& out) {
-         rule_raw_struct_io(a.text, out);
-       }},
-      {"trace-retain",
-       [](const FileAnalysis& a, std::vector<Finding>& out) {
-         rule_trace_retain(a.text, out);
-       }},
-      {"invariant-pure",
-       [](const FileAnalysis& a, std::vector<Finding>& out) {
-         rule_invariant_pure(a.text, out);
-       }},
+      {"relaxed-atomic", rule_relaxed_atomic},
+      {"raw-rand", rule_raw_rand},
+      {"trace-side-effect", rule_trace_side_effect},
+      {"pragma-once", rule_pragma_once},
+      {"naked-parse", rule_naked_parse},
+      {"raw-struct-io", rule_raw_struct_io},
+      {"trace-retain", rule_trace_retain},
+      {"invariant-pure", rule_invariant_pure},
       {"mutex-annotation", rule_mutex_annotation},
       {"lock-discipline", rule_lock_discipline},
   };
