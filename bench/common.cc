@@ -49,35 +49,6 @@ std::size_t bench_threads(std::size_t dflt) {
   return value;
 }
 
-namespace {
-/// --shards=N override recorded by init_shards; 0 = not given.
-std::size_t g_shards_flag = 0;
-}  // namespace
-
-void init_shards(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    constexpr const char* kFlag = "--shards=";
-    if (arg.rfind(kFlag, 0) != 0) continue;
-    const std::string text = arg.substr(std::string(kFlag).size());
-    if (const auto parsed = util::parse_positive_size(text)) {
-      g_shards_flag = *parsed;
-    } else {
-      std::fprintf(stderr,
-                   "[bench] ignoring malformed --shards=%s (want a positive "
-                   "integer)\n",
-                   text.c_str());
-    }
-  }
-}
-
-std::size_t bench_shards(std::size_t dflt) {
-  if (g_shards_flag != 0) return g_shards_flag;  // flag wins over the env var
-  static const std::size_t value =
-      util::env_positive_size("TAPO_BENCH_SHARDS", dflt);
-  return value;
-}
-
 std::vector<ServiceRun> run_all_services(std::size_t flows, std::uint64_t seed,
                                          bool analyze) {
   maybe_warn_few_cpus(bench_threads());

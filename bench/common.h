@@ -6,8 +6,6 @@
 //   TAPO_BENCH_THREADS worker threads for the sharded runner (default 1;
 //                      0 = all hardware threads). Results are bit-identical
 //                      for any thread count — only wall clock changes.
-//   TAPO_BENCH_SHARDS  simulated server shards for the fleet-aggregation
-//                      benches (default 4); a --shards=N flag wins over it.
 // Seeds are fixed so output is reproducible. Malformed values warn and
 // fall back to the default instead of silently changing the experiment.
 //
@@ -38,16 +36,6 @@ std::size_t flows_per_service(std::size_t dflt = 400);
 
 /// Worker threads: TAPO_BENCH_THREADS env var, else `dflt` (0 = all cores).
 std::size_t bench_threads(std::size_t dflt = 1);
-
-/// Shard count for the fleet-aggregation benches: a --shards=N argv flag
-/// (record it with init_shards) beats the TAPO_BENCH_SHARDS env var, which
-/// beats `dflt`. Malformed values warn and fall back, like the other
-/// knobs.
-std::size_t bench_shards(std::size_t dflt = 4);
-
-/// Scans argv for --shards=N and records the override for bench_shards().
-/// Unknown arguments are left alone; call alongside init_telemetry.
-void init_shards(int argc, char** argv);
 
 /// Enables telemetry when --telemetry-out=<dir> appears in argv or
 /// TAPO_TELEMETRY_OUT is set (see file header). Call first in main();

@@ -14,8 +14,8 @@
 // Shard emission is also re-run for shard 0 to check writer determinism:
 // the same config and seed must produce byte-identical record streams.
 //
-// Knobs: --shards=N (or TAPO_BENCH_SHARDS, default 4), TAPO_BENCH_FLOWS
-// (flows per service per shard), TAPO_BENCH_THREADS.
+// Knobs: TAPO_BENCH_FLOWS (flows per service per shard),
+// TAPO_BENCH_THREADS.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -35,6 +35,9 @@ using namespace tapo;
 using namespace tapo::bench;
 
 namespace {
+
+/// Simulated server shards emitting record streams.
+constexpr std::size_t kShards = 4;
 
 /// Conservative floor: TSan slows parsing ~10x and the ctest invocation
 /// runs with small flow counts, so this is far below a native build's rate.
@@ -129,20 +132,18 @@ fleet::FleetSnapshot fold_shuffled(
 
 int main(int argc, char** argv) {
   init_telemetry(argc, argv);
-  init_shards(argc, argv);
 
-  const std::size_t shards = bench_shards();
   const std::size_t flows = flows_per_service(100);
   print_banner("Fleet aggregation at scale: shard emit -> merge -> report",
                "fleet monitoring layer (paper §6 deployment)", flows);
-  std::printf("shards: %zu  (flows/service/shard: %zu)\n\n", shards, flows);
+  std::printf("shards: %zu  (flows/service/shard: %zu)\n\n", kShards, flows);
 
   bool failed = false;
 
   // ---- emit ----
   const auto emit_start = std::chrono::steady_clock::now();
   std::vector<std::string> blobs;
-  for (std::uint32_t s = 0; s < shards; ++s) {
+  for (std::uint32_t s = 0; s < kShards; ++s) {
     blobs.push_back(emit_shard(s, flows));
   }
   const double emit_secs =
@@ -185,7 +186,7 @@ int main(int argc, char** argv) {
 
   std::printf("[emit]   %zu shards, %zu records, %.1f KiB in %.2fs "
               "(%.0f records/s, %.1f bytes/record)\n",
-              shards, total_records, total_bytes / 1024.0, emit_secs,
+              kShards, total_records, total_bytes / 1024.0, emit_secs,
               static_cast<double>(total_records) / emit_secs,
               static_cast<double>(total_bytes) /
                   static_cast<double>(total_records));

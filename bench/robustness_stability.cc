@@ -3,7 +3,7 @@
 //
 // For each calibrated service profile the same seeded workload is analyzed
 // twice — once from the pristine server-side tap and once through a
-// sim::CaptureChannel impairment scenario — and the per-flow stall-cause
+// sim::apply_impairments scenario — and the per-flow stall-cause
 // histograms are compared. Flows are generated from identical per-flow
 // seeds, so any disagreement is attributable to the capture artifacts, not
 // the traffic.

@@ -161,10 +161,6 @@ void WindowAggregator::ingest(std::span<const FlowRecord> records) {
   for (const FlowRecord& r : records) ingest(r);
 }
 
-void WindowAggregator::merge(const FleetSnapshot& other) {
-  snap_.merge(other);
-}
-
 // ------------------------------------------------------------ regressions
 
 RegressionConfig& RegressionConfig::with_ewma_alpha(double a) {

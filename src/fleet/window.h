@@ -110,9 +110,6 @@ class WindowAggregator {
 
   void ingest(const FlowRecord& r);
   void ingest(std::span<const FlowRecord> records);
-  /// Folds a peer snapshot in (same width/accuracy contract as
-  /// FleetSnapshot::merge; throws std::invalid_argument on mismatch).
-  void merge(const FleetSnapshot& other);
 
   const FleetSnapshot& snapshot() const { return snap_; }
   const FleetConfig& config() const { return cfg_; }

@@ -92,12 +92,6 @@ void ChunkedTrace::seal_open() {
   open_ = TraceChunk();
 }
 
-std::size_t ChunkedTrace::resident_bytes() const {
-  std::size_t total = open_.bytes();
-  for (const TraceChunk& c : retained_) total += c.bytes();
-  return total;
-}
-
 PacketTrace ChunkedTrace::to_trace() const {
   PacketTrace out;
   out.reserve(size_);

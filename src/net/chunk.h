@@ -102,9 +102,6 @@ class ChunkedTrace {
   std::span<const CapturedPacket> open_packets() const {
     return open_.packets();
   }
-  /// Bytes held by this object right now: retained chunks + open tail.
-  std::size_t resident_bytes() const;
-
   /// Materializes retained + open packets into one contiguous trace
   /// (batch-mode adapter; order preserved).
   PacketTrace to_trace() const;

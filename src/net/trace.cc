@@ -46,10 +46,9 @@ void PacketTrace::pop_back() {
 
 void PacketTrace::grow_to(std::size_t need) {
   if (need <= cap_) return;
-  // Geometric growth; packets are relocated with a flat copy (they are
-  // trivially copyable by static_assert).
-  std::size_t new_cap = cap_ == 0 ? 64 : cap_ * 2;
-  if (new_cap < need) new_cap = need;
+  // Packets are relocated with a flat copy (they are trivially copyable by
+  // static_assert).
+  const std::size_t new_cap = grown_capacity(need);
   auto new_slots = std::make_unique<CapturedPacket[]>(new_cap);
   if (size_ > 0) std::copy_n(slots_.get(), size_, new_slots.get());
   slots_ = std::move(new_slots);
@@ -73,15 +72,6 @@ void TraceBuilder::rollback_last() {
   } else {
     chunks_->pop_back();
   }
-}
-
-void TraceBuilder::reserve(std::size_t n) {
-  if (trace_ != nullptr) trace_->reserve(n);
-}
-
-std::size_t TraceBuilder::size() const {
-  if (trace_ != nullptr) return trace_->size();
-  return chunks_ != nullptr ? chunks_->size() : 0;
 }
 
 PacketTrace PacketTrace::clone() const {

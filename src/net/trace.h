@@ -59,8 +59,8 @@ struct CapturedPacket {
   /// Snaplen truncation cut into this packet's TCP options: tail options
   /// (SACK blocks, timestamps) may be missing even though the lengths above
   /// reflect the full wire packet. Set by the pcap reader for records with
-  /// caplen < wire len and by sim::CaptureChannel's snaplen impairment; the
-  /// analyzer counts it into the flow's CaptureQuality.
+  /// caplen < wire len and by sim::apply_impairments' snaplen impairment;
+  /// the analyzer counts it into the flow's CaptureQuality.
   bool truncated = false;
 
   Seq32 end_seq() const {
@@ -68,7 +68,6 @@ struct CapturedPacket {
     return tcp.seq + (payload_len + (tcp.flags.syn ? 1u : 0u) +
                       (tcp.flags.fin ? 1u : 0u));
   }
-  bool has_payload() const { return payload_len > 0; }
 };
 static_assert(std::is_trivially_copyable_v<CapturedPacket>,
               "CapturedPacket must stay a POD so PacketTrace can keep its "
@@ -103,6 +102,11 @@ class PacketTrace {
 
   /// Arena footprint in bytes (capacity, not just size).
   std::size_t capacity_bytes() const { return cap_ * sizeof(CapturedPacket); }
+  /// capacity_bytes() once one more packet is appended, so a memory budget
+  /// can make room before the growth allocates.
+  std::size_t capacity_bytes_after_append() const {
+    return grown_capacity(size_ + 1) * sizeof(CapturedPacket);
+  }
 
   /// Stable-sorts by timestamp (pcap files are usually already ordered, but
   /// multi-interface captures may interleave slightly out of order).
@@ -114,6 +118,13 @@ class PacketTrace {
   PacketTrace clone() const;
 
  private:
+  /// The growth policy: the capacity that holds `need` packets — the
+  /// current one when it suffices, else 64 slots first, then doubling.
+  std::size_t grown_capacity(std::size_t need) const {
+    if (need <= cap_) return cap_;
+    const std::size_t doubled = cap_ == 0 ? 64 : cap_ * 2;
+    return doubled < need ? need : doubled;
+  }
   void grow_to(std::size_t need);
 
   std::unique_ptr<CapturedPacket[]> slots_;
@@ -146,9 +157,6 @@ class TraceBuilder {
   CapturedPacket& begin_packet();
   /// Discards the slot handed out by the last begin_packet().
   void rollback_last();
-  /// Capacity hint; the chunked backend sizes itself and ignores it.
-  void reserve(std::size_t n);
-  std::size_t size() const;
 
  private:
   PacketTrace* trace_ = nullptr;

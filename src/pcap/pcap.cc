@@ -12,7 +12,6 @@
 #include "net/checksum.h"
 #include "net/endian.h"
 #include "net/ipv4.h"
-#include "util/logging.h"
 #include "util/strings.h"
 
 namespace tapo::pcap {
@@ -397,7 +396,9 @@ class NgParser final : public FrameParser {
           if (c == 9 && l >= 1 && off + 4 < body_len) {
             const std::uint8_t v = body_[off + 4];
             if (v & 0x80) {
-              ifc.ts_per_sec = 1ull << (v & 0x7f);
+              // 2^-63 s is the finest a 64-bit count can hold; a larger
+              // exponent from the file would overflow the shift.
+              ifc.ts_per_sec = 1ull << std::min(v & 0x7f, 63);
             } else {
               ifc.ts_per_sec = 1;
               for (int e = 0; e < (v & 0x7f) && e < 18; ++e) {
@@ -425,9 +426,12 @@ class NgParser final : public FrameParser {
         }
         const NgInterface ifc =
             if_id < interfaces_.size() ? interfaces_[if_id] : NgInterface{};
+        // Integer conversion: a double drops the last microsecond digit of
+        // an epoch-scale timestamp, and the 128-bit product cannot
+        // overflow for any resolution.
         const std::int64_t ts_us = static_cast<std::int64_t>(
-            static_cast<double>(ts) * 1e6 /
-            static_cast<double>(ifc.ts_per_sec));
+            static_cast<unsigned __int128>(ts) * 1'000'000u /
+            ifc.ts_per_sec);
         if (parse_frame(std::span<const std::uint8_t>(body_.data() + 20,
                                                       caplen),
                         ifc.linktype, ts_us, builder, st)) {

@@ -1,11 +1,14 @@
 #include "sim/capture_channel.h"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "net/ipv4.h"
 #include "telemetry/registry.h"
+#include "util/rng.h"
 
 namespace tapo::sim {
 namespace {
@@ -131,11 +134,37 @@ void CaptureChannelStats::merge(const CaptureChannelStats& o) {
   skipped_head += o.skipped_head;
 }
 
-CaptureChannel::CaptureChannel(net::PacketTrace& out,
-                               const CaptureImpairments& impairments)
-    : out_(&out), imp_(impairments), rng_(impairments.seed) {
-  imp_.validate();
-}
+namespace {
+
+/// The impairment stage: records are fed one at a time and the survivors
+/// land in the trace it owns. finish() must be called once after the last
+/// record (it flushes the reorder hold slot).
+class CaptureChannel {
+ public:
+  CaptureChannel(const CaptureImpairments& impairments, std::size_t expected)
+      : imp_(impairments), rng_(impairments.seed) {
+    out_.reserve(expected);
+  }
+
+  void feed(const net::CapturedPacket& pkt);
+  /// Flushes the hold slot and hands over the impaired trace.
+  net::PacketTrace finish();
+
+  const CaptureChannelStats& stats() const { return stats_; }
+
+ private:
+  /// Applies the per-record impairments (quantize, jitter, truncate) and
+  /// writes the record — plus a mirror duplicate when drawn — to the trace.
+  void emit(const net::CapturedPacket& pkt);
+  net::CapturedPacket impair_record(const net::CapturedPacket& pkt);
+
+  net::PacketTrace out_;
+  CaptureImpairments imp_;
+  Rng rng_;
+  CaptureChannelStats stats_;
+  bool in_burst_ = false;
+  std::optional<net::CapturedPacket> held_;  // reorder hold slot
+};
 
 void CaptureChannel::feed(const net::CapturedPacket& pkt) {
   ++stats_.seen;
@@ -191,13 +220,14 @@ void CaptureChannel::feed(const net::CapturedPacket& pkt) {
   emit(pkt);
 }
 
-void CaptureChannel::finish() {
+net::PacketTrace CaptureChannel::finish() {
   if (held_) {
     // Nothing followed the held record; it comes out last, un-swapped.
     const net::CapturedPacket last = *held_;
     held_.reset();
     emit(last);
   }
+  return std::move(out_);
 }
 
 net::CapturedPacket CaptureChannel::impair_record(
@@ -267,16 +297,18 @@ net::CapturedPacket CaptureChannel::impair_record(
 
 void CaptureChannel::emit(const net::CapturedPacket& pkt) {
   const net::CapturedPacket rec = impair_record(pkt);
-  out_->add(rec);
+  out_.add(rec);
   ++stats_.delivered;
   if (imp_.dup_prob > 0.0 && rng_.chance(imp_.dup_prob)) {
     // Mirror duplicate: identical header and timestamp, back to back.
-    out_->add(rec);
+    out_.add(rec);
     ++stats_.delivered;
     ++stats_.duplicated;
     injected_counter("duplicate").add();
   }
 }
+
+}  // namespace
 
 net::PacketTrace apply_impairments(const net::PacketTrace& pristine,
                                    const CaptureImpairments& impairments,
@@ -289,11 +321,9 @@ net::PacketTrace apply_impairments(const net::PacketTrace& pristine,
     }
     return pristine.clone();
   }
-  net::PacketTrace out;
-  out.reserve(pristine.size());
-  CaptureChannel ch(out, impairments);
+  CaptureChannel ch(impairments, pristine.size());
   for (const net::CapturedPacket& p : pristine.packets()) ch.feed(p);
-  ch.finish();
+  net::PacketTrace out = ch.finish();
   if (stats != nullptr) stats->merge(ch.stats());
   return out;
 }

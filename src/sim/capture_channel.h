@@ -12,16 +12,14 @@
 //
 // Determinism contract: every decision flows from the CaptureImpairments
 // seed through one util::Rng, so the same pristine trace and config always
-// produce the same impaired trace. With no impairment enabled, feed() is a
-// plain copy and apply_impairments() returns a bit-identical clone — the
-// pristine pipeline never changes shape.
+// produce the same impaired trace. With no impairment enabled,
+// apply_impairments() returns a bit-identical clone — the pristine pipeline
+// never changes shape.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 
 #include "net/trace.h"
-#include "util/rng.h"
 #include "util/time.h"
 
 namespace tapo::sim {
@@ -83,9 +81,9 @@ struct CaptureImpairments {
   void validate() const;
 };
 
-/// What the channel did to one trace, per impairment kind.
+/// What the impairment stage did to one trace, per impairment kind.
 struct CaptureChannelStats {
-  std::uint64_t seen = 0;       // records offered to the channel
+  std::uint64_t seen = 0;       // records offered to the stage
   std::uint64_t delivered = 0;  // records written to the output trace
   std::uint64_t dropped = 0;    // i.i.d. + bursty capture drops
   std::uint64_t duplicated = 0; // extra copies emitted
@@ -96,39 +94,11 @@ struct CaptureChannelStats {
   void merge(const CaptureChannelStats& o);
 };
 
-/// Streaming impairment stage: packets from the tap are fed one at a time
-/// and the survivors land in the output PacketTrace. finish() must be
-/// called once after the last packet (it flushes the reorder hold slot).
-class CaptureChannel {
- public:
-  /// `out` must outlive the channel. The config is validated here.
-  CaptureChannel(net::PacketTrace& out, const CaptureImpairments& impairments);
-
-  void feed(const net::CapturedPacket& pkt);
-  void finish();
-
-  const CaptureChannelStats& stats() const { return stats_; }
-
- private:
-  /// Applies the per-record impairments (quantize, jitter, truncate) and
-  /// writes the record — plus a mirror duplicate when drawn — to the trace.
-  void emit(const net::CapturedPacket& pkt);
-  net::CapturedPacket impair_record(const net::CapturedPacket& pkt);
-
-  // Documented borrow: the ctor contract pins `out` for the channel's
-  // whole lifetime, and the sink is a caller-owned batch trace, never a
-  // sealed chunk. tapo-lint: allow(trace-retain)
-  net::PacketTrace* out_;
-  CaptureImpairments imp_;
-  Rng rng_;
-  CaptureChannelStats stats_;
-  bool in_burst_ = false;
-  std::optional<net::CapturedPacket> held_;  // reorder hold slot
-};
-
-/// Replays a pristine trace through a CaptureChannel. The config is
-/// validated first, even when no impairment is enabled; with none enabled
-/// the result is a bit-identical clone of the input.
+/// Replays a pristine trace, record by record, through the impairments and
+/// returns the surviving records. The config is validated first, even when
+/// no impairment is enabled; with none enabled the result is a
+/// bit-identical clone of the input. `stats`, when given, accumulates what
+/// was done.
 net::PacketTrace apply_impairments(const net::PacketTrace& pristine,
                                    const CaptureImpairments& impairments,
                                    CaptureChannelStats* stats = nullptr);

@@ -120,17 +120,6 @@ void ChaosConfig::validate() const {
   }
 }
 
-void ChaosStats::merge(const ChaosStats& o) {
-  episodes += o.episodes;
-  reordered += o.reordered;
-  acks_dropped += o.acks_dropped;
-  acks_compressed += o.acks_compressed;
-  rwnd_rewrites += o.rwnd_rewrites;
-  delayed += o.delayed;
-  blackholed += o.blackholed;
-  retrans_dropped += o.retrans_dropped;
-}
-
 const std::vector<ChaosScenario>& ChaosScenario::catalog() {
   static const std::vector<ChaosScenario> kCatalog = [] {
     std::vector<ChaosScenario> v;

@@ -121,7 +121,6 @@ struct ChaosStats {
     return reordered + acks_dropped + acks_compressed + rwnd_rewrites +
            delayed + blackholed + retrans_dropped;
   }
-  void merge(const ChaosStats& o);
 };
 
 /// A named chaos configuration. The catalog gives the storm harness and the

@@ -60,9 +60,6 @@ struct LinkStats {
   std::uint64_t dropped_random = 0;
   std::uint64_t dropped_burst = 0;
   std::uint64_t dropped_queue = 0;
-  std::uint64_t dropped_total() const {
-    return dropped_random + dropped_burst + dropped_queue;
-  }
 };
 
 class Link {
@@ -91,7 +88,6 @@ class Link {
 
   /// Runtime re-configuration (used by scripted scenarios, e.g. Fig. 2's
   /// mid-flow loss episode).
-  void set_random_loss(double p) { config_.random_loss = p; }
   void set_burst(double p_g2b, Duration duration, double bad_loss);
   void set_jitter_mean(Duration d) { config_.jitter_mean = d; }
   /// Forces an outage starting now for `duration` (scripted scenarios).

@@ -5,14 +5,7 @@
 #include <cmath>
 #include <numeric>
 
-#include "util/strings.h"
-
 namespace tapo::stats {
-
-void Cdf::add_n(double x, std::size_t n) {
-  samples_.insert(samples_.end(), n, x);
-  sorted_ = false;
-}
 
 void Cdf::merge(const Cdf& other) {
   if (&other == this) {
@@ -56,47 +49,10 @@ double Cdf::fraction_at_most(double x) const {
          static_cast<double>(samples_.size());
 }
 
-double Cdf::min() const {
-  ensure_sorted();
-  return samples_.empty() ? 0.0 : samples_.front();
-}
-
-double Cdf::max() const {
-  ensure_sorted();
-  return samples_.empty() ? 0.0 : samples_.back();
-}
-
 double Cdf::mean() const {
   if (samples_.empty()) return 0.0;
   return std::accumulate(samples_.begin(), samples_.end(), 0.0) /
          static_cast<double>(samples_.size());
-}
-
-std::vector<Cdf::Point> Cdf::curve(std::size_t points) const {
-  std::vector<Point> out;
-  if (samples_.empty() || points == 0) return out;
-  ensure_sorted();
-  out.reserve(points);
-  for (std::size_t i = 0; i < points; ++i) {
-    const double q = static_cast<double>(i + 1) / static_cast<double>(points);
-    out.push_back({percentile(q), q});
-  }
-  return out;
-}
-
-std::vector<Cdf::Point> Cdf::curve_at(const std::vector<double>& xs) const {
-  std::vector<Point> out;
-  out.reserve(xs.size());
-  for (double x : xs) out.push_back({x, fraction_at_most(x)});
-  return out;
-}
-
-std::string describe(const Cdf& cdf, const std::string& unit) {
-  if (cdf.empty()) return "(no samples)";
-  return str_format("n=%zu p10=%.3g p50=%.3g p90=%.3g p99=%.3g%s%s",
-                    cdf.count(), cdf.percentile(0.10), cdf.percentile(0.50),
-                    cdf.percentile(0.90), cdf.percentile(0.99),
-                    unit.empty() ? "" : " ", unit.c_str());
 }
 
 }  // namespace tapo::stats

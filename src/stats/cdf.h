@@ -1,14 +1,13 @@
 // Empirical CDF accumulator.
 //
-// Collects samples, then answers percentile and P(X <= x) queries and renders
-// the distribution as (x, F(x)) rows — the form in which the paper's figures
-// (Fig. 1, 3, 6, 7, 10, 11, 12) are reported. Samples are stored exactly;
-// the datasets in this reproduction are small enough (millions of doubles)
-// that a sketch is unnecessary and exactness simplifies testing.
+// Collects samples, then answers the percentile and P(X <= x) queries in
+// which the paper's figures (Fig. 1, 3, 6, 7, 10, 11, 12) are reported.
+// Samples are stored exactly; the datasets in this reproduction are small
+// enough (millions of doubles) that a sketch is unnecessary and exactness
+// simplifies testing.
 #pragma once
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 namespace tapo::stats {
@@ -16,7 +15,6 @@ namespace tapo::stats {
 class Cdf {
  public:
   void add(double x) { samples_.push_back(x); sorted_ = false; }
-  void add_n(double x, std::size_t n);
   /// Pools another CDF's samples into this one.
   void merge(const Cdf& other);
 
@@ -29,16 +27,7 @@ class Cdf {
   /// Fraction of samples <= x.
   double fraction_at_most(double x) const;
 
-  double min() const;
-  double max() const;
   double mean() const;
-
-  /// Render `points` evenly spaced (in rank) CDF rows "x F(x)".
-  struct Point { double x; double f; };
-  std::vector<Point> curve(std::size_t points = 20) const;
-
-  /// CDF evaluated at caller-chosen x positions (for log-scale figures).
-  std::vector<Point> curve_at(const std::vector<double>& xs) const;
 
  private:
   void ensure_sorted() const;
@@ -46,8 +35,5 @@ class Cdf {
   mutable std::vector<double> samples_;
   mutable bool sorted_ = true;
 };
-
-/// Renders a one-line sparkline-style summary: p10/p50/p90/p99.
-std::string describe(const Cdf& cdf, const std::string& unit = "");
 
 }  // namespace tapo::stats

@@ -9,10 +9,8 @@ void Table::set_header(std::vector<std::string> header) {
 }
 
 void Table::add_row(std::vector<std::string> row) {
-  rows_.push_back({std::move(row), false});
+  rows_.push_back(std::move(row));
 }
-
-void Table::add_separator() { rows_.push_back({{}, true}); }
 
 std::string Table::render() const {
   // Compute column widths across header and all rows.
@@ -23,7 +21,7 @@ std::string Table::render() const {
       widths[i] = std::max(widths[i], cells[i].size());
   };
   grow(header_);
-  for (const auto& r : rows_) grow(r.cells);
+  for (const auto& r : rows_) grow(r);
 
   std::size_t line_width = 0;
   for (std::size_t w : widths) line_width += w + 3;
@@ -48,13 +46,7 @@ std::string Table::render() const {
     out += render_cells(header_);
     out += std::string(line_width, '-') + "\n";
   }
-  for (const auto& r : rows_) {
-    if (r.separator) {
-      out += std::string(line_width, '-') + "\n";
-    } else {
-      out += render_cells(r.cells);
-    }
-  }
+  for (const auto& r : rows_) out += render_cells(r);
   return out;
 }
 

@@ -17,19 +17,12 @@ class Table {
   /// Appends a data row. Rows shorter than the header are right-padded.
   void add_row(std::vector<std::string> row);
 
-  /// Appends a horizontal separator line.
-  void add_separator();
-
   std::string render() const;
 
  private:
   std::string title_;
   std::vector<std::string> header_;
-  struct Row {
-    std::vector<std::string> cells;
-    bool separator = false;
-  };
-  std::vector<Row> rows_;
+  std::vector<std::vector<std::string>> rows_;
 };
 
 }  // namespace tapo::stats

@@ -7,7 +7,6 @@
 #include <string>
 
 #include "telemetry/telemetry.h"
-#include "util/logging.h"
 
 namespace tapo::analysis {
 

@@ -24,72 +24,46 @@ constexpr const char* kStallsHeader =
     "flow,start_s,duration_s,cause,retrans_cause,f_double,state,"
     "in_flight,rel_position\n";
 
-// One-row emitters shared by the buffered writers and the streaming
-// CsvSink, so both produce byte-identical rows.
-void write_flow_row(std::ostream& out, std::size_t id,
-                    const FlowAnalysis& f) {
-  out << id << ',' << endpoint(f.key.src_ip, f.key.src_port) << ','
-      << endpoint(f.key.dst_ip, f.key.dst_port) << ',' << f.unique_bytes
-      << ',' << f.data_segments << ',' << f.retrans_segments << ','
-      << f.timeout_retrans << ',' << f.fast_retrans << ','
-      << f.spurious_retrans << ','
-      << str_format("%.6f", f.transmission_time.sec()) << ','
-      << str_format("%.6f", f.stalled_time.sec()) << ','
-      << str_format("%.4f", f.stall_ratio) << ','
-      << str_format("%.3f", f.avg_rtt_us / 1000.0) << ','
-      << str_format("%.3f", f.avg_rto_us / 1000.0) << ','
-      << str_format("%.1f", f.avg_speed_Bps) << ',' << f.init_rwnd_bytes
-      << ',' << (f.had_zero_rwnd ? 1 : 0) << ',' << f.stalls.size() << '\n';
-}
-
-void write_stall_rows(std::ostream& out, std::size_t id,
-                      const FlowAnalysis& f) {
-  for (const auto& s : f.stalls) {
-    out << id << ',' << str_format("%.6f", s.start.sec()) << ','
-        << str_format("%.6f", s.duration.sec()) << ',' << to_string(s.cause)
-        << ','
-        << (s.cause == StallCause::kRetransmission
-                ? to_string(s.retrans_cause)
-                : "")
-        << ',' << (s.f_double ? 1 : 0) << ','
-        << tcp::to_string(s.state_at_stall) << ',' << s.in_flight << ','
-        << str_format("%.4f", s.rel_position) << '\n';
-  }
-}
-
 }  // namespace
 
 void write_flows_csv(std::ostream& out,
                      const std::vector<FlowAnalysis>& flows) {
   out << kFlowsHeader;
   std::size_t id = 0;
-  for (const auto& f : flows) write_flow_row(out, id++, f);
+  for (const auto& f : flows) {
+    out << id++ << ',' << endpoint(f.key.src_ip, f.key.src_port) << ','
+        << endpoint(f.key.dst_ip, f.key.dst_port) << ',' << f.unique_bytes
+        << ',' << f.data_segments << ',' << f.retrans_segments << ','
+        << f.timeout_retrans << ',' << f.fast_retrans << ','
+        << f.spurious_retrans << ','
+        << str_format("%.6f", f.transmission_time.sec()) << ','
+        << str_format("%.6f", f.stalled_time.sec()) << ','
+        << str_format("%.4f", f.stall_ratio) << ','
+        << str_format("%.3f", f.avg_rtt_us / 1000.0) << ','
+        << str_format("%.3f", f.avg_rto_us / 1000.0) << ','
+        << str_format("%.1f", f.avg_speed_Bps) << ',' << f.init_rwnd_bytes
+        << ',' << (f.had_zero_rwnd ? 1 : 0) << ',' << f.stalls.size() << '\n';
+  }
 }
 
 void write_stalls_csv(std::ostream& out,
                       const std::vector<FlowAnalysis>& flows) {
   out << kStallsHeader;
   std::size_t id = 0;
-  for (const auto& f : flows) write_stall_rows(out, id++, f);
-}
-
-CsvSink::CsvSink(std::ostream& flows_out, std::ostream* stalls_out)
-    : flows_out_(&flows_out), stalls_out_(stalls_out) {
-  *flows_out_ << kFlowsHeader;
-  if (stalls_out_ != nullptr) *stalls_out_ << kStallsHeader;
-}
-
-void CsvSink::consume(FlowResult&& result) {
-  for (const auto& fa : result.analyses) {
-    write_flow_row(*flows_out_, result.index, fa);
-    if (stalls_out_ != nullptr) write_stall_rows(*stalls_out_, result.index, fa);
+  for (const auto& f : flows) {
+    for (const auto& s : f.stalls) {
+      out << id << ',' << str_format("%.6f", s.start.sec()) << ','
+          << str_format("%.6f", s.duration.sec()) << ',' << to_string(s.cause)
+          << ','
+          << (s.cause == StallCause::kRetransmission
+                  ? to_string(s.retrans_cause)
+                  : "")
+          << ',' << (s.f_double ? 1 : 0) << ','
+          << tcp::to_string(s.state_at_stall) << ',' << s.in_flight << ','
+          << str_format("%.4f", s.rel_position) << '\n';
+    }
+    ++id;
   }
-}
-
-void CsvSink::finish(const RunStats& stats) {
-  (void)stats;
-  flows_out_->flush();
-  if (stalls_out_ != nullptr) stalls_out_->flush();
 }
 
 namespace {

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "tapo/analyzer.h"
-#include "tapo/sink.h"
 
 namespace tapo::analysis {
 
@@ -28,23 +27,5 @@ void write_flows_csv_file(const std::string& path,
                           const std::vector<FlowAnalysis>& flows);
 void write_stalls_csv_file(const std::string& path,
                            const std::vector<FlowAnalysis>& flows);
-
-/// Streaming CSV writer on the shared tapo::FlowSink API: plugs into the
-/// parallel experiment runner and the LiveAnalyzer alike, emitting the same
-/// rows as write_flows_csv / write_stalls_csv without ever buffering the
-/// per-flow analyses. Flow ids are the FlowResult indices, so runner output
-/// matches the buffered writer line for line. Streams must outlive the
-/// sink; pass nullptr for stalls_out to skip the per-stall table.
-class CsvSink : public FlowSink {
- public:
-  explicit CsvSink(std::ostream& flows_out, std::ostream* stalls_out = nullptr);
-
-  void consume(FlowResult&& result) override;
-  void finish(const RunStats& stats) override;  // flushes both streams
-
- private:
-  std::ostream* flows_out_;
-  std::ostream* stalls_out_;
-};
 
 }  // namespace tapo::analysis

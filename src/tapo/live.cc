@@ -148,14 +148,6 @@ void LiveAnalyzer::recharge(Entry& entry) {
   }
 }
 
-std::size_t LiveAnalyzer::charge_after_append(const Entry& entry) const {
-  std::size_t cap =
-      entry.trace.capacity_bytes() / sizeof(net::CapturedPacket);
-  // Mirrors PacketTrace::grow_to: 64 slots first, then doubling.
-  if (entry.trace.size() == cap) cap = cap == 0 ? 64 : cap * 2;
-  return cap * sizeof(net::CapturedPacket) + kFlowOverheadBytes;
-}
-
 std::size_t LiveAnalyzer::soft_limit() const {
   // Evict down to half the cap, not the cap itself: the headroom absorbs
   // the open ingest chunk plus the finalize-time transients (demux pointer
@@ -227,7 +219,8 @@ void LiveAnalyzer::add_packet(const net::CapturedPacket& pkt) {
   // finalized here; unordered_map erasure leaves `it` valid, and `key`
   // itself (just moved to the LRU back) is pinned.
   if (config_.mem_budget != nullptr && !config_.mem_budget->unlimited()) {
-    const std::size_t want = charge_after_append(it->second);
+    const std::size_t want =
+        it->second.trace.capacity_bytes_after_append() + kFlowOverheadBytes;
     if (want > it->second.charged_bytes) {
       const std::size_t delta = want - it->second.charged_bytes;
       evict_for(delta, &key);

@@ -127,10 +127,6 @@ class LiveAnalyzer {
   void reap(TimePoint now);
   /// Re-syncs `entry`'s budget charge with its current arena capacity.
   void recharge(Entry& entry);
-  /// Ledger bytes `entry` will hold after one more append — mirrors
-  /// PacketTrace's geometric growth so eviction can run BEFORE the
-  /// allocation that would overshoot the cap.
-  std::size_t charge_after_append(const Entry& entry) const;
   /// Eviction threshold: half the cap (see LiveConfig::mem_budget).
   std::size_t soft_limit() const;
   /// Analyzes-and-drops LRU-front flows while the shared ledger plus

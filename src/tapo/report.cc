@@ -41,15 +41,6 @@ void StallBreakdown::add(const FlowAnalysis& flow) {
   }
 }
 
-void StallBreakdown::merge(const StallBreakdown& other) {
-  for (std::size_t c = 0; c < kNumStallCauses; ++c) {
-    by_cause[c].count += other.by_cause[c].count;
-    by_cause[c].time += other.by_cause[c].time;
-  }
-  total_count += other.total_count;
-  total_time += other.total_time;
-}
-
 void RetransBreakdown::add(const FlowAnalysis& flow) {
   for (const auto& s : flow.stalls) {
     if (s.cause != StallCause::kRetransmission) continue;
@@ -74,19 +65,6 @@ void RetransBreakdown::add(const FlowAnalysis& flow) {
       }
     }
   }
-}
-
-void RetransBreakdown::merge(const RetransBreakdown& other) {
-  for (std::size_t c = 0; c < kNumRetransCauses; ++c) {
-    by_cause[c].count += other.by_cause[c].count;
-    by_cause[c].time += other.by_cause[c].time;
-  }
-  total_count += other.total_count;
-  total_time += other.total_time;
-  f_double_time += other.f_double_time;
-  t_double_time += other.t_double_time;
-  tail_open_time += other.tail_open_time;
-  tail_recovery_time += other.tail_recovery_time;
 }
 
 StallBreakdown make_stall_breakdown(const std::vector<FlowAnalysis>& flows) {

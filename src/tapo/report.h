@@ -17,22 +17,21 @@ struct CauseAgg {
   Duration time;
 };
 
-/// Table 3: stall breakdown by top-level cause, by volume and time.
-/// Mergeable aggregate: build incrementally with add() (streaming sinks)
-/// or combine per-shard partials with merge().
+/// Table 3: stall breakdown by top-level cause, by volume and time, built
+/// incrementally with add() (streaming sinks fold each flow as it lands).
 struct StallBreakdown {
   std::array<CauseAgg, kNumStallCauses> by_cause;
   std::uint64_t total_count = 0;
   Duration total_time;
 
   void add(const FlowAnalysis& flow);
-  void merge(const StallBreakdown& other);
 
   double volume_fraction(StallCause c) const;
   double time_fraction(StallCause c) const;
 };
 
-/// Table 5: retransmission-stall breakdown. Mergeable like StallBreakdown.
+/// Table 5: retransmission-stall breakdown, built with add() like
+/// StallBreakdown.
 struct RetransBreakdown {
   std::array<CauseAgg, kNumRetransCauses> by_cause;
   std::uint64_t total_count = 0;
@@ -45,7 +44,6 @@ struct RetransBreakdown {
   Duration tail_recovery_time;
 
   void add(const FlowAnalysis& flow);
-  void merge(const RetransBreakdown& other);
 
   double volume_fraction(RetransCause c) const;
   double time_fraction(RetransCause c) const;

@@ -17,12 +17,12 @@
 //   auto res = tapo::workload::run_experiment(cfg);
 //
 // Result delivery is unified on tapo::FlowSink (tapo/sink.h): the parallel
-// ParallelRunner, the streaming LiveAnalyzer, and the CSV writers
-// (analysis::CsvSink) all produce/consume the same FlowResult stream, so a
-// sink written once (aggregator, CSV exporter, custom) works offline,
-// parallel, and live. Capture realism lives in sim::CaptureChannel
-// (sim/capture_channel.h), wired into experiments via
-// ExperimentConfig::with_impairments; the analyzer reports per-flow
+// ParallelRunner and the streaming LiveAnalyzer both deliver the same
+// FlowResult stream, so a sink written once (aggregator, record encoder,
+// custom) works offline, parallel, and live. The batch CSV writers
+// (tapo/csv.h) export a finished result. Capture realism lives in
+// sim::apply_impairments (sim/capture_channel.h), wired into experiments
+// via ExperimentConfig::with_impairments; the analyzer reports per-flow
 // degradation in analysis::CaptureQuality.
 #pragma once
 

@@ -30,17 +30,12 @@ std::optional<net::SackBlock> extract_dsack(const net::TcpHeader& tcp) {
 
 Connection::Connection(sim::Simulator& sim, sim::Link& down, sim::Link& up,
                        ConnectionConfig config, net::PacketTrace* trace)
-    : Connection(sim, down, up, std::move(config),
-                 trace != nullptr ? net::TraceBuilder(*trace)
-                                  : net::TraceBuilder()) {}
-
-Connection::Connection(sim::Simulator& sim, sim::Link& down, sim::Link& up,
-                       ConnectionConfig config, net::TraceBuilder capture)
     : sim_(sim),
       down_(down),
       up_(up),
       config_(std::move(config)),
-      capture_(capture),
+      capture_(trace != nullptr ? net::TraceBuilder(*trace)
+                                : net::TraceBuilder()),
       client_retx_(sim, [this] { client_retx_fire(); }) {
   client_isn_ = config_.client_isn;
   server_isn_ = config_.server_isn;

@@ -82,14 +82,9 @@ struct ConnectionMetrics {
 class Connection {
  public:
   /// `down` carries server->client packets, `up` client->server.
-  /// `capture` is the server-NIC tap: a detached builder (default state)
-  /// disables capture; an attached one receives every packet crossing the
-  /// server NIC, whichever backend (contiguous arena or chunked stream)
-  /// it fronts.
-  Connection(sim::Simulator& sim, sim::Link& down, sim::Link& up,
-             ConnectionConfig config, net::TraceBuilder capture);
-  /// Compatibility: capture straight into a caller-owned arena (nullptr
-  /// disables capture).
+  /// `trace` is the server-NIC tap: every packet crossing the server NIC
+  /// is appended to it (nullptr disables capture). It must outlive the
+  /// connection.
   Connection(sim::Simulator& sim, sim::Link& down, sim::Link& up,
              ConnectionConfig config, net::PacketTrace* trace);
   ~Connection();

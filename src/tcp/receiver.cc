@@ -29,12 +29,6 @@ std::uint32_t TcpReceiver::buffered_bytes() const {
   return b;
 }
 
-std::uint64_t TcpReceiver::ooo_bytes() const {
-  std::uint64_t b = 0;
-  for (const auto& blk : ooo_) b += blk.len();
-  return b;
-}
-
 void TcpReceiver::drain_app_reads() {
   const TimePoint now = sim_.now();
   if (config_.app_read_Bps == 0) {

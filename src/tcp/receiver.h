@@ -94,7 +94,6 @@ class TcpReceiver {
   void on_delack_fire();
   void schedule_window_update_check();
   std::uint32_t buffered_bytes() const;
-  std::uint64_t ooo_bytes() const;
   void add_ooo(Seq32 start, Seq32 end);
   bool is_duplicate(Seq32 start, Seq32 end) const;
 

@@ -184,20 +184,6 @@ const SegmentState* Scoreboard::last_unsacked() const {
   return nullptr;
 }
 
-std::uint32_t Scoreboard::holes() const {
-  // UnSACKed, unlost segments with at least one SACKed segment above them.
-  std::uint32_t n = 0;
-  bool any_sacked_above = false;
-  for (auto it = segs_.rbegin(); it != segs_.rend(); ++it) {
-    if (it->sacked) {
-      any_sacked_above = true;
-    } else if (any_sacked_above && !it->lost) {
-      ++n;
-    }
-  }
-  return n;
-}
-
 std::uint32_t Scoreboard::in_flight() const {
   const std::uint32_t out = packets_out() + retrans_out_;
   const std::uint32_t gone = sacked_out_ + lost_out_;

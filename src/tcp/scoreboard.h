@@ -1,6 +1,6 @@
 // Sender scoreboard: per-transmitted-segment state used for SACK-based loss
 // detection and for the Table-2 counters the paper's analysis is built on
-// (packets_out, sacked_out, lost_out, retrans_out, holes, in_flight).
+// (packets_out, sacked_out, lost_out, retrans_out, in_flight).
 //
 // Segments are MSS-sized except possibly the last one of a response, so the
 // scoreboard is an ordered deque of contiguous ranges; fully acknowledged
@@ -98,9 +98,6 @@ class Scoreboard {
   std::uint32_t sacked_out() const { return sacked_out_; }
   std::uint32_t lost_out() const { return lost_out_; }
   std::uint32_t retrans_out() const { return retrans_out_; }
-  /// UnSACKed, unlost segments sitting between SACKed ones ("holes").
-  /// O(packets_out); used by analysis, not the per-ACK fast path.
-  std::uint32_t holes() const;
   /// in_flight = packets_out + retrans_out - (sacked_out + lost_out)  (Eq. 1)
   std::uint32_t in_flight() const;
 
@@ -119,7 +116,6 @@ class Scoreboard {
 
   const SegmentState* find(Seq32 seq) const;
   const SegmentState* head() const { return segs_.empty() ? nullptr : &segs_.front(); }
-  const SegmentState* tail() const { return segs_.empty() ? nullptr : &segs_.back(); }
   const std::deque<SegmentState>& segments() const { return segs_; }
 
  private:

@@ -5,7 +5,6 @@
 
 #include "tcp/invariants.h"
 #include "telemetry/telemetry.h"
-#include "util/logging.h"
 
 namespace tapo::tcp {
 

@@ -113,11 +113,6 @@ void Tracer::set_shard_capacity(std::size_t events) {
   capacity_ = std::max<std::size_t>(events, 16);
 }
 
-std::size_t Tracer::shard_capacity() const {
-  util::MutexLock lock(mu_);
-  return capacity_;
-}
-
 bool Tracer::should_record(EventKind kind) const {
   if (!enabled()) return false;
   if (!(category_of(kind) & categories())) return false;

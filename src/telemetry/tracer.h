@@ -50,7 +50,6 @@ class Tracer {
 
   /// Ring capacity (events) for shards created after the call.
   void set_shard_capacity(std::size_t events) TAPO_EXCLUDES(mu_);
-  std::size_t shard_capacity() const TAPO_EXCLUDES(mu_);
 
   /// True when an event of `kind` would be recorded on this thread right
   /// now (enabled + category on + current flow sampled).

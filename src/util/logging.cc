@@ -1,34 +1,11 @@
 #include "util/logging.h"
 
-#include <atomic>
 #include <cstdio>
 
-namespace tapo {
-namespace {
+namespace tapo::internal {
 
-std::atomic<LogLevel> g_level{LogLevel::kWarn};
-
-const char* level_name(LogLevel level) {
-  switch (level) {
-    case LogLevel::kDebug: return "DEBUG";
-    case LogLevel::kInfo: return "INFO";
-    case LogLevel::kWarn: return "WARN";
-    case LogLevel::kError: return "ERROR";
-    case LogLevel::kOff: return "OFF";
-  }
-  return "?";
+WarnLine::~WarnLine() {
+  std::fprintf(stderr, "[WARN] %s\n", stream_.str().c_str());
 }
 
-}  // namespace
-
-LogLevel set_log_level(LogLevel level) { return g_level.exchange(level); }
-LogLevel log_level() { return g_level.load(); }
-
-namespace internal {
-
-void emit_log(LogLevel level, const std::string& msg) {
-  std::fprintf(stderr, "[%s] %s\n", level_name(level), msg.c_str());
-}
-
-}  // namespace internal
-}  // namespace tapo
+}  // namespace tapo::internal

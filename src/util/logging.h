@@ -1,52 +1,29 @@
-// Minimal leveled logger.
-//
-// The library is a measurement tool, so logging defaults to warnings only;
-// examples and debugging sessions can raise the level. No global mutable
-// singletons beyond the level itself; log lines go to stderr.
+// Warning log, the one level the library uses: TAPO_WARN << ...; writes
+// one "[WARN] <message>" line to stderr.
 #pragma once
 
 #include <sstream>
-#include <string>
 
-namespace tapo {
+namespace tapo::internal {
 
-enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
-
-/// Sets the global minimum level; returns the previous one.
-LogLevel set_log_level(LogLevel level);
-LogLevel log_level();
-
-namespace internal {
-
-void emit_log(LogLevel level, const std::string& msg);
-
-class LogLine {
+/// Collects one warning line and writes it to stderr when destroyed.
+class WarnLine {
  public:
-  explicit LogLine(LogLevel level) : level_(level) {}
-  ~LogLine() { emit_log(level_, stream_.str()); }
-  LogLine(const LogLine&) = delete;
-  LogLine& operator=(const LogLine&) = delete;
+  WarnLine() = default;
+  ~WarnLine();
+  WarnLine(const WarnLine&) = delete;
+  WarnLine& operator=(const WarnLine&) = delete;
 
   template <typename T>
-  LogLine& operator<<(const T& v) {
+  WarnLine& operator<<(const T& v) {
     stream_ << v;
     return *this;
   }
 
  private:
-  LogLevel level_;
   std::ostringstream stream_;
 };
 
-}  // namespace internal
+}  // namespace tapo::internal
 
-#define TAPO_LOG(level)                                  \
-  if (::tapo::log_level() <= ::tapo::LogLevel::level)    \
-  ::tapo::internal::LogLine(::tapo::LogLevel::level)
-
-#define TAPO_DEBUG TAPO_LOG(kDebug)
-#define TAPO_INFO TAPO_LOG(kInfo)
-#define TAPO_WARN TAPO_LOG(kWarn)
-#define TAPO_ERROR TAPO_LOG(kError)
-
-}  // namespace tapo
+#define TAPO_WARN ::tapo::internal::WarnLine()

@@ -75,7 +75,6 @@ class CondVar {
     native.release();
   }
 
-  void notify_one() noexcept { cv_.notify_one(); }
   void notify_all() noexcept { cv_.notify_all(); }
 
  private:

@@ -74,7 +74,7 @@ struct ExperimentConfig {
   /// Keep each flow's packet capture in its FlowOutcome (independent of
   /// `analyze`, which captures internally but discards after analysis).
   TraceCapture capture = TraceCapture::kNone;
-  /// Capture-realism impairments (sim::CaptureChannel) applied to each
+  /// Capture-realism impairments (sim::apply_impairments) applied to each
   /// flow's server-NIC trace before analysis and before it is stored in
   /// the outcome. Default-off: everything downstream sees the pristine
   /// tap, bit-identically. The per-flow channel seed is

@@ -1,4 +1,4 @@
-// Capture-realism tests: the sim::CaptureChannel impairment stage, the
+// Capture-realism tests: the sim::apply_impairments capture stage, the
 // degradation-aware analyzer properties it enables, the fluent validated
 // config builders, the unified FlowSink delivery surface, and the pcap
 // snaplen regression fixture.
@@ -11,7 +11,6 @@
 #include "net/ipv4.h"
 #include "pcap/pcap.h"
 #include "sim/capture_channel.h"
-#include "tapo/csv.h"
 #include "tapo/live.h"
 #include "tapo/tapo.h"
 #include "workload/experiment.h"
@@ -430,33 +429,6 @@ TEST(SinkUnification, LiveAnalyzerFeedsFlowSink) {
   EXPECT_GE(sink.analyses_, 1u);
   EXPECT_EQ(sink.finished_, 1u);
   EXPECT_EQ(sink.finish_flows_, sink.consumed_);
-}
-
-TEST(SinkUnification, CsvSinkMatchesBatchWriters) {
-  auto cfg = workload::ExperimentConfig{}
-                 .with_profile(
-                     workload::profile_for(workload::Service::kWebSearch))
-                 .with_flows(12)
-                 .with_seed(2015);
-
-  workload::CollectingSink collecting;
-  workload::ParallelRunner(cfg, {}).run(collecting);
-  const auto result = collecting.take();
-  // The streaming sink ids rows by flow index; the batch writer by dense
-  // analysis order. They coincide exactly when every flow analyzed.
-  ASSERT_EQ(result.analyses.size(), cfg.flows);
-
-  std::ostringstream batch_flows, batch_stalls;
-  analysis::write_flows_csv(batch_flows, result.analyses);
-  analysis::write_stalls_csv(batch_stalls, result.analyses);
-
-  std::ostringstream live_flows, live_stalls;
-  {
-    analysis::CsvSink csv(live_flows, &live_stalls);
-    workload::ParallelRunner(cfg, {}).run(csv);
-  }
-  EXPECT_EQ(batch_flows.str(), live_flows.str());
-  EXPECT_EQ(batch_stalls.str(), live_stalls.str());
 }
 
 // ---------------------------------------------------------------------------

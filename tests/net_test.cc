@@ -273,5 +273,18 @@ TEST(PacketTrace, SortByTimeIsStable) {
   EXPECT_EQ(t[2].tcp.seq, Seq32{3});
 }
 
+TEST(PacketTrace, CapacityAfterAppendPredictsGrowth) {
+  // Across the 64 -> 128 -> 256 -> 512 growth steps, the projection taken
+  // before each append equals the capacity the append leaves behind.
+  PacketTrace t;
+  EXPECT_EQ(t.capacity_bytes(), 0u);
+  for (int i = 0; i < 300; ++i) {
+    const std::size_t projected = t.capacity_bytes_after_append();
+    t.append();
+    ASSERT_EQ(projected, t.capacity_bytes()) << "after append " << i + 1;
+  }
+  EXPECT_EQ(t.capacity_bytes(), 512 * sizeof(CapturedPacket));
+}
+
 }  // namespace
 }  // namespace tapo::net

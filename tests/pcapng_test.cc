@@ -37,15 +37,15 @@ std::string shb() {
   return b;
 }
 
-std::string idb(std::uint16_t linktype, int tsresol_pow10 = -1) {
+std::string idb(std::uint16_t linktype, int tsresol = -1) {
   std::string b;
   le16(b, linktype);
   le16(b, 0);           // reserved
   le32(b, 65535);       // snaplen
-  if (tsresol_pow10 >= 0) {
-    le16(b, 9);  // if_tsresol
+  if (tsresol >= 0) {
+    le16(b, 9);  // if_tsresol: 10^-n s, or 2^-n s with the top bit set
     le16(b, 1);
-    b.push_back(static_cast<char>(tsresol_pow10));
+    b.push_back(static_cast<char>(tsresol));
     b.append(3, '\0');  // padding
   }
   le16(b, 0);  // opt_endofopt
@@ -108,6 +108,45 @@ TEST(Pcapng, NanosecondResolutionConverted) {
   const auto trace = read_stream(ss);
   ASSERT_EQ(trace.size(), 1u);
   EXPECT_EQ(trace[0].timestamp.us(), 3'000'000);  // 3e9 ns = 3 s
+}
+
+// Epoch-scale timestamps have more digits than a double holds exactly, so
+// the unit conversion must stay in integers.
+TEST(Pcapng, EpochMicrosecondTimestampExact) {
+  std::string file;
+  block(file, 0x0A0D0D0A, shb());
+  block(file, 0x00000001, idb(101));  // default 1e-6 units
+  block(file, 0x00000006, epb(0, 1'700'000'000'123'471ull, ip_frame(1, 10)));
+  std::stringstream ss(file);
+  const auto trace = read_stream(ss);
+  ASSERT_EQ(trace.size(), 1u);
+  EXPECT_EQ(trace[0].timestamp.us(), 1'700'000'000'123'471);
+}
+
+TEST(Pcapng, EpochNanosecondTimestampTruncatedToMicroseconds) {
+  std::string file;
+  block(file, 0x0A0D0D0A, shb());
+  block(file, 0x00000001, idb(101, /*tsresol=*/9));  // 1e-9 units
+  block(file, 0x00000006,
+        epb(0, 1'700'000'000'123'456'896ull, ip_frame(1, 10)));
+  std::stringstream ss(file);
+  const auto trace = read_stream(ss);
+  ASSERT_EQ(trace.size(), 1u);
+  EXPECT_EQ(trace[0].timestamp.us(), 1'700'000'000'123'456);
+}
+
+TEST(Pcapng, BinaryResolutionConverted) {
+  std::string file;
+  block(file, 0x0A0D0D0A, shb());
+  block(file, 0x00000001, idb(101, /*tsresol=*/0x80 | 20));  // 2^-20 s
+  block(file, 0x00000001, idb(101, /*tsresol=*/0x80 | 70));  // past 2^-63
+  block(file, 0x00000006, epb(0, 7ull << 19, ip_frame(1, 10)));  // 3.5 s
+  block(file, 0x00000006, epb(1, 1ull << 63, ip_frame(2, 10)));  // 1 s
+  std::stringstream ss(file);
+  const auto trace = read_stream(ss);
+  ASSERT_EQ(trace.size(), 2u);
+  EXPECT_EQ(trace[0].timestamp.us(), 3'500'000);
+  EXPECT_EQ(trace[1].timestamp.us(), 1'000'000);
 }
 
 TEST(Pcapng, EthernetFramesUnwrapped) {

@@ -95,7 +95,7 @@ TEST(Report, StallRatioCdf) {
   const auto cdf = stall_ratio_cdf(flows);
   EXPECT_EQ(cdf.count(), 2u);
   EXPECT_DOUBLE_EQ(cdf.fraction_at_most(0.0), 0.5);
-  EXPECT_DOUBLE_EQ(cdf.max(), 0.5);
+  EXPECT_DOUBLE_EQ(cdf.percentile(1.0), 0.5);
 }
 
 TEST(Report, RttRtoCdfsSkipEmptyFlows) {
@@ -109,8 +109,8 @@ TEST(Report, RttRtoCdfsSkipEmptyFlows) {
   EXPECT_EQ(flow_rto_cdf_ms(flows).count(), 2u);
   const auto ratio = rto_over_rtt_cdf(flows);
   EXPECT_EQ(ratio.count(), 2u);
-  EXPECT_DOUBLE_EQ(ratio.min(), 3.0);
-  EXPECT_DOUBLE_EQ(ratio.max(), 4.0);
+  EXPECT_DOUBLE_EQ(ratio.percentile(0.0), 3.0);
+  EXPECT_DOUBLE_EQ(ratio.percentile(1.0), 4.0);
 }
 
 TEST(Report, ZeroRwndProbabilityBuckets) {
@@ -139,10 +139,10 @@ TEST(Report, StallContextCdfs) {
   std::vector<FlowAnalysis> flows{flow_with({s1, s2})};
   const auto pos = stall_position_cdf(flows, RetransCause::kDoubleRetrans);
   ASSERT_EQ(pos.count(), 1u);
-  EXPECT_DOUBLE_EQ(pos.max(), 0.25);
+  EXPECT_DOUBLE_EQ(pos.percentile(1.0), 0.25);
   const auto infl = stall_inflight_cdf(flows, RetransCause::kTailRetrans);
   ASSERT_EQ(infl.count(), 1u);
-  EXPECT_DOUBLE_EQ(infl.max(), 1.0);
+  EXPECT_DOUBLE_EQ(infl.percentile(1.0), 1.0);
 }
 
 TEST(Report, InflightOnAckCdf) {

@@ -98,9 +98,14 @@ TEST(Scoreboard, Holes) {
   const std::uint32_t s5 = 1 + 4 * kMss;
   b.apply_sack({{S(s2), S(s2 + kMss)}, {S(s5), S(s5 + kMss)}}, S(1));
   // Segments 1, 3, 4 are unSACKed; 1, 3, 4 all have a SACKed block above.
-  EXPECT_EQ(b.holes(), 3u);
-  b.mark_lost_by_sack(1);  // marks holes lost
-  EXPECT_EQ(b.holes(), 0u);
+  EXPECT_EQ(b.sacked_out(), 2u);
+  EXPECT_EQ(b.lost_out(), 0u);
+  EXPECT_EQ(b.mark_lost_by_sack(1), 3u);  // marks every hole lost
+  for (const std::uint32_t seg : {1u, 3u, 4u}) {
+    EXPECT_TRUE(b.find(S(1 + (seg - 1) * kMss))->lost) << "segment " << seg;
+  }
+  EXPECT_FALSE(b.find(S(s2))->lost);
+  EXPECT_FALSE(b.find(S(s5))->lost);
 }
 
 TEST(Scoreboard, RetransmitBookkeeping) {

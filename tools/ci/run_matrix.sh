@@ -14,39 +14,20 @@
 #   default  plain RelWithDebInfo build, full ctest
 #   asan     -fsanitize=address, full ctest
 #   ubsan    -fsanitize=undefined, full ctest
-#   (every TAPO_SANITIZE configuration, here and below, keeps assert() on,
-#   so the debug cross-checks such as the mimic's per-packet scoreboard
-#   recount run instrumented)
-#   tsan     -fsanitize=thread, full ctest (includes the runner_parallel_tsan
-#            and telemetry_tsan race-check entries), then an explicit
-#            `concurrency`-labeled pass: the annotated-mutex API tests and
-#            the Registry lock-contention stress suite race-checked under
-#            TSan
+#   tsan     -fsanitize=thread, full ctest
+#   (a full ctest runs every gtest case as its own entry plus the harness
+#   and CLI entries: the capture-robustness, chaos-storm, fleet and
+#   streaming harnesses and the concurrency suites all run under every
+#   sanitizer. Every TAPO_SANITIZE configuration keeps assert() on, so the
+#   debug cross-checks such as the mimic's per-packet scoreboard recount
+#   run instrumented)
 #   thread-safety  Clang-only static gate: builds with clang++ and
 #            -DTAPO_THREAD_SAFETY=ON (-Wthread-safety -Werror=thread-safety
 #            over the TAPO_* capability annotations, plus the configure-time
-#            positive/negative try_compile probes), then runs the
-#            `concurrency` label. Skipped loudly when clang++ is not
-#            installed — unless CI is set, where missing clang++ is a hard
-#            failure instead of a silent skip
-#   robustness  -fsanitize=address, `robustness`-labeled tests only: the
-#            capture-channel/degradation suites plus the differential
-#            stability harness (bench/robustness_stability.cc), so fault
-#            injection runs under ASan without repeating the full sweep
-#   fleet    -fsanitize=address, `fleet`-labeled tests only: the fleet
-#            record/sketch/window suites (corruption property tests under
-#            ASan), the fleet_scale merge-determinism harness, and the
-#            tapo_agg emit -> merge -> prometheus-validate smoke chain
-#   streaming  -fsanitize=address, `streaming`-labeled tests only: the
-#            chunked-vs-batch bit-equivalence suites plus the
-#            streaming_scale peak-residency gate, so the chunk-lifetime
-#            and budget-eviction paths run under ASan
-#   chaos    `chaos`-labeled tests under BOTH -fsanitize=address and
-#            -fsanitize=undefined: the chaos-engine gate suites
-#            (tests/chaos_test.cc) and the differential storm harness
-#            (bench/chaos_storm.cc) — hostile-network paths are exactly
-#            where latent memory and UB bugs hide, so the storm runs
-#            instrumented both ways without repeating the full sweep
+#            positive/negative try_compile probes), then runs the full
+#            ctest. Skipped loudly when clang++ is not installed — unless
+#            CI is set, where missing clang++ is a hard failure instead of
+#            a silent skip
 #   perf     smoke run of the performance benchmark: bench/perf_baseline/
 #            run.sh --seconds=1 over all four workloads (sim_web,
 #            sim_cloud, pcap_batch, pcap_stream) on its own Release build.
@@ -67,23 +48,18 @@ cd "$(dirname "$0")/../.."
 JOBS="${JOBS:-$(nproc)}"
 CONFIGS=("$@")
 if [ ${#CONFIGS[@]} -eq 0 ]; then
-  CONFIGS=(lint default asan ubsan tsan thread-safety robustness fleet streaming chaos perf)
+  CONFIGS=(lint default asan ubsan tsan thread-safety perf)
 fi
 
 build_and_test() {
-  local name="$1" sanitize="$2" label="${3:-}"
+  local name="$1" sanitize="$2"
   local dir="build-ci/${name}"
   echo "=== [${name}] configure (TAPO_SANITIZE='${sanitize}') ==="
   cmake -B "${dir}" -S . -DTAPO_SANITIZE="${sanitize}" -DTAPO_WERROR=ON
   echo "=== [${name}] build ==="
   cmake --build "${dir}" -j "${JOBS}"
-  if [ -n "${label}" ]; then
-    echo "=== [${name}] ctest -L ${label} ==="
-    ctest --test-dir "${dir}" --output-on-failure -j "${JOBS}" -L "${label}"
-  else
-    echo "=== [${name}] ctest ==="
-    ctest --test-dir "${dir}" --output-on-failure -j "${JOBS}"
-  fi
+  echo "=== [${name}] ctest ==="
+  ctest --test-dir "${dir}" --output-on-failure -j "${JOBS}"
 }
 
 for cfg in "${CONFIGS[@]}"; do
@@ -100,14 +76,7 @@ for cfg in "${CONFIGS[@]}"; do
     default) build_and_test default "" ;;
     asan)    build_and_test asan address ;;
     ubsan)   build_and_test ubsan undefined ;;
-    tsan)
-      build_and_test tsan thread
-      # The full sweep above already ran every test instrumented; this
-      # labeled pass gives CI one stable race-check gate to point at.
-      echo "=== [tsan] ctest -L concurrency ==="
-      ctest --test-dir build-ci/tsan --output-on-failure -j "${JOBS}" \
-        -L concurrency
-      ;;
+    tsan)    build_and_test tsan thread ;;
     thread-safety)
       dir="build-ci/thread-safety"
       if command -v clang++ >/dev/null 2>&1; then
@@ -116,9 +85,8 @@ for cfg in "${CONFIGS[@]}"; do
           -DTAPO_THREAD_SAFETY=ON -DTAPO_WERROR=ON
         echo "=== [thread-safety] build ==="
         cmake --build "${dir}" -j "${JOBS}"
-        echo "=== [thread-safety] ctest -L concurrency ==="
-        ctest --test-dir "${dir}" --output-on-failure -j "${JOBS}" \
-          -L concurrency
+        echo "=== [thread-safety] ctest ==="
+        ctest --test-dir "${dir}" --output-on-failure -j "${JOBS}"
       elif [ -n "${CI:-}" ]; then
         echo "FATAL: thread-safety config needs clang++ but it is not" \
           "installed and CI is set; the static gate cannot run" >&2
@@ -128,15 +96,6 @@ for cfg in "${CONFIGS[@]}"; do
           "-Wthread-safety analysis is Clang-only; install clang to run" \
           "this configuration locally) ==="
       fi
-      ;;
-    robustness) build_and_test robustness address robustness ;;
-    fleet)   build_and_test fleet address fleet ;;
-    streaming) build_and_test streaming address streaming ;;
-    chaos)
-      # The storm harness reuses the asan/ubsan build trees' flags but gets
-      # its own directories so the label runs stay independently cacheable.
-      build_and_test chaos-asan address chaos
-      build_and_test chaos-ubsan undefined chaos
       ;;
     perf)
       echo "=== [perf] bench/perf_baseline/run.sh --seconds=1 ==="
