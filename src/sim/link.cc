@@ -86,13 +86,28 @@ void Link::send(net::CapturedPacket pkt) {
     if (arrive < last_arrival_) arrive = last_arrival_;
     last_arrival_ = arrive;
   }
-  sim_.schedule_at(arrive, [this, pkt = std::move(pkt)]() mutable {
-    ++stats_.delivered;
-    if (deliver_) {
-      pkt.timestamp = sim_.now();
-      deliver_(pkt);
-    }
-  });
+  std::uint32_t slot = 0;
+  if (free_wire_.empty()) {
+    slot = static_cast<std::uint32_t>(wire_.size());
+    wire_.push_back(pkt);
+  } else {
+    slot = free_wire_.back();
+    free_wire_.pop_back();
+    wire_[slot] = pkt;
+  }
+  sim_.schedule_at(arrive, [this, slot] { deliver(slot); });
+}
+
+void Link::deliver(std::uint32_t slot) {
+  // Copy the packet out and free its slot first: the handler may send on
+  // this link, which can reuse the slot or grow the wire.
+  net::CapturedPacket pkt = wire_[slot];
+  free_wire_.push_back(slot);
+  ++stats_.delivered;
+  if (deliver_) {
+    pkt.timestamp = sim_.now();
+    deliver_(pkt);
+  }
 }
 
 }  // namespace tapo::sim

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <vector>
 
 #include "net/trace.h"
 #include "sim/simulator.h"
@@ -96,6 +97,7 @@ class Link {
  private:
   bool decide_drop();
   std::size_t wire_size(const net::CapturedPacket& pkt) const;
+  void deliver(std::uint32_t slot);
 
   Simulator& sim_;
   LinkConfig config_;
@@ -108,6 +110,11 @@ class Link {
   TimePoint busy_until_ = TimePoint::epoch();
   TimePoint last_arrival_ = TimePoint::epoch();
   std::size_t queued_ = 0;
+  // Packets on the wire, each in a slot until its delivery event fires.
+  // That event's closure holds only `this` and the slot index, so it fits
+  // std::function's inline buffer and scheduling it allocates nothing.
+  std::vector<net::CapturedPacket> wire_;
+  std::vector<std::uint32_t> free_wire_;
 };
 
 }  // namespace tapo::sim

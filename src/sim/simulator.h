@@ -4,16 +4,19 @@
 // scheduled for the same instant fire in scheduling order (FIFO), which
 // keeps runs fully deterministic. Timers are cancellable handles — TCP
 // rearms/cancels its RTO, delayed-ACK, probe and persist timers constantly,
-// so cancellation is O(1): cancel() just erases the handler, and stale
-// queue entries (ids with no handler) are dropped lazily at pop time. The
-// handler map is the single source of truth for what is pending.
+// so cancellation is O(1). Handlers live in a slot vector that a free list
+// recycles, so scheduling allocates nothing once the slots have grown. An
+// EventId names a (slot, generation) pair: firing or cancelling an event
+// frees its slot and bumps the slot's generation, so a stale id matches
+// nothing, and the queue entries it leaves behind are dropped lazily at pop
+// time. A slot is pending exactly while its generation matches an id that
+// was handed out.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <optional>
 #include <queue>
-#include <unordered_map>
 #include <vector>
 
 #include "util/time.h"
@@ -22,7 +25,8 @@ namespace tapo::sim {
 
 using EventFn = std::function<void()>;
 
-/// Identifies a scheduled event; 0 is never a valid id.
+/// Identifies a scheduled event: its slot in the low 32 bits, the slot's
+/// generation (never 0) in the high 32. 0 is never a valid id.
 using EventId = std::uint64_t;
 
 class Simulator {
@@ -56,32 +60,42 @@ class Simulator {
   /// Non-const: lazily drops cancelled tombstones off the queue head.
   std::optional<TimePoint> next_event_time();
 
-  bool empty() const { return handlers_.empty(); }
-  std::size_t pending() const { return handlers_.size(); }
+  bool empty() const { return pending_ == 0; }
+  std::size_t pending() const { return pending_; }
 
  private:
+  struct Slot {
+    EventFn fn;
+    std::uint32_t generation = 1;
+  };
   struct Event {
     TimePoint when;
-    EventId id;
+    std::uint64_t seq;  // scheduling order
+    std::uint32_t slot;
+    std::uint32_t generation;
     // Heap entry ordering: earliest time first; FIFO among equal times.
     bool operator>(const Event& o) const {
       if (when != o.when) return when > o.when;
-      return id > o.id;
+      return seq > o.seq;
     }
   };
 
-  using HandlerMap = std::unordered_map<EventId, EventFn>;
-
   /// Drops cancelled entries off the top of the queue until the head is a
-  /// live event (its handler iterator is returned through `it`; the event
-  /// itself stays queued so callers can peek the deadline first) or the
-  /// queue is exhausted. One hash lookup per popped entry.
-  bool peek_runnable(HandlerMap::iterator& it);
+  /// live event (it stays queued, so callers can peek the deadline first)
+  /// or the queue is exhausted.
+  bool peek_runnable();
+  /// Pops the head (a live event), advances the clock to it and runs it.
+  void fire_head();
+  /// Destroys the slot's handler and recycles the slot under a new
+  /// generation. A slot whose generation would wrap to 0 is retired.
+  void release(std::uint32_t slot);
 
   TimePoint now_ = TimePoint::epoch();
-  EventId next_id_ = 1;
+  std::uint64_t next_seq_ = 0;
+  std::size_t pending_ = 0;
   std::priority_queue<Event, std::vector<Event>, std::greater<>> queue_;
-  HandlerMap handlers_;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_slots_;
 };
 
 /// A self-rearming timer bound to one Simulator. Guarantees at most one

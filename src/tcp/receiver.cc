@@ -80,34 +80,30 @@ std::uint32_t TcpReceiver::current_rwnd() {
 }
 
 void TcpReceiver::add_ooo(Seq32 start, Seq32 end) {
-  // Insert and merge overlapping/adjacent ranges; keep sorted by start.
-  net::SackBlock blk{start, end};
-  ooo_.push_back(blk);
-  std::sort(ooo_.begin(), ooo_.end(),
-            [](const net::SackBlock& a, const net::SackBlock& b) {
-              return net::before(a.start, b.start);
-            });
-  std::vector<net::SackBlock> merged;
-  for (const auto& b : ooo_) {
-    if (!merged.empty() && net::at_or_before(b.start, merged.back().end)) {
-      merged.back().end = net::seq_max(merged.back().end, b.end);
-    } else {
-      merged.push_back(b);
-    }
+  // ooo_ is sorted by start and its ranges neither overlap nor touch, so
+  // their ends are sorted too. The new range merges with exactly the run
+  // from the first range ending at or after its start to the last one
+  // starting at or before its end.
+  const auto first = std::partition_point(
+      ooo_.begin(), ooo_.end(),
+      [start](const net::SackBlock& b) { return net::before(b.end, start); });
+  const auto last = std::partition_point(
+      first, ooo_.end(),
+      [end](const net::SackBlock& b) { return net::at_or_before(b.start, end); });
+  const auto at = static_cast<std::size_t>(first - ooo_.begin());
+  if (first == last) {
+    ooo_.insert(first, net::SackBlock{start, end});
+  } else {
+    first->start = net::seq_min(first->start, start);
+    first->end = net::seq_max((last - 1)->end, end);
+    ooo_.erase(first + 1, last);
   }
-  ooo_ = std::move(merged);
 
-  // Track reporting order: the block containing the new data goes first.
-  const auto contains = [&](const net::SackBlock& b) {
-    return net::at_or_after(start, b.start) && net::at_or_before(end, b.end);
-  };
+  // Reporting order: the block containing the new data goes first.
   recent_sacks_.clear();
-  for (const auto& b : ooo_) {
-    if (contains(b)) recent_sacks_.push_back(b);
-  }
-  for (const auto& b : ooo_) {
-    if (!contains(b)) recent_sacks_.push_back(b);
-  }
+  recent_sacks_.push_back(ooo_[at]);
+  recent_sacks_.insert(recent_sacks_.end(), ooo_.begin(), ooo_.begin() + at);
+  recent_sacks_.insert(recent_sacks_.end(), ooo_.begin() + at + 1, ooo_.end());
 }
 
 bool TcpReceiver::is_duplicate(Seq32 start, Seq32 end) const {

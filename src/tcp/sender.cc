@@ -138,7 +138,7 @@ bool TcpSender::send_new_segment() {
 }
 
 void TcpSender::retransmit(Seq32 seq, bool rto_retrans) {
-  const SegmentState* seg = board_.find(seq);
+  const SegmentState* seg = board_.on_retransmit(seq, sim_.now(), rto_retrans);
   if (seg == nullptr) return;
   invariants::on_retransmit(*this, seg->start, sim_.now());
   const bool is_fin = fin_sent_ && seg->start == fin_seq_;
@@ -147,7 +147,6 @@ void TcpSender::retransmit(Seq32 seq, bool rto_retrans) {
   out.len = is_fin ? 0 : seg->len();
   out.fin = is_fin;
   out.retransmission = true;
-  board_.on_retransmit(seq, sim_.now(), rto_retrans);
   ++stats_.segments_sent;
   ++stats_.retransmissions;
   stats_.bytes_sent += out.len;
@@ -257,40 +256,37 @@ void TcpSender::on_ack(Seq32 ack, std::uint32_t rwnd_bytes,
     }
   }
 
-  std::vector<SegmentState> sack_samples;
-  const std::uint32_t newly_sacked =
-      board_.apply_sack(sack_blocks, snd_una_, &sack_samples);
   // SACK-time RTT sampling (tcp_sacktag_write_queue does the same): a SACK
   // pinpoints the delivery time of an out-of-order segment.
+  std::uint32_t newly_sacked = 0;
   {
     TimePoint newest;
     bool have = false;
-    for (const auto& s : sack_samples) {
-      if (!s.was_retransmitted() && (!have || s.first_sent > newest)) {
-        newest = s.first_sent;
-        have = true;
-      }
-    }
+    newly_sacked = board_.apply_sack(
+        sack_blocks, snd_una_, [&](const SegmentState& s) {
+          if (!s.was_retransmitted() && (!have || s.first_sent > newest)) {
+            newest = s.first_sent;
+            have = true;
+          }
+        });
     if (have) rto_.sample(sim_.now() - newest);
   }
   const bool ack_advanced = net::after(ack, snd_una_);
   std::uint32_t n_acked = 0;
 
   if (ack_advanced) {
-    const auto acked = board_.ack_to(ack);
-    n_acked = static_cast<std::uint32_t>(acked.size());
     // RTT sample: Karn's rule (skip retransmitted segments), skip segments
     // already SACKed (they were delivered long before this cumulative ACK),
     // and take the most recently sent candidate.
     TimePoint newest;
     bool have = false;
-    for (const auto& s : acked) {
+    n_acked = board_.ack_to(ack, [&](const SegmentState& s) {
       if (!s.was_retransmitted() && !s.sacked &&
           (!have || s.first_sent > newest)) {
         newest = s.first_sent;
         have = true;
       }
-    }
+    });
     if (have) rto_.sample(sim_.now() - newest);
     snd_una_ = ack;
     dupacks_ = 0;

@@ -16,7 +16,6 @@
 #include <functional>
 #include <optional>
 #include <span>
-#include <vector>
 
 #include "sim/simulator.h"
 #include "tcp/congestion.h"

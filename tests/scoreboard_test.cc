@@ -1,6 +1,8 @@
 // Tests for the sender scoreboard (SACK bookkeeping, Eq.-1 counters).
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "tcp/scoreboard.h"
 
 namespace tapo::tcp {
@@ -32,16 +34,18 @@ TEST(Scoreboard, TransmitTracksCounters) {
 
 TEST(Scoreboard, AckToPopsFullyAcked) {
   auto b = make_board(5);
-  const auto acked = b.ack_to(S(1 + 2 * kMss));
-  EXPECT_EQ(acked.size(), 2u);
+  std::vector<Seq32> acked;
+  const std::uint32_t n = b.ack_to(
+      S(1 + 2 * kMss), [&](const SegmentState& s) { acked.push_back(s.start); });
+  EXPECT_EQ(n, 2u);
+  EXPECT_EQ(acked, (std::vector<Seq32>{S(1), S(1 + kMss)}));
   EXPECT_EQ(b.packets_out(), 3u);
   EXPECT_EQ(b.snd_una(), S(1 + 2 * kMss));
 }
 
 TEST(Scoreboard, PartialAckKeepsSegment) {
   auto b = make_board(2);
-  const auto acked = b.ack_to(S(1 + kMss / 2));
-  EXPECT_EQ(acked.size(), 0u);
+  EXPECT_EQ(b.ack_to(S(1 + kMss / 2)), 0u);
   EXPECT_EQ(b.packets_out(), 2u);
 }
 
@@ -195,7 +199,10 @@ TEST(Scoreboard, NewlySackedOutParam) {
   auto b = make_board(3, TimePoint::from_us(777));
   std::vector<SegmentState> newly;
   const std::uint32_t s2 = 1 + kMss;
-  b.apply_sack({{S(s2), S(s2 + kMss)}}, S(1), &newly);
+  const std::uint32_t n =
+      b.apply_sack({{S(s2), S(s2 + kMss)}}, S(1),
+                   [&](const SegmentState& s) { newly.push_back(s); });
+  EXPECT_EQ(n, 1u);
   ASSERT_EQ(newly.size(), 1u);
   EXPECT_EQ(newly[0].start, S(s2));
   EXPECT_EQ(newly[0].first_sent, TimePoint::from_us(777));
