@@ -310,8 +310,39 @@ TEST(Link, DeterministicGivenSeed) {
   EXPECT_EQ(run_once(), run_once());
 }
 
+TEST(Link, HandlerSendingOnSameLinkGrowsTheWire) {
+  // Each of the first packets, on delivery, sends eight more on the same
+  // link. The wire slots grow while a delivered packet is being handled;
+  // that packet and every later one must arrive intact and in order.
+  Simulator sim;
+  Link link(sim, LinkConfig{}, Rng(1));
+  std::vector<std::uint32_t> seqs;
+  bool intact = true;
+  link.set_deliver([&](const net::CapturedPacket& p) {
+    const std::uint32_t seq = p.tcp.seq.raw();
+    seqs.push_back(seq);
+    intact = intact && p.payload_len == seq + 1000;
+    if (seq < 10) {
+      for (std::uint32_t k = 1; k <= 8; ++k) {
+        link.send(test_packet(seq * 100 + k, seq * 100 + k + 1000));
+      }
+    }
+    intact = intact && p.tcp.seq.raw() == seq && p.payload_len == seq + 1000;
+  });
+  for (std::uint32_t seq = 1; seq <= 3; ++seq) link.send(test_packet(seq, seq + 1000));
+  sim.run();
+  std::vector<std::uint32_t> want = {1, 2, 3};
+  for (std::uint32_t seq = 1; seq <= 3; ++seq) {
+    for (std::uint32_t k = 1; k <= 8; ++k) want.push_back(seq * 100 + k);
+  }
+  EXPECT_EQ(seqs, want);
+  EXPECT_TRUE(intact);
+  EXPECT_EQ(link.stats().delivered, 27u);
+}
 
-// --- cancellation bookkeeping: the handler map is the source of truth ---
+
+// --- cancellation bookkeeping: a slot is pending while its generation
+// matches the id that scheduled it ---
 
 TEST(Simulator, PendingAndEmptyTrackCancellationImmediately) {
   Simulator sim;
@@ -359,6 +390,31 @@ TEST(Simulator, RunUntilSkipsCancelledHead) {
   EXPECT_EQ(sim.run(), 1u);
   EXPECT_TRUE(fired);
   EXPECT_TRUE(sim.empty());
+}
+
+TEST(Simulator, StaleIdNeverTouchesReusedSlot) {
+  Simulator sim;
+  int fired = 0;
+  const EventId done = sim.schedule(Duration::millis(1), [&] { ++fired; });
+  EXPECT_EQ(sim.run(), 1u);
+  const EventId cancelled = sim.schedule(Duration::millis(1), [&] { ++fired; });
+  sim.cancel(cancelled);
+  const EventId live = sim.schedule(Duration::millis(1), [&] { fired += 10; });
+  // All three ids name the same slot (its index is the id's low half),
+  // each under its own generation.
+  EXPECT_EQ(static_cast<std::uint32_t>(done), static_cast<std::uint32_t>(live));
+  EXPECT_EQ(static_cast<std::uint32_t>(cancelled), static_cast<std::uint32_t>(live));
+  EXPECT_NE(done, live);
+  EXPECT_NE(cancelled, live);
+  EXPECT_EQ(sim.pending(), 1u);
+  sim.cancel(done);       // already fired: no-op
+  sim.cancel(cancelled);  // already cancelled: no-op
+  EXPECT_EQ(sim.pending(), 1u);
+  EXPECT_FALSE(sim.empty());
+  EXPECT_EQ(sim.run(), 1u);
+  EXPECT_EQ(fired, 11);
+  EXPECT_TRUE(sim.empty());
+  EXPECT_EQ(sim.pending(), 0u);
 }
 
 TEST(Simulator, CancelFromWithinHandler) {

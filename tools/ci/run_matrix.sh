@@ -19,8 +19,9 @@
 #   and CLI entries: the capture-robustness, chaos-storm, fleet and
 #   streaming harnesses and the concurrency suites all run under every
 #   sanitizer. Every TAPO_SANITIZE configuration keeps assert() on, so the
-#   debug cross-checks such as the mimic's per-packet scoreboard recount
-#   run instrumented)
+#   debug cross-checks run instrumented: the mimic's per-packet scoreboard
+#   recount, and the sender scoreboard's recount after every mutation,
+#   which the chaos storm's hostile flows drive too)
 #   thread-safety  Clang-only static gate: builds with clang++ and
 #            -DTAPO_THREAD_SAFETY=ON (-Wthread-safety -Werror=thread-safety
 #            over the TAPO_* capability annotations, plus the configure-time
