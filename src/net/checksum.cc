@@ -24,15 +24,16 @@ std::uint16_t internet_checksum(std::span<const std::uint8_t> data) {
 }
 
 std::uint16_t tcp_checksum(std::uint32_t src_ip, std::uint32_t dst_ip,
-                           std::span<const std::uint8_t> tcp_segment) {
+                           std::span<const std::uint8_t> head,
+                           std::size_t tcp_len) {
   std::uint32_t acc = 0;
   acc += src_ip >> 16;
   acc += src_ip & 0xffff;
   acc += dst_ip >> 16;
   acc += dst_ip & 0xffff;
   acc += 6;  // protocol: TCP
-  acc += static_cast<std::uint32_t>(tcp_segment.size());
-  return fold(sum16(tcp_segment, acc));
+  acc += static_cast<std::uint32_t>(tcp_len);
+  return fold(sum16(head, acc));
 }
 
 }  // namespace tapo::net

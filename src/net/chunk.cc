@@ -1,12 +1,13 @@
 #include "net/chunk.h"
 
 #include <cassert>
+#include <new>
 #include <utility>
 
 namespace tapo::net {
 
 TraceChunk::TraceChunk(std::size_t capacity_packets, util::MemoryBudget* budget)
-    : slots_(std::make_unique<CapturedPacket[]>(capacity_packets)),
+    : slots_(allocate_packets(capacity_packets)),
       cap_(capacity_packets),
       budget_(budget) {
   if (budget_ != nullptr) budget_->charge(bytes());
@@ -45,8 +46,7 @@ void TraceChunk::release_budget() {
 
 CapturedPacket& TraceChunk::append() {
   assert(size_ < cap_);
-  slots_[size_] = CapturedPacket{};
-  return slots_[size_++];
+  return *::new (&slots_[size_++]) CapturedPacket{};
 }
 
 void TraceChunk::pop_back() {

@@ -59,7 +59,7 @@ class TraceChunk {
  private:
   void release_budget();
 
-  std::unique_ptr<CapturedPacket[]> slots_;
+  PacketStorage slots_;
   std::size_t size_ = 0;
   std::size_t cap_ = 0;
   util::MemoryBudget* budget_ = nullptr;

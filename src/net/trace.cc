@@ -1,6 +1,9 @@
 #include "net/trace.h"
 
 #include <algorithm>
+#include <cstring>
+#include <limits>
+#include <new>
 #include <tuple>
 
 #include "net/chunk.h"
@@ -34,10 +37,17 @@ std::size_t FlowKeyHash::operator()(const FlowKey& k) const {
   return static_cast<std::size_t>(h);
 }
 
+PacketStorage allocate_packets(std::size_t n) {
+  if (n > std::numeric_limits<std::size_t>::max() / sizeof(CapturedPacket)) {
+    throw std::bad_array_new_length();
+  }
+  return PacketStorage(
+      static_cast<CapturedPacket*>(::operator new(n * sizeof(CapturedPacket))));
+}
+
 CapturedPacket& PacketTrace::append() {
   if (size_ == cap_) grow_to(size_ + 1);
-  slots_[size_] = CapturedPacket{};
-  return slots_[size_++];
+  return *::new (&slots_[size_++]) CapturedPacket{};
 }
 
 void PacketTrace::pop_back() {
@@ -46,11 +56,13 @@ void PacketTrace::pop_back() {
 
 void PacketTrace::grow_to(std::size_t need) {
   if (need <= cap_) return;
-  // Packets are relocated with a flat copy (they are trivially copyable by
-  // static_assert).
+  // Only the live slots move, with one flat copy (packets are trivially
+  // copyable by static_assert); the new capacity stays uninitialized.
   const std::size_t new_cap = grown_capacity(need);
-  auto new_slots = std::make_unique<CapturedPacket[]>(new_cap);
-  if (size_ > 0) std::copy_n(slots_.get(), size_, new_slots.get());
+  PacketStorage new_slots = allocate_packets(new_cap);
+  if (size_ > 0) {
+    std::memcpy(new_slots.get(), slots_.get(), size_ * sizeof(CapturedPacket));
+  }
   slots_ = std::move(new_slots);
   cap_ = new_cap;
 }
@@ -77,7 +89,9 @@ void TraceBuilder::rollback_last() {
 PacketTrace PacketTrace::clone() const {
   PacketTrace out;
   out.grow_to(size_);
-  if (size_ > 0) std::copy_n(slots_.get(), size_, out.slots_.get());
+  if (size_ > 0) {
+    std::memcpy(out.slots_.get(), slots_.get(), size_ * sizeof(CapturedPacket));
+  }
   out.size_ = size_;
   return out;
 }

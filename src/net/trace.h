@@ -9,12 +9,13 @@
 //
 // Memory layout: CapturedPacket is a trivially copyable POD (no heap
 // pointers — SACK blocks are inline in the TcpHeader), and a PacketTrace is
-// a contiguous arena of them. Growth relocates with a flat copy, consumers
-// read through std::span views, and whole traces move between pipeline
-// stages (simulator -> analyzer -> sink) by pointer swap, never by copying
-// packets. View lifetime rule: spans/indices into the arena stay valid
-// until the next mutating call (append/add/sort_by_time) — demux after any
-// sort, and only then hand out views.
+// a contiguous arena of them. Capacity is raw storage that append()
+// initializes slot by slot, growth relocates the live slots with one
+// memcpy, consumers read through std::span views, and whole traces move
+// between pipeline stages (simulator -> analyzer -> sink) by pointer swap,
+// never by copying packets. View lifetime rule: spans/indices into the
+// arena stay valid until the next mutating call (append/add/sort_by_time)
+// — demux after any sort, and only then hand out views.
 #pragma once
 
 #include <cstdint>
@@ -72,6 +73,26 @@ struct CapturedPacket {
 static_assert(std::is_trivially_copyable_v<CapturedPacket>,
               "CapturedPacket must stay a POD so PacketTrace can keep its "
               "packets in a flat arena and relocate them with memcpy");
+// With the assert above, these make CapturedPacket an implicit-lifetime
+// type that plain operator new storage can hold: arenas leave capacity
+// uninitialized, free it without running destructors, and need no
+// over-aligned allocation.
+static_assert(std::is_trivially_destructible_v<CapturedPacket>,
+              "arenas free packet storage without destroying the packets");
+static_assert(alignof(CapturedPacket) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__,
+              "arena storage comes from the non-aligned operator new");
+
+/// Frees storage from allocate_packets().
+struct PacketStorageDelete {
+  void operator()(CapturedPacket* p) const noexcept { ::operator delete(p); }
+};
+/// Owning pointer to packet-arena storage.
+using PacketStorage = std::unique_ptr<CapturedPacket[], PacketStorageDelete>;
+
+/// Uninitialized storage for `n` packets, from the global operator new (not
+/// malloc, so allocation counters that hook operator new see every arena).
+/// The caller constructs each slot before reading it.
+PacketStorage allocate_packets(std::size_t n);
 
 /// An ordered (by capture time) sequence of packets, stored in one
 /// contiguous arena. Move-only: whole traces are handed between pipeline
@@ -127,7 +148,7 @@ class PacketTrace {
   }
   void grow_to(std::size_t need);
 
-  std::unique_ptr<CapturedPacket[]> slots_;
+  PacketStorage slots_;
   std::size_t size_ = 0;
   std::size_t cap_ = 0;
 };

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <array>
+#include <cstring>
 #include <deque>
 #include <fstream>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <utility>
@@ -26,30 +28,48 @@ constexpr std::uint32_t kLinkLoop = 108;
 
 // pcap file headers are written in *host* order by convention; we always
 // write little-endian and detect byte order when reading.
-void put_le16(std::string& out, std::uint16_t v) {
-  out.push_back(static_cast<char>(v & 0xff));
-  out.push_back(static_cast<char>(v >> 8));
+void put_le16(std::span<std::uint8_t> out, std::size_t off, std::uint16_t v) {
+  out[off] = static_cast<std::uint8_t>(v);
+  out[off + 1] = static_cast<std::uint8_t>(v >> 8);
 }
 
-void put_le32(std::string& out, std::uint32_t v) {
-  out.push_back(static_cast<char>(v & 0xff));
-  out.push_back(static_cast<char>((v >> 8) & 0xff));
-  out.push_back(static_cast<char>((v >> 16) & 0xff));
-  out.push_back(static_cast<char>((v >> 24) & 0xff));
+void put_le32(std::span<std::uint8_t> out, std::size_t off, std::uint32_t v) {
+  put_le16(out, off, static_cast<std::uint16_t>(v));
+  put_le16(out, off + 2, static_cast<std::uint16_t>(v >> 16));
 }
 
+void write_bytes(std::ostream& out, std::span<const std::uint8_t> bytes) {
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+}
+
+/// Block-buffered input. The stream is read kBlockBytes at a time and
+/// records are handed out as spans into the block, so decoding a record
+/// makes no stream call and copies no bytes.
 class ByteReader {
  public:
-  explicit ByteReader(std::istream& in) : in_(in) {}
+  /// Read granularity. The block grows only to fit a larger record.
+  static constexpr std::size_t kBlockBytes = 16 * 1024;
 
-  bool read(std::span<std::uint8_t> buf) {
-    in_.read(reinterpret_cast<char*>(buf.data()),
-             static_cast<std::streamsize>(buf.size()));
-    offset_ += static_cast<std::size_t>(in_.gcount());
-    return in_.gcount() == static_cast<std::streamsize>(buf.size());
+  explicit ByteReader(std::istream& in) : in_(in), block_(kBlockBytes) {}
+
+  /// The next `n` bytes, or nullopt when the input ends first. The span
+  /// stays valid only until the next take().
+  std::optional<std::span<const std::uint8_t>> take(std::size_t n) {
+    if (end_ - pos_ < n && !fill(n)) return std::nullopt;
+    const std::span<const std::uint8_t> bytes(block_.data() + pos_, n);
+    pos_ += n;
+    offset_ += n;
+    return bytes;
   }
 
+  /// Discards `n` bytes: buffered ones first, then by seeking the stream.
   bool skip(std::size_t n) {
+    const std::size_t buffered = std::min(n, end_ - pos_);
+    pos_ += buffered;
+    offset_ += buffered;
+    n -= buffered;
+    if (n == 0) return true;
     in_.seekg(static_cast<std::streamoff>(n), std::ios::cur);
     if (!in_) return false;
     offset_ += n;
@@ -62,7 +82,24 @@ class ByteReader {
   std::size_t offset() const { return offset_; }
 
  private:
+  /// Moves the unread bytes to the front of the block and reads behind
+  /// them until at least `n` are buffered; false if the input ends first.
+  bool fill(std::size_t n) {
+    const std::size_t unread = end_ - pos_;
+    std::memmove(block_.data(), block_.data() + pos_, unread);
+    pos_ = 0;
+    end_ = unread;
+    if (block_.size() < n) block_.resize(n);
+    in_.read(reinterpret_cast<char*>(block_.data() + end_),
+             static_cast<std::streamsize>(block_.size() - end_));
+    end_ += static_cast<std::size_t>(in_.gcount());
+    return end_ >= n;
+  }
+
   std::istream& in_;
+  std::vector<std::uint8_t> block_;
+  std::size_t pos_ = 0;  // next unread byte in block_
+  std::size_t end_ = 0;  // end of the buffered bytes in block_
   std::size_t offset_ = 0;
 };
 
@@ -90,21 +127,25 @@ std::uint32_t load32(std::span<const std::uint8_t> b, std::size_t off,
 
 void write_stream(std::ostream& out, const net::PacketTrace& trace,
                   const WriteOptions& opts) {
-  std::string header;
-  put_le32(header, kMagicUsec);
-  put_le16(header, 2);  // version major
-  put_le16(header, 4);  // version minor
-  put_le32(header, 0);  // thiszone
-  put_le32(header, 0);  // sigfigs
-  put_le32(header, opts.snaplen);
-  put_le32(header, kLinkRaw);
-  out.write(header.data(), static_cast<std::streamsize>(header.size()));
+  std::array<std::uint8_t, 24> header{};
+  put_le32(header, 0, kMagicUsec);
+  put_le16(header, 4, 2);  // version major
+  put_le16(header, 6, 4);  // version minor
+  put_le32(header, 8, 0);   // thiszone
+  put_le32(header, 12, 0);  // sigfigs
+  put_le32(header, 16, opts.snaplen);
+  put_le32(header, 20, kLinkRaw);
+  write_bytes(out, header);
 
   std::vector<std::uint8_t> pkt;
   for (const auto& cp : trace.packets()) {
-    const std::size_t tcp_len = cp.tcp.header_len() + cp.payload_len;
+    const std::size_t tcp_hlen = cp.tcp.header_len();
+    const std::size_t tcp_len = tcp_hlen + cp.payload_len;
     const std::size_t ip_len = net::kIpv4HeaderLen + tcp_len;
-    pkt.assign(ip_len, 0);
+    const std::size_t caplen = std::min<std::size_t>(ip_len, opts.snaplen);
+    // The payload is zeros and only caplen bytes are written, so the
+    // scratch packet holds the headers and the captured payload, no more.
+    pkt.assign(std::max(caplen, net::kIpv4HeaderLen + tcp_hlen), 0);
 
     net::Ipv4Header ip;
     ip.src = cp.key.src_ip;
@@ -117,18 +158,17 @@ void write_stream(std::ostream& out, const net::PacketTrace& trace,
     tcp.dst_port = cp.key.dst_port;
     tcp.serialize(std::span(pkt).subspan(net::kIpv4HeaderLen));
     const std::uint16_t csum = net::tcp_checksum(
-        ip.src, ip.dst, std::span(pkt).subspan(net::kIpv4HeaderLen, tcp_len));
+        ip.src, ip.dst, std::span(pkt).subspan(net::kIpv4HeaderLen, tcp_hlen),
+        tcp_len);
     net::put_u16(std::span(pkt).subspan(net::kIpv4HeaderLen), 16, csum);
 
-    const std::size_t caplen = std::min<std::size_t>(ip_len, opts.snaplen);
-    std::string rec;
-    put_le32(rec, static_cast<std::uint32_t>(cp.timestamp.us() / 1'000'000));
-    put_le32(rec, static_cast<std::uint32_t>(cp.timestamp.us() % 1'000'000));
-    put_le32(rec, static_cast<std::uint32_t>(caplen));
-    put_le32(rec, static_cast<std::uint32_t>(ip_len));
-    out.write(rec.data(), static_cast<std::streamsize>(rec.size()));
-    out.write(reinterpret_cast<const char*>(pkt.data()),
-              static_cast<std::streamsize>(caplen));
+    std::array<std::uint8_t, 16> rec{};
+    put_le32(rec, 0, static_cast<std::uint32_t>(cp.timestamp.us() / 1'000'000));
+    put_le32(rec, 4, static_cast<std::uint32_t>(cp.timestamp.us() % 1'000'000));
+    put_le32(rec, 8, static_cast<std::uint32_t>(caplen));
+    put_le32(rec, 12, static_cast<std::uint32_t>(ip_len));
+    write_bytes(out, rec);
+    write_bytes(out, std::span(pkt).first(caplen));
   }
   if (!out) throw std::runtime_error("pcap: write failed");
 }
@@ -230,51 +270,47 @@ class FrameParser {
 
 class ClassicParser final : public FrameParser {
  public:
-  /// `magic_bytes` are the 4 already-consumed magic bytes; the remaining
-  /// 20 header bytes are read here.
-  ClassicParser(ByteReader& reader, std::span<const std::uint8_t> magic_bytes)
-      : reader_(reader) {
-    std::array<std::uint8_t, 24> gh{};
-    std::copy(magic_bytes.begin(), magic_bytes.end(), gh.begin());
-    if (!reader_.read(std::span(gh).subspan(4))) {
-      throw std::runtime_error("pcap: truncated header");
-    }
+  /// `magic` is the already-consumed leading magic; the remaining 20
+  /// header bytes are read here.
+  ClassicParser(ByteReader& reader, std::uint32_t magic) : reader_(reader) {
+    const auto gh = reader_.take(20);
+    if (!gh) throw std::runtime_error("pcap: truncated header");
 
-    const std::uint32_t raw_magic = load32(gh, 0, /*swap=*/false);
-    if (raw_magic == kMagicUsec) {
-    } else if (raw_magic == __builtin_bswap32(kMagicUsec)) {
+    if (magic == kMagicUsec) {
+    } else if (magic == __builtin_bswap32(kMagicUsec)) {
       swap_ = true;
-    } else if (raw_magic == kMagicNsec) {
+    } else if (magic == kMagicNsec) {
       nsec_ = true;
     } else {
       swap_ = true;
       nsec_ = true;
     }
-    linktype_ = load32(gh, 20, swap_);
+    linktype_ = load32(*gh, 16, swap_);
     link_header_for(linktype_);  // validate up front
   }
 
   bool next(net::TraceBuilder& builder, ReadStats& st) override {
-    std::array<std::uint8_t, 16> rh;
     while (true) {
       const std::size_t record_start = reader_.offset();
-      if (!reader_.read(rh)) return false;
+      // The header span dies with the frame's take(), so its fields are
+      // read first.
+      const auto rh = reader_.take(16);
+      if (!rh) return false;
       ++st.records;
-      const std::uint32_t ts_sec = load32(rh, 0, swap_);
-      const std::uint32_t ts_frac = load32(rh, 4, swap_);
-      const std::uint32_t caplen = load32(rh, 8, swap_);
+      const std::uint32_t ts_sec = load32(*rh, 0, swap_);
+      const std::uint32_t ts_frac = load32(*rh, 4, swap_);
+      const std::uint32_t caplen = load32(*rh, 8, swap_);
       if (caplen > 256 * 1024) {
         fail_at(str_format("pcap: absurd caplen %u", caplen).c_str(),
                 "record", st.records, record_start);
       }
-      if (caplen > body_.size()) body_.resize(caplen);
-      const std::span<std::uint8_t> frame(body_.data(), caplen);
-      if (!reader_.read(frame)) return false;  // truncated final record:
-                                               // keep everything before it
+      const auto frame = reader_.take(caplen);
+      if (!frame) return false;  // truncated final record: keep everything
+                                 // before it
       const std::int64_t frac_us =
           nsec_ ? static_cast<std::int64_t>(ts_frac) / 1000
                 : static_cast<std::int64_t>(ts_frac);
-      if (parse_frame(frame, linktype_,
+      if (parse_frame(*frame, linktype_,
                       static_cast<std::int64_t>(ts_sec) * 1'000'000 + frac_us,
                       builder, st)) {
         return true;
@@ -287,9 +323,6 @@ class ClassicParser final : public FrameParser {
   bool swap_ = false;
   bool nsec_ = false;
   std::uint32_t linktype_ = kLinkRaw;
-  // Scratch frame buffer, grown once to the largest caplen seen and reused
-  // for every record — no per-packet resize/allocation in the read loop.
-  std::vector<std::uint8_t> body_;
 };
 
 constexpr std::uint32_t kNgShb = 0x0A0D0D0A;
@@ -315,21 +348,22 @@ class NgParser final : public FrameParser {
       std::size_t block_start = reader_.offset();
       std::uint32_t block_type = kNgShb;
       if (!first_block_) {
-        std::array<std::uint8_t, 4> tb;
-        if (!reader_.read(tb)) return false;
-        block_type = load32(tb, 0, /*swap=*/false);  // endianness fixed below
+        const auto tb = reader_.take(4);
+        if (!tb) return false;
+        block_type = load32(*tb, 0, /*swap=*/false);  // endianness fixed below
       } else {
         block_start = reader_.offset() - 4;  // SHB type consumed up front
       }
       ++blocks_;
 
-      std::array<std::uint8_t, 4> lb;
-      if (!reader_.read(lb)) {
+      const auto lb = reader_.take(4);
+      if (!lb) {
         if (first_block_) {
           fail_at("pcapng: truncated SHB", "block", blocks_, block_start);
         }
         return false;
       }
+      const std::uint32_t raw_len = load32(*lb, 0, false);
       std::uint32_t total_len;
       // Every SHB (not just the first) starts a new section and may change
       // the byte order, so its own byte-order magic — not the previous
@@ -339,12 +373,11 @@ class NgParser final : public FrameParser {
                           __builtin_bswap32(block_type) == kNgShb;
       if (is_shb) {
         // Peek the byte-order magic to fix endianness for this section.
-        std::array<std::uint8_t, 4> bom;
-        std::uint32_t raw_len = load32(lb, 0, false);
-        if (!reader_.read(bom)) {
+        const auto bom = reader_.take(4);
+        if (!bom) {
           fail_at("pcapng: truncated SHB", "block", blocks_, block_start);
         }
-        const std::uint32_t magic = load32(bom, 0, false);
+        const std::uint32_t magic = load32(*bom, 0, false);
         if (magic == kNgByteOrderMagic) {
           swap_ = false;
         } else if (magic == __builtin_bswap32(kNgByteOrderMagic)) {
@@ -366,26 +399,26 @@ class NgParser final : public FrameParser {
       }
 
       if (swap_) block_type = __builtin_bswap32(block_type);
-      total_len = load32(lb, 0, swap_);
+      total_len = swap_ ? __builtin_bswap32(raw_len) : raw_len;
       if (total_len < 12 || total_len > 1 << 24) {
         fail_at(str_format("pcapng: absurd block length %u", total_len).c_str(),
                 "block", blocks_, block_start);
       }
       const std::uint32_t body_len = total_len - 12;  // minus type+2*len
-      if (body_len > body_.size()) body_.resize(body_len);
-      if (!reader_.read(std::span(body_.data(), body_len))) return false;
-      std::array<std::uint8_t, 4> trailer;
-      if (!reader_.read(trailer)) return false;
+      // Body and trailing length in one take: the span dies with the next.
+      const auto block = reader_.take(body_len + 4);
+      if (!block) return false;
+      const std::span<const std::uint8_t> body = block->first(body_len);
 
       if (block_type == kNgIdb) {
         if (body_len < 8) continue;
         NgInterface ifc;
-        ifc.linktype = load32(body_, 0, swap_) & 0xffff;
+        ifc.linktype = load32(body, 0, swap_) & 0xffff;
         // Walk options for if_tsresol (code 9). Option code/length are
         // 16-bit values in the section's byte order.
         const auto load16 = [&](std::size_t o) {
           std::uint16_t v =
-              static_cast<std::uint16_t>(body_[o] | (body_[o + 1] << 8));
+              static_cast<std::uint16_t>(body[o] | (body[o + 1] << 8));
           return swap_ ? __builtin_bswap16(v) : v;
         };
         std::size_t off = 8;
@@ -394,7 +427,7 @@ class NgParser final : public FrameParser {
           const std::uint16_t l = load16(off + 2);
           if (c == 0) break;  // opt_endofopt
           if (c == 9 && l >= 1 && off + 4 < body_len) {
-            const std::uint8_t v = body_[off + 4];
+            const std::uint8_t v = body[off + 4];
             if (v & 0x80) {
               // 2^-63 s is the finest a 64-bit count can hold; a larger
               // exponent from the file would overflow the shift.
@@ -415,11 +448,11 @@ class NgParser final : public FrameParser {
       if (block_type == kNgEpb) {
         if (body_len < 20) continue;
         ++st.records;
-        const std::uint32_t if_id = load32(body_, 0, swap_);
+        const std::uint32_t if_id = load32(body, 0, swap_);
         const std::uint64_t ts =
-            (static_cast<std::uint64_t>(load32(body_, 4, swap_)) << 32) |
-            load32(body_, 8, swap_);
-        const std::uint32_t caplen = load32(body_, 12, swap_);
+            (static_cast<std::uint64_t>(load32(body, 4, swap_)) << 32) |
+            load32(body, 8, swap_);
+        const std::uint32_t caplen = load32(body, 12, swap_);
         if (caplen > body_len - 20) {
           ++st.skipped;
           continue;
@@ -432,9 +465,8 @@ class NgParser final : public FrameParser {
         const std::int64_t ts_us = static_cast<std::int64_t>(
             static_cast<unsigned __int128>(ts) * 1'000'000u /
             ifc.ts_per_sec);
-        if (parse_frame(std::span<const std::uint8_t>(body_.data() + 20,
-                                                      caplen),
-                        ifc.linktype, ts_us, builder, st)) {
+        if (parse_frame(body.subspan(20, caplen), ifc.linktype, ts_us, builder,
+                        st)) {
           return true;
         }
         continue;
@@ -457,21 +489,19 @@ class NgParser final : public FrameParser {
   bool swap_ = false;
   bool first_block_ = true;
   std::size_t blocks_ = 0;
-  // Grow-only scratch block buffer, reused across records.
-  std::vector<std::uint8_t> body_;
 };
 
 /// Auto-detects the capture format from the leading magic and returns the
 /// matching resumable parser. Shared by the batch readers and the
 /// StreamingReader.
 std::unique_ptr<FrameParser> open_parser(ByteReader& reader) {
-  std::array<std::uint8_t, 4> magic;
-  if (!reader.read(magic)) throw std::runtime_error("pcap: truncated header");
-  const std::uint32_t m = load32(magic, 0, /*swap=*/false);
+  const auto magic = reader.take(4);
+  if (!magic) throw std::runtime_error("pcap: truncated header");
+  const std::uint32_t m = load32(*magic, 0, /*swap=*/false);
   if (m == kNgShb) return std::make_unique<NgParser>(reader);
   if (m == kMagicUsec || m == __builtin_bswap32(kMagicUsec) ||
       m == kMagicNsec || m == __builtin_bswap32(kMagicNsec)) {
-    return std::make_unique<ClassicParser>(reader, magic);
+    return std::make_unique<ClassicParser>(reader, m);
   }
   throw std::runtime_error("pcap: bad magic");
 }

@@ -12,6 +12,12 @@
 // analyzer, and handle both endiannesses, the nanosecond classic magic,
 // and per-interface pcapng timestamp resolutions. The format is
 // auto-detected from the leading magic.
+//
+// The readers decode in place: the input is read in 16 KiB blocks (grown
+// only to fit a larger record), and each record is parsed from the block
+// straight into the trace arena, with no per-record stream call or copy.
+// The block is the reader's own I/O buffer and is not charged to a
+// MemoryBudget.
 #pragma once
 
 #include <cstdint>

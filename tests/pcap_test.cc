@@ -5,7 +5,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <sstream>
+#include <vector>
 
+#include "net/checksum.h"
 #include "net/ipv4.h"
 #include "pcap/pcap.h"
 #include "util/rng.h"
@@ -88,6 +90,68 @@ TEST(Pcap, FileRoundTrip) {
     EXPECT_EQ(back[i].tcp.seq.raw(), 1u + 1448u * i);
   }
   std::remove(path.c_str());
+}
+
+TEST(Pcap, WrittenChecksumsVerifyOverTheWireSegment) {
+  // The writer sums only the header bytes: the zero payload it never
+  // writes adds nothing to a one's-complement sum. Zero-extended back to
+  // its wire length, every record whose capture holds the full headers
+  // must carry valid IPv4 and TCP checksums.
+  net::PacketTrace trace;
+  for (const std::uint32_t payload : {0u, 1u, 2u, 37u, 1447u, 1448u}) {
+    const auto plain = make_pkt(1000 + payload, 7 * payload, payload,
+                                payload % 2 == 0);
+    trace.add(plain);
+    auto with_options = plain;  // 44-byte TCP header
+    with_options.tcp.timestamps = net::TcpTimestamps{0x12345678, 0x9abcdef0};
+    with_options.tcp.sack_blocks = {{net::Seq32{100}, net::Seq32{200}}};
+    trace.add(with_options);
+  }
+  // Snaplens 40 and 54 cut the 64-byte headers of the packets with
+  // options, but hold the plain packets' 40.
+  for (const std::uint32_t snaplen : {40u, 54u, 128u, 65535u}) {
+    SCOPED_TRACE(snaplen);
+    std::stringstream ss;
+    write_stream(ss, trace, WriteOptions{.snaplen = snaplen});
+    const std::string file = ss.str();
+    const auto u32 = [&file](std::size_t at) {
+      std::uint32_t v = 0;
+      for (int i = 3; i >= 0; --i) {
+        v = (v << 8) | static_cast<std::uint8_t>(file[at + i]);
+      }
+      return v;
+    };
+    std::size_t records = 0;
+    std::size_t verified = 0;
+    for (std::size_t off = 24; off < file.size(); ++records) {
+      const std::uint32_t caplen = u32(off + 8);
+      const std::uint32_t wire_len = u32(off + 12);
+      std::vector<std::uint8_t> seg(file.begin() + off + 16,
+                                    file.begin() + off + 16 + caplen);
+      off += 16 + caplen;
+      const std::size_t tcp_hlen =
+          caplen > net::kIpv4HeaderLen + 12
+              ? std::size_t{4} * (seg[net::kIpv4HeaderLen + 12] >> 4)
+              : 0;
+      if (tcp_hlen == 0 || caplen < net::kIpv4HeaderLen + tcp_hlen) continue;
+      seg.resize(wire_len, 0);
+      EXPECT_EQ(net::internet_checksum(std::span(seg).first(net::kIpv4HeaderLen)),
+                0)
+          << "record " << records;
+      // Pseudo-header (source, destination, zero, protocol, TCP length),
+      // then the whole zero-extended segment.
+      const std::size_t tcp_len = wire_len - net::kIpv4HeaderLen;
+      std::vector<std::uint8_t> summed(seg.begin() + 12, seg.begin() + 20);
+      summed.insert(summed.end(),
+                    {0, net::kProtoTcp, static_cast<std::uint8_t>(tcp_len >> 8),
+                     static_cast<std::uint8_t>(tcp_len)});
+      summed.insert(summed.end(), seg.begin() + net::kIpv4HeaderLen, seg.end());
+      EXPECT_EQ(net::internet_checksum(summed), 0) << "record " << records;
+      ++verified;
+    }
+    EXPECT_EQ(records, trace.size());
+    EXPECT_EQ(verified, snaplen < 64 ? trace.size() / 2 : trace.size());
+  }
 }
 
 TEST(Pcap, BadMagicThrows) {

@@ -8,50 +8,15 @@
 #include "net/ipv4.h"
 #include "pcap/pcap.h"
 
+#include "support/pcap_files.h"
+
 namespace tapo::pcap {
 namespace {
 
-void le16(std::string& out, std::uint16_t v) {
-  out.push_back(static_cast<char>(v & 0xff));
-  out.push_back(static_cast<char>(v >> 8));
-}
-void le32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-void block(std::string& out, std::uint32_t type, const std::string& body) {
-  const std::uint32_t total = 12 + static_cast<std::uint32_t>(body.size());
-  le32(out, type);
-  le32(out, total);
-  out += body;
-  le32(out, total);
-}
-
-std::string shb() {
-  std::string b;
-  le32(b, 0x1A2B3C4D);  // byte-order magic
-  le16(b, 1);           // major
-  le16(b, 0);           // minor
-  le32(b, 0xffffffff);  // section length (unknown), low
-  le32(b, 0xffffffff);  // high
-  return b;
-}
-
-std::string idb(std::uint16_t linktype, int tsresol = -1) {
-  std::string b;
-  le16(b, linktype);
-  le16(b, 0);           // reserved
-  le32(b, 65535);       // snaplen
-  if (tsresol >= 0) {
-    le16(b, 9);  // if_tsresol: 10^-n s, or 2^-n s with the top bit set
-    le16(b, 1);
-    b.push_back(static_cast<char>(tsresol));
-    b.append(3, '\0');  // padding
-  }
-  le16(b, 0);  // opt_endofopt
-  le16(b, 0);
-  return b;
-}
+using test::block;
+using test::epb;
+using test::idb;
+using test::shb;
 
 /// Raw IPv4/TCP frame bytes via the classic writer.
 std::string ip_frame(std::uint32_t seq, std::uint32_t payload) {
@@ -66,19 +31,6 @@ std::string ip_frame(std::uint32_t seq, std::uint32_t payload) {
   std::stringstream ss;
   write_stream(ss, t);
   return ss.str().substr(24 + 16);  // strip global + record header
-}
-
-std::string epb(std::uint32_t if_id, std::uint64_t ts_units,
-                const std::string& frame) {
-  std::string b;
-  le32(b, if_id);
-  le32(b, static_cast<std::uint32_t>(ts_units >> 32));
-  le32(b, static_cast<std::uint32_t>(ts_units & 0xffffffff));
-  le32(b, static_cast<std::uint32_t>(frame.size()));  // caplen
-  le32(b, static_cast<std::uint32_t>(frame.size()));  // origlen
-  b += frame;
-  while (b.size() % 4) b.push_back('\0');
-  return b;
 }
 
 TEST(Pcapng, MinimalFileParses) {

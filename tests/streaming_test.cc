@@ -1,14 +1,17 @@
 // Streaming-pipeline tests: chunked ingest and the live analysis engine
 // must be bit-identical to the batch path for every chunk granularity and
 // workload profile (with and without capture impairments), budgets must
-// bound residency deterministically, and pcap parse errors must locate the
-// bad record by index and absolute file offset.
+// bound residency deterministically, the streaming reader must agree with
+// read_stream across the reader's read blocks, and pcap parse errors must
+// locate the bad record by index and absolute file offset.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 #include <span>
 #include <sstream>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -23,6 +26,7 @@
 #include "workload/profiles.h"
 
 #include "support/analysis_collector.h"
+#include "support/pcap_files.h"
 
 namespace tapo::analysis {
 namespace {
@@ -316,6 +320,103 @@ TEST(ChunkedDemux, AnalyzeAppliesDemuxOptionsLikeTheViewPath) {
 }
 
 // ---------------------------------------------------------------------------
+// Captures that span the reader's 16 KiB read blocks, in both formats.
+// ---------------------------------------------------------------------------
+
+constexpr std::size_t kReadBlock = 16 * 1024;
+
+std::uint32_t get_le32(const std::string& in, std::size_t at) {
+  std::uint32_t v = 0;
+  for (int i = 3; i >= 0; --i) {
+    v = (v << 8) | static_cast<std::uint8_t>(in[at + i]);
+  }
+  return v;
+}
+
+/// Start offset of every record in a classic pcap file.
+std::vector<std::size_t> classic_record_starts(const std::string& file) {
+  std::vector<std::size_t> starts;
+  for (std::size_t off = 24; off + 16 <= file.size();
+       off += 16 + get_le32(file, off + 8)) {
+    starts.push_back(off);
+  }
+  return starts;
+}
+
+struct Frame {
+  std::int64_t ts_us;
+  std::string bytes;  // link-layer frame
+};
+
+/// `trace` as Ethernet frames: each of the classic writer's raw IPv4
+/// records behind an Ethernet header. Frame `padded` carries trailing
+/// link-layer bytes up to `pad_to`, which the reader must ignore.
+std::vector<Frame> ethernet_frames(const net::PacketTrace& trace,
+                                   std::size_t padded, std::size_t pad_to) {
+  std::stringstream raw;
+  pcap::write_stream(raw, trace);
+  const std::string file = raw.str();
+  std::vector<Frame> frames;
+  for (const std::size_t at : classic_record_starts(file)) {
+    Frame f{trace[frames.size()].timestamp.us(), std::string(12, '\0')};
+    f.bytes += "\x08";  // EtherType IPv4
+    f.bytes += '\0';
+    f.bytes += file.substr(at + 16, get_le32(file, at + 8));
+    if (frames.size() == padded) f.bytes.resize(pad_to, '\0');
+    frames.push_back(std::move(f));
+  }
+  return frames;
+}
+
+/// A classic LINKTYPE_ETHERNET capture of `frames`; `starts` receives each
+/// record's offset.
+std::string classic_capture(const std::vector<Frame>& frames,
+                            std::vector<std::size_t>& starts) {
+  std::string out;
+  test::le32(out, 0xa1b2c3d4);
+  test::le16(out, 2);
+  test::le16(out, 4);
+  test::le32(out, 0);
+  test::le32(out, 0);
+  test::le32(out, 256 * 1024);  // snaplen
+  test::le32(out, 1);           // LINKTYPE_ETHERNET
+  for (const Frame& f : frames) {
+    starts.push_back(out.size());
+    test::le32(out, static_cast<std::uint32_t>(f.ts_us / 1'000'000));
+    test::le32(out, static_cast<std::uint32_t>(f.ts_us % 1'000'000));
+    test::le32(out, static_cast<std::uint32_t>(f.bytes.size()));
+    test::le32(out, static_cast<std::uint32_t>(f.bytes.size()));
+    out += f.bytes;
+  }
+  return out;
+}
+
+/// The same frames as pcapng: an SHB, one Ethernet IDB (microsecond
+/// timestamps), then one EPB per frame; `starts` receives each EPB's
+/// offset.
+std::string pcapng_capture(const std::vector<Frame>& frames,
+                           std::vector<std::size_t>& starts) {
+  std::string out;
+  test::block(out, 0x0A0D0D0A, test::shb());
+  test::block(out, 0x00000001, test::idb(/*LINKTYPE_ETHERNET=*/1));
+  for (const Frame& f : frames) {
+    starts.push_back(out.size());
+    test::block(out, 0x00000006,
+                test::epb(0, static_cast<std::uint64_t>(f.ts_us), f.bytes));
+  }
+  return out;
+}
+
+struct CaptureFormat {
+  const char* name;
+  std::string (*write)(const std::vector<Frame>&, std::vector<std::size_t>&);
+};
+
+std::vector<CaptureFormat> capture_formats() {
+  return {{"classic", classic_capture}, {"pcapng", pcapng_capture}};
+}
+
+// ---------------------------------------------------------------------------
 // StreamingReader: chunk concatenation reproduces read_stream bit for bit,
 // truncation semantics included.
 // ---------------------------------------------------------------------------
@@ -375,91 +476,143 @@ TEST(StreamingReader, KeepsCompleteRecordsOnTruncatedTail) {
   while (auto chunk = reader.next_chunk()) total += chunk->size();
   EXPECT_EQ(total, trace.size() - 1);
   EXPECT_EQ(reader.stats().tcp_packets, trace.size() - 1);
+
+  // Both formats, several read blocks long with a record larger than a
+  // block, cut at every byte offset inside the last two records.
+  const net::PacketTrace long_trace =
+      merged_trace(workload::web_search_profile(), /*seed=*/32, 4);
+  ASSERT_GT(long_trace.size(), 4u);
+  const std::vector<Frame> frames =
+      ethernet_frames(long_trace, long_trace.size() / 2, 100'000);
+  for (const CaptureFormat& format : capture_formats()) {
+    SCOPED_TRACE(format.name);
+    std::vector<std::size_t> starts;
+    const std::string bytes = format.write(frames, starts);
+    const test::ReadOutcome whole = test::read_batch(bytes);
+    ASSERT_EQ(whole.packets.size(), frames.size());
+    const std::size_t n = starts.size();
+    for (std::size_t at = starts[n - 2]; at < bytes.size(); ++at) {
+      SCOPED_TRACE(at);
+      const std::string head = bytes.substr(0, at);
+      const std::size_t complete = at < starts[n - 1] ? n - 2 : n - 1;
+      const test::ReadOutcome batch = test::read_batch(head);
+      ASSERT_EQ(batch.error, "");
+      ASSERT_EQ(batch.packets.size(), complete);
+      EXPECT_EQ(batch.stats.tcp_packets, complete);
+      for (std::size_t i = 0; i < complete; ++i) {
+        ASSERT_TRUE(test::same_packet(batch.packets[i], whole.packets[i]))
+            << "packet " << i;
+      }
+      test::expect_same_outcome(batch, test::read_chunked(head, 1));
+      test::expect_same_outcome(batch, test::read_chunked(head, 4096));
+    }
+  }
+}
+
+TEST(StreamingReader, AgreesWithReadStreamAcrossReadBlocks) {
+  const net::PacketTrace trace =
+      merged_trace(workload::web_search_profile(), /*seed=*/31, 10);
+  ASSERT_GT(trace.size(), 4u);
+  // The middle frame outgrows the read block (under the 256 KiB cap).
+  const std::size_t padded = trace.size() / 2;
+  const std::vector<Frame> frames = ethernet_frames(trace, padded, 100'000);
+  std::stringstream raw;
+  pcap::write_stream(raw, trace);
+  const net::PacketTrace expected = pcap::read_stream(raw);
+  ASSERT_EQ(expected.size(), trace.size());
+
+  for (const CaptureFormat& format : capture_formats()) {
+    SCOPED_TRACE(format.name);
+    std::vector<std::size_t> starts;
+    const std::string bytes = format.write(frames, starts);
+    ASSERT_GT(bytes.size() - frames[padded].bytes.size(), 3 * kReadBlock);
+
+    const test::ReadOutcome batch = test::read_batch(bytes);
+    ASSERT_EQ(batch.error, "");
+    EXPECT_EQ(batch.stats.records, frames.size());
+    EXPECT_EQ(batch.stats.skipped, 0u);
+    ASSERT_EQ(batch.packets.size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      ASSERT_TRUE(test::same_packet(batch.packets[i], expected[i]))
+          << "packet " << i;
+      ASSERT_EQ(batch.packets[i].timestamp, trace[i].timestamp) << i;
+      ASSERT_EQ(batch.packets[i].tcp.seq, trace[i].tcp.seq) << i;
+      ASSERT_EQ(batch.packets[i].payload_len, trace[i].payload_len) << i;
+    }
+    for (const std::size_t chunk : {std::size_t{1}, std::size_t{4096}}) {
+      SCOPED_TRACE(chunk);
+      test::expect_same_outcome(batch, test::read_chunked(bytes, chunk));
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
 // Satellite: parse errors report the absolute file offset and frame index.
 // ---------------------------------------------------------------------------
 
-TEST(PcapErrors, ClassicCaplenErrorCarriesRecordIndexAndOffset) {
-  net::PacketTrace trace =
-      merged_trace(workload::web_search_profile(), /*seed=*/9, 1);
-  ASSERT_GE(trace.size(), 2u);
-  std::stringstream out;
-  pcap::write_stream(out, trace);
-  std::string blob = out.str();
-
-  // Corrupt record 2's caplen field. Record 1 starts after the 24-byte
-  // global header; its caplen sits at bytes [8, 12) of the record header.
-  constexpr std::size_t kGlobalHeader = 24;
-  constexpr std::size_t kRecordHeader = 16;
-  const auto u8 = [&blob](std::size_t i) {
-    return static_cast<std::uint32_t>(static_cast<std::uint8_t>(blob[i]));
-  };
-  const std::uint32_t caplen1 =
-      u8(kGlobalHeader + 8) | (u8(kGlobalHeader + 9) << 8) |
-      (u8(kGlobalHeader + 10) << 16) | (u8(kGlobalHeader + 11) << 24);
-  const std::size_t record2 = kGlobalHeader + kRecordHeader + caplen1;
-  ASSERT_LT(record2 + kRecordHeader, blob.size());
-  // 8 MiB caplen: far over the reader's 256 KiB sanity cap.
-  blob[record2 + 8] = 0;
-  blob[record2 + 9] = 0;
-  blob[record2 + 10] = static_cast<char>(0x80);
-  blob[record2 + 11] = 0;
-
-  const std::string expected = "pcap: absurd caplen 8388608 (record 2, offset " +
-                               std::to_string(record2) + ")";
-  std::stringstream in(blob);
-  try {
-    pcap::read_stream(in);
-    FAIL() << "read_stream must reject the absurd caplen";
-  } catch (const std::runtime_error& e) {
-    EXPECT_EQ(std::string(e.what()), expected);
-  }
-
+/// Both readers must throw exactly `expected` on `blob`.
+void expect_both_readers_throw(const std::string& blob,
+                               const std::string& expected) {
+  const test::ReadOutcome batch = test::read_batch(blob);
+  EXPECT_EQ(batch.error, expected);
   // The streaming reader throws the identical message from next_chunk.
   // (Sealing is lazy, so the parse error can surface before the first
   // chunk is handed out — any next_chunk call may throw.)
-  std::stringstream in2(blob);
-  pcap::StreamingReader reader(in2,
-                               pcap::StreamingOptions{.chunk_packets = 1});
-  try {
-    while (reader.next_chunk()) {
+  EXPECT_EQ(test::read_chunked(blob, 1).error, expected);
+}
+
+TEST(PcapErrors, ClassicCaplenErrorCarriesRecordIndexAndOffset) {
+  // Record 2 of a one-flow capture, then the first record past the first
+  // read block of a larger one.
+  for (const std::uint64_t flows : {1u, 6u}) {
+    SCOPED_TRACE(flows);
+    const net::PacketTrace trace =
+        merged_trace(workload::web_search_profile(), /*seed=*/9, flows);
+    std::stringstream out;
+    pcap::write_stream(out, trace);
+    std::string blob = out.str();
+    const std::vector<std::size_t> starts = classic_record_starts(blob);
+    std::size_t index = 1;  // 0-based
+    if (flows > 1) {
+      while (index < starts.size() && starts[index] <= kReadBlock) ++index;
     }
-    FAIL() << "StreamingReader must reject the absurd caplen";
-  } catch (const std::runtime_error& e) {
-    EXPECT_EQ(std::string(e.what()), expected);
+    ASSERT_LT(index, starts.size());
+    const std::size_t at = starts[index];
+
+    // 8 MiB caplen (bytes [8, 12) of the record header): far over the
+    // reader's 256 KiB sanity cap.
+    blob[at + 8] = 0;
+    blob[at + 9] = 0;
+    blob[at + 10] = static_cast<char>(0x80);
+    blob[at + 11] = 0;
+    expect_both_readers_throw(
+        blob, "pcap: absurd caplen 8388608 (record " +
+                  std::to_string(index + 1) + ", offset " +
+                  std::to_string(at) + ")");
   }
 }
 
 TEST(PcapErrors, PcapngBlockErrorCarriesBlockIndexAndOffset) {
-  // Minimal pcapng: a valid SHB, then a block with an absurd length.
-  std::string blob;
-  const auto put32 = [&blob](std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-      blob.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+  // A valid SHB, `fillers` unknown 4 KiB blocks (none, then enough to
+  // pass the first read block), then a block with an absurd length.
+  for (const std::uint32_t fillers : {0u, 5u}) {
+    SCOPED_TRACE(fillers);
+    std::string blob;
+    test::block(blob, 0x0A0D0D0A, test::shb());
+    for (std::uint32_t i = 0; i < fillers; ++i) {
+      test::block(blob, 0x00000BAD, std::string(4096, 'x'));
     }
-  };
-  put32(0x0A0D0D0A);  // SHB type
-  put32(28);          // SHB length
-  put32(0x1A2B3C4D);  // byte-order magic
-  put32(0x00000001);  // version 1.0
-  put32(0xFFFFFFFF);  // section length (unspecified), low
-  put32(0xFFFFFFFF);  // section length, high
-  put32(28);          // trailing length
-  const std::size_t block2 = blob.size();
-  put32(0x00000006);   // EPB type
-  put32(0xFFFFFFF0u);  // absurd total length
+    const std::size_t bad = blob.size();
+    test::le32(blob, 0x00000006);   // EPB type
+    test::le32(blob, 0xFFFFFFF0u);  // absurd total length
+    if (fillers > 0) {
+      ASSERT_GT(bad, kReadBlock);
+    }
 
-  std::stringstream in(blob);
-  try {
-    pcap::read_stream(in);
-    FAIL() << "read_stream must reject the absurd block length";
-  } catch (const std::runtime_error& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("block 2"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("offset " + std::to_string(block2)), std::string::npos)
-        << msg;
+    expect_both_readers_throw(
+        blob, "pcapng: absurd block length 4294967280 (block " +
+                  std::to_string(fillers + 2) + ", offset " +
+                  std::to_string(bad) + ")");
   }
 }
 

@@ -21,7 +21,10 @@
 #   sanitizer. Every TAPO_SANITIZE configuration keeps assert() on, so the
 #   debug cross-checks run instrumented: the mimic's per-packet scoreboard
 #   recount, and the sender scoreboard's recount after every mutation,
-#   which the chaos storm's hostile flows drive too)
+#   which the chaos storm's hostile flows drive too. It also defines
+#   _GLIBCXX_ASSERTIONS, so every std::span and std::vector index is
+#   bounds-checked: the pcap reader's frames are spans into one shared
+#   read block, where an over-long read stays inside valid memory)
 #   thread-safety  Clang-only static gate: builds with clang++ and
 #            -DTAPO_THREAD_SAFETY=ON (-Wthread-safety -Werror=thread-safety
 #            over the TAPO_* capability annotations, plus the configure-time
