@@ -67,8 +67,7 @@ std::string emit_shard(std::uint32_t shard, std::size_t flows) {
                     .with_shard_id(shard)
                     .with_service(static_cast<std::uint8_t>(svc))
                     .with_base_time_us(static_cast<std::int64_t>(shard) *
-                                       250'000)
-                    .with_flow_spacing(Duration::millis(500)));
+                                       250'000));
     workload::ParallelRunner runner(cfg, std::move(options));
     runner.run(sink);
   }

@@ -18,12 +18,14 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "telemetry/json.h"
+#include "util/env.h"
 
 namespace {
 
@@ -142,15 +144,12 @@ void check_prometheus(const std::filesystem::path& path) {
     if (sp == std::string::npos) return fail(file, where + " no value: " + line);
     const std::string series = line.substr(0, sp);
     const std::string value = line.substr(sp + 1);
-    std::size_t pos = 0;
-    double v = 0.0;
-    try {
-      v = std::stod(value, &pos);
-    } catch (...) {
-      return fail(file, where + " non-numeric value: " + value);
+    double v = std::numeric_limits<double>::infinity();
+    if (value != "+Inf") {
+      const auto parsed = tapo::util::parse_double(value);
+      if (!parsed) return fail(file, where + " non-numeric value: " + value);
+      v = *parsed;
     }
-    if (pos != value.size() && value != "+Inf")
-      return fail(file, where + " trailing junk in value: " + value);
     const std::size_t brace = series.find('{');
     const std::string name = series.substr(0, brace);
     if (!is_metric_name(name)) return fail(file, where + " bad metric name: " + name);

@@ -93,12 +93,12 @@ int main(int argc, char** argv) {
       }
       demux.with_server_port(static_cast<std::uint16_t>(*port));
     } else if (arg == "--tau" && i + 1 < argc) {
-      const double tau = std::atof(argv[++i]);
-      if (tau <= 0.0) {
+      const auto tau = tapo::util::parse_double(argv[++i]);
+      if (!tau || *tau <= 0.0) {
         std::fprintf(stderr, "error: --tau must be a positive number\n");
         return 1;
       }
-      config.with_tau(tau);
+      config.with_tau(*tau);
     } else if (arg == "--summary") {
       summary_only = true;
     } else if (arg == "--csv" && i + 1 < argc) {

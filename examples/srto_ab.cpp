@@ -32,7 +32,15 @@ int main(int argc, char** argv) {
     }
     flows = *parsed;
   }
-  const double loss = argc > 3 ? std::atof(argv[3]) : 0.0;
+  double loss = 0.0;
+  if (argc > 3) {
+    const auto parsed = util::parse_double(argv[3]);
+    if (!parsed || *parsed < 0.0 || *parsed >= 1.0) {
+      std::fprintf(stderr, "error: loss rate must be a number in [0, 1)\n");
+      return 1;
+    }
+    loss = *parsed;
+  }
 
   ExperimentConfig base;
   base.profile = profile_for(svc);

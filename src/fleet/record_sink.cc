@@ -1,7 +1,5 @@
 #include "fleet/record_sink.h"
 
-#include <stdexcept>
-
 #include "telemetry/telemetry.h"
 
 namespace tapo::fleet {
@@ -21,22 +19,6 @@ RecordSinkConfig& RecordSinkConfig::with_base_time_us(std::int64_t t) {
   return *this;
 }
 
-RecordSinkConfig& RecordSinkConfig::with_flow_spacing(Duration d) {
-  if (d < Duration::zero()) {
-    throw std::invalid_argument(
-        "RecordSinkConfig: flow spacing must be >= 0");
-  }
-  flow_spacing = d;
-  return *this;
-}
-
-void RecordSinkConfig::validate() const {
-  if (flow_spacing < Duration::zero()) {
-    throw std::invalid_argument(
-        "RecordSinkConfig: flow spacing must be >= 0");
-  }
-}
-
 FlowRecord make_flow_record(const tapo::FlowResult& result,
                             const RecordSinkConfig& cfg) {
   FlowRecord r;
@@ -44,7 +26,7 @@ FlowRecord make_flow_record(const tapo::FlowResult& result,
   r.service = cfg.service;
   r.flow_index = result.index;
   r.start_us = cfg.base_time_us +
-               static_cast<std::int64_t>(result.index) * cfg.flow_spacing.us();
+               static_cast<std::int64_t>(result.index) * kFlowSpacing.us();
   r.completed = result.outcome.completed;
   r.response_bytes = result.outcome.response_bytes;
   r.packets = result.packets;
@@ -78,9 +60,7 @@ FlowRecord make_flow_record(const tapo::FlowResult& result,
 }
 
 RecordSink::RecordSink(RecordWriter& writer, RecordSinkConfig cfg)
-    : writer_(writer), cfg_(cfg) {
-  cfg_.validate();
-}
+    : writer_(writer), cfg_(cfg) {}
 
 void RecordSink::consume(tapo::FlowResult&& result) {
   const std::uint64_t bytes_before = writer_.bytes();

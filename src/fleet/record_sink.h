@@ -7,7 +7,7 @@
 //
 // Logical time: simulated flows each start at t=0 in their own private
 // simulator, so the sink stamps record start times as
-// base_time_us + flow_index * flow_spacing, modelling a shard that admits
+// base_time_us + flow_index * kFlowSpacing, modelling a shard that admits
 // flows at a steady rate. The stamp is a pure function of (config, flow
 // index); combined with the runner's in-order delivery contract this
 // makes a shard's record file byte-identical across runs and thread
@@ -27,20 +27,18 @@ struct RecordSinkConfig {
   /// workload::Service index (see fleet::service_name); plain integer so
   /// the fleet tier does not depend on the workload layer.
   std::uint8_t service = 0;
-  /// Logical capture time of flow 0.
+  /// Logical capture time of flow 0; flow i starts kFlowSpacing later
+  /// per index.
   std::int64_t base_time_us = 0;
-  /// Logical inter-flow arrival spacing (>= 0).
-  Duration flow_spacing = Duration::millis(500);
 
   // Fluent construction, mirroring ExperimentConfig::with_*.
   RecordSinkConfig& with_shard_id(std::uint32_t id);
   RecordSinkConfig& with_service(std::uint8_t s);
   RecordSinkConfig& with_base_time_us(std::int64_t t);
-  RecordSinkConfig& with_flow_spacing(Duration d);  // throws on d < 0
-
-  /// Throws std::invalid_argument on a negative flow spacing.
-  void validate() const;
 };
+
+/// Logical inter-flow arrival spacing of the records a sink writes.
+inline constexpr Duration kFlowSpacing = Duration::millis(500);
 
 /// Pure reduction of one FlowResult to its fleet record (exposed for
 /// tests). Uses the first analysis when present; a trace-less or
@@ -51,9 +49,8 @@ FlowRecord make_flow_record(const tapo::FlowResult& result,
 
 class RecordSink : public tapo::FlowSink {
  public:
-  /// Validates the config (std::invalid_argument on a bad one). The
-  /// writer must outlive the sink; several sinks may share one writer to
-  /// put multiple runs in one shard file.
+  /// The writer must outlive the sink; several sinks may share one writer
+  /// to put multiple runs in one shard file.
   RecordSink(RecordWriter& writer, RecordSinkConfig cfg);
 
   void consume(tapo::FlowResult&& result) override;

@@ -23,6 +23,17 @@ double ratio_of(std::int64_t part, std::int64_t whole) {
                    : 0.0;
 }
 
+// Regression watch: the EWMA weight of the newest window's ratio; a ratio
+// is flagged when |ratio - baseline| > max(kAbsFloor, kRelThreshold *
+// baseline), once kWarmupWindows windows of its {service, cause} are seen.
+constexpr double kEwmaAlpha = 0.3;
+constexpr double kRelThreshold = 0.5;
+constexpr double kAbsFloor = 0.02;
+constexpr std::size_t kWarmupWindows = 3;
+
+/// Windows in the report's recent-window timeline.
+constexpr std::size_t kRecentWindows = 8;
+
 }  // namespace
 
 std::string service_name(std::uint8_t s) {
@@ -44,20 +55,9 @@ FleetConfig& FleetConfig::with_window(Duration w) {
   return *this;
 }
 
-FleetConfig& FleetConfig::with_sketch_alpha(double a) {
-  if (!(a > 0.0) || !(a < 1.0)) {
-    throw std::invalid_argument("FleetConfig: sketch alpha must be in (0,1)");
-  }
-  sketch_alpha = a;
-  return *this;
-}
-
 void FleetConfig::validate() const {
   if (window <= Duration::zero()) {
     throw std::invalid_argument("FleetConfig: window must be > 0");
-  }
-  if (!(sketch_alpha > 0.0) || !(sketch_alpha < 1.0)) {
-    throw std::invalid_argument("FleetConfig: sketch alpha must be in (0,1)");
   }
 }
 
@@ -68,15 +68,6 @@ void CauseCell::merge(const CauseCell& other) {
   stalled_us += other.stalled_us;
   stall_us.merge(other.stall_us);
 }
-
-static_assert(analysis::kNumStallCauses == 7,
-              "update the ServiceWindow cause-array initializer");
-
-ServiceWindow::ServiceWindow(double alpha)
-    : completion_us(alpha),
-      by_cause{CauseCell(alpha), CauseCell(alpha), CauseCell(alpha),
-               CauseCell(alpha), CauseCell(alpha), CauseCell(alpha),
-               CauseCell(alpha)} {}
 
 void ServiceWindow::add(const FlowRecord& r) {
   ++flows;
@@ -122,37 +113,25 @@ double ServiceWindow::cause_ratio(std::size_t cause) const {
 }
 
 void FleetSnapshot::merge(const FleetSnapshot& other) {
-  if (window_us != other.window_us || sketch_alpha != other.sketch_alpha) {
-    throw std::invalid_argument(
-        "FleetSnapshot::merge: mismatched window width or sketch accuracy");
+  if (window_us != other.window_us) {
+    throw std::invalid_argument("FleetSnapshot::merge: mismatched window width");
   }
   records += other.records;
   shard_ids.insert(other.shard_ids.begin(), other.shard_ids.end());
   for (const auto& [w, services] : other.windows) {
     auto& mine = windows[w];
-    for (const auto& [svc, sw] : services) {
-      auto [it, fresh] = mine.try_emplace(svc, sketch_alpha);
-      if (fresh) {
-        it->second = sw;
-      } else {
-        it->second.merge(sw);
-      }
-    }
+    for (const auto& [svc, sw] : services) mine[svc].merge(sw);
   }
 }
 
 WindowAggregator::WindowAggregator(FleetConfig cfg) : cfg_(cfg) {
   cfg_.validate();
   snap_.window_us = cfg_.window.us();
-  snap_.sketch_alpha = cfg_.sketch_alpha;
 }
 
 void WindowAggregator::ingest(const FlowRecord& r) {
   const std::int64_t w = floor_div(r.start_us, snap_.window_us);
-  auto [it, fresh] =
-      snap_.windows[w].try_emplace(r.service, cfg_.sketch_alpha);
-  (void)fresh;
-  it->second.add(r);
+  snap_.windows[w][r.service].add(r);
   ++snap_.records;
   snap_.shard_ids.insert(r.shard_id);
 }
@@ -163,45 +142,7 @@ void WindowAggregator::ingest(std::span<const FlowRecord> records) {
 
 // ------------------------------------------------------------ regressions
 
-RegressionConfig& RegressionConfig::with_ewma_alpha(double a) {
-  if (!(a > 0.0) || a > 1.0) {
-    throw std::invalid_argument("RegressionConfig: ewma alpha must be (0,1]");
-  }
-  ewma_alpha = a;
-  return *this;
-}
-
-RegressionConfig& RegressionConfig::with_rel_threshold(double t) {
-  if (t < 0.0) {
-    throw std::invalid_argument("RegressionConfig: rel threshold must be >= 0");
-  }
-  rel_threshold = t;
-  return *this;
-}
-
-RegressionConfig& RegressionConfig::with_abs_floor(double f) {
-  if (f < 0.0) {
-    throw std::invalid_argument("RegressionConfig: abs floor must be >= 0");
-  }
-  abs_floor = f;
-  return *this;
-}
-
-RegressionConfig& RegressionConfig::with_warmup(std::size_t w) {
-  warmup_windows = w;
-  return *this;
-}
-
-void RegressionConfig::validate() const {
-  if (!(ewma_alpha > 0.0) || ewma_alpha > 1.0 || rel_threshold < 0.0 ||
-      abs_floor < 0.0) {
-    throw std::invalid_argument("RegressionConfig: out-of-range field");
-  }
-}
-
-std::vector<Regression> detect_regressions(const FleetSnapshot& snap,
-                                           const RegressionConfig& cfg) {
-  cfg.validate();
+std::vector<Regression> detect_regressions(const FleetSnapshot& snap) {
   // Track one EWMA per {service, cause}. Windows are visited in ascending
   // map order, so the baseline evolution is the same no matter how the
   // snapshot was merged together.
@@ -216,10 +157,9 @@ std::vector<Regression> detect_regressions(const FleetSnapshot& snap,
       for (std::size_t c = 0; c < sw.by_cause.size(); ++c) {
         const double ratio = sw.cause_ratio(c);
         Track& t = tracks[{svc, static_cast<std::uint8_t>(c)}];
-        if (t.seen >= cfg.warmup_windows) {
+        if (t.seen >= kWarmupWindows) {
           const double dev = ratio - t.ewma;
-          const double bound =
-              std::max(cfg.abs_floor, cfg.rel_threshold * t.ewma);
+          const double bound = std::max(kAbsFloor, kRelThreshold * t.ewma);
           if (dev > bound || -dev > bound) {
             out.push_back({w, svc, static_cast<std::uint8_t>(c), ratio,
                            t.ewma, dev < 0.0});
@@ -227,7 +167,7 @@ std::vector<Regression> detect_regressions(const FleetSnapshot& snap,
         }
         t.ewma = t.seen == 0
                      ? ratio
-                     : cfg.ewma_alpha * ratio + (1.0 - cfg.ewma_alpha) * t.ewma;
+                     : kEwmaAlpha * ratio + (1.0 - kEwmaAlpha) * t.ewma;
         ++t.seen;
       }
     }
@@ -238,9 +178,7 @@ std::vector<Regression> detect_regressions(const FleetSnapshot& snap,
 
 // ----------------------------------------------------------------- report
 
-std::string render_fleet_report(const FleetSnapshot& snap,
-                                const RegressionConfig& reg,
-                                std::size_t recent_windows) {
+std::string render_fleet_report(const FleetSnapshot& snap) {
   std::string out;
   const auto line = [&out](const std::string& s) {
     out += s;
@@ -252,7 +190,7 @@ std::string render_fleet_report(const FleetSnapshot& snap,
       "records %llu | shards %zu | windows %zu x %llds | sketch alpha %.3f",
       static_cast<unsigned long long>(snap.records), snap.shard_ids.size(),
       snap.windows.size(), static_cast<long long>(snap.window_us / 1'000'000),
-      snap.sketch_alpha));
+      stats::QuantileSketch::kAlpha));
   if (snap.records == 0) {
     line("(no records)");
     return out;
@@ -262,14 +200,7 @@ std::string render_fleet_report(const FleetSnapshot& snap,
   std::map<std::uint8_t, ServiceWindow> totals;
   for (const auto& [w, services] : snap.windows) {
     (void)w;
-    for (const auto& [svc, sw] : services) {
-      auto [it, fresh] = totals.try_emplace(svc, snap.sketch_alpha);
-      if (fresh) {
-        it->second = sw;
-      } else {
-        it->second.merge(sw);
-      }
-    }
+    for (const auto& [svc, sw] : services) totals[svc].merge(sw);
   }
 
   line("");
@@ -333,7 +264,7 @@ std::string render_fleet_report(const FleetSnapshot& snap,
     windexes.push_back(w);
   }
   const std::size_t first =
-      windexes.size() > recent_windows ? windexes.size() - recent_windows : 0;
+      windexes.size() > kRecentWindows ? windexes.size() - kRecentWindows : 0;
   for (std::size_t i = first; i < windexes.size(); ++i) {
     const std::int64_t w = windexes[i];
     const auto& services = snap.windows.at(w);
@@ -352,7 +283,7 @@ std::string render_fleet_report(const FleetSnapshot& snap,
   }
 
   line("");
-  const auto regressions = detect_regressions(snap, reg);
+  const auto regressions = detect_regressions(snap);
   if (regressions.empty()) {
     line("regression watch: clean (no window broke from its EWMA baseline)");
   } else {
@@ -374,21 +305,13 @@ std::string render_fleet_report(const FleetSnapshot& snap,
 
 // ----------------------------------------------------------- prometheus
 
-void publish_fleet_metrics(const FleetSnapshot& snap,
-                           const RegressionConfig& reg) {
+void publish_fleet_metrics(const FleetSnapshot& snap) {
   auto& registry = telemetry::Registry::instance();
 
   std::map<std::uint8_t, ServiceWindow> totals;
   for (const auto& [w, services] : snap.windows) {
     (void)w;
-    for (const auto& [svc, sw] : services) {
-      auto [it, fresh] = totals.try_emplace(svc, snap.sketch_alpha);
-      if (fresh) {
-        it->second = sw;
-      } else {
-        it->second.merge(sw);
-      }
-    }
+    for (const auto& [svc, sw] : services) totals[svc].merge(sw);
   }
 
   registry.counter("fleet_records_ingested_total")
@@ -436,7 +359,7 @@ void publish_fleet_metrics(const FleetSnapshot& snap,
     }
   }
   registry.gauge("fleet_regressions")
-      .set(static_cast<double>(detect_regressions(snap, reg).size()));
+      .set(static_cast<double>(detect_regressions(snap).size()));
 }
 
 }  // namespace tapo::fleet

@@ -37,11 +37,8 @@ std::string service_name(std::uint8_t s);
 struct FleetConfig {
   /// Window width for the rolling aggregation (> 0).
   Duration window = Duration::seconds(60);
-  /// Relative accuracy of the per-window quantile sketches.
-  double sketch_alpha = stats::QuantileSketch::kDefaultAlpha;
 
   FleetConfig& with_window(Duration w);        // throws on w <= 0
-  FleetConfig& with_sketch_alpha(double a);    // throws outside (0, 1)
   void validate() const;
 };
 
@@ -52,7 +49,6 @@ struct CauseCell {
   std::int64_t stalled_us = 0;
   stats::QuantileSketch stall_us;
 
-  explicit CauseCell(double alpha) : stall_us(alpha) {}
   void merge(const CauseCell& other);
   bool operator==(const CauseCell&) const = default;
 };
@@ -72,7 +68,6 @@ struct ServiceWindow {
   stats::QuantileSketch completion_us;
   std::array<CauseCell, analysis::kNumStallCauses> by_cause;
 
-  explicit ServiceWindow(double alpha);
   void add(const FlowRecord& r);
   void merge(const ServiceWindow& other);
 
@@ -88,7 +83,6 @@ struct ServiceWindow {
 /// covers logical time [w * window_us, (w + 1) * window_us).
 struct FleetSnapshot {
   std::int64_t window_us = Duration::seconds(60).us();
-  double sketch_alpha = stats::QuantileSketch::kDefaultAlpha;
   std::uint64_t records = 0;
   /// Distinct shard ids observed (content-derived, so it is invariant to
   /// how the shards were grouped before merging).
@@ -96,8 +90,8 @@ struct FleetSnapshot {
   std::map<std::int64_t, std::map<std::uint8_t, ServiceWindow>> windows;
 
   /// Folds `other` in. Throws std::invalid_argument when the two
-  /// snapshots were built with different window widths or sketch
-  /// accuracies (merging those would silently misbucket).
+  /// snapshots were built with different window widths (merging those
+  /// would silently misbucket).
   void merge(const FleetSnapshot& other);
 
   bool operator==(const FleetSnapshot&) const = default;
@@ -121,22 +115,6 @@ class WindowAggregator {
 
 // ------------------------------------------------------- regression watch
 
-struct RegressionConfig {
-  /// EWMA weight of the newest window's ratio.
-  double ewma_alpha = 0.3;
-  /// Flag when |ratio - baseline| > max(abs_floor, rel_threshold * baseline).
-  double rel_threshold = 0.5;
-  double abs_floor = 0.02;
-  /// Windows observed (per service+cause) before flagging starts.
-  std::size_t warmup_windows = 3;
-
-  RegressionConfig& with_ewma_alpha(double a);      // (0, 1]
-  RegressionConfig& with_rel_threshold(double t);   // >= 0
-  RegressionConfig& with_abs_floor(double f);       // >= 0
-  RegressionConfig& with_warmup(std::size_t w);
-  void validate() const;
-};
-
 /// One flagged window: a per-cause stall ratio that broke away from its
 /// EWMA baseline. `improved` answers the paper's Tables 8-9 question
 /// ("mitigation deployed — did stalls drop?") in the negative-deviation
@@ -151,20 +129,19 @@ struct Regression {
 };
 
 /// Scans windows in ascending time order per {service, cause} and flags
-/// deviations from the EWMA baseline. Deterministic: output depends only
-/// on the snapshot's content, sorted by (window, service, cause).
-std::vector<Regression> detect_regressions(
-    const FleetSnapshot& snap, const RegressionConfig& cfg = {});
+/// deviations from the EWMA baseline: after 3 warm-up windows, a ratio
+/// further than max(0.02, 0.5 * baseline) from a baseline that weighs
+/// each new window 0.3. Deterministic: output depends only on the
+/// snapshot's content, sorted by (window, service, cause).
+std::vector<Regression> detect_regressions(const FleetSnapshot& snap);
 
 // ----------------------------------------------------------- fleet report
 
 /// Renders the ASCII fleet report (service totals, per-cause breakdown
-/// with sketch quantiles, the last `recent_windows` window timeline, and
-/// the regression watch). Byte-identical for any merge order/grouping of
-/// the same records.
-std::string render_fleet_report(const FleetSnapshot& snap,
-                                const RegressionConfig& reg = {},
-                                std::size_t recent_windows = 8);
+/// with sketch quantiles, the last eight windows' timeline, and the
+/// regression watch). Byte-identical for any merge order/grouping of the
+/// same records.
+std::string render_fleet_report(const FleetSnapshot& snap);
 
 /// Publishes the snapshot into the telemetry registry:
 ///   fleet_flows_total{service}            counter
@@ -177,7 +154,6 @@ std::string render_fleet_report(const FleetSnapshot& snap,
 ///   fleet_windows / fleet_shards / fleet_regressions gauges
 /// Counters accumulate across calls: callers republishing the same fleet
 /// view (tapo_agg, fleet_scale) must Registry::reset() first.
-void publish_fleet_metrics(const FleetSnapshot& snap,
-                           const RegressionConfig& reg = {});
+void publish_fleet_metrics(const FleetSnapshot& snap);
 
 }  // namespace tapo::fleet

@@ -82,7 +82,10 @@ void Link::send(net::CapturedPacket pkt) {
   if (reordered) extra += config_.reorder_delay;
 
   TimePoint arrive = depart + config_.prop_delay + extra;
-  if (config_.fifo && !reordered) {
+  // Delivery is FIFO, like a real queue: jitter and delay bursts stretch
+  // arrivals but never let a packet overtake an earlier one. Only a
+  // reordered packet is exempt.
+  if (!reordered) {
     if (arrive < last_arrival_) arrive = last_arrival_;
     last_arrival_ = arrive;
   }

@@ -18,11 +18,10 @@ namespace tapo::sim {
 struct LinkConfig {
   /// One-way propagation delay.
   Duration prop_delay = Duration::millis(50);
-  /// Extra per-packet delay drawn ~ Exp(jitter_mean); 0 disables. With
-  /// `fifo` set (default) jitter stretches delivery without reordering,
-  /// like a real queue: packets never overtake each other.
+  /// Extra per-packet delay drawn ~ Exp(jitter_mean); 0 disables. Jitter
+  /// stretches delivery without reordering, like a real queue: packets
+  /// never overtake each other.
   Duration jitter_mean = Duration::micros(0);
-  bool fifo = true;
   /// With this probability a packet is held an extra `reorder_delay` and
   /// exempted from FIFO, letting later packets overtake it.
   double reorder_prob = 0.0;

@@ -1,19 +1,15 @@
 #include "stats/sketch.h"
 
 #include <cmath>
-#include <stdexcept>
 
 namespace tapo::stats {
+namespace {
 
-QuantileSketch::QuantileSketch(double relative_accuracy)
-    : alpha_(relative_accuracy),
-      gamma_((1.0 + relative_accuracy) / (1.0 - relative_accuracy)),
-      inv_log_gamma_(1.0 / std::log(gamma_)) {
-  if (!(relative_accuracy > 0.0) || !(relative_accuracy < 1.0)) {
-    throw std::invalid_argument(
-        "QuantileSketch: relative accuracy must be in (0, 1)");
-  }
-}
+constexpr double kGamma =
+    (1.0 + QuantileSketch::kAlpha) / (1.0 - QuantileSketch::kAlpha);
+const double kInvLogGamma = 1.0 / std::log(kGamma);
+
+}  // namespace
 
 void QuantileSketch::observe(double v) {
   ++total_;
@@ -21,15 +17,11 @@ void QuantileSketch::observe(double v) {
     ++zero_count_;
     return;
   }
-  const double idx = std::ceil(std::log(v) * inv_log_gamma_);
+  const double idx = std::ceil(std::log(v) * kInvLogGamma);
   ++buckets_[static_cast<std::int32_t>(idx)];
 }
 
 void QuantileSketch::merge(const QuantileSketch& other) {
-  if (alpha_ != other.alpha_) {
-    throw std::invalid_argument(
-        "QuantileSketch::merge: mismatched relative accuracy");
-  }
   total_ += other.total_;
   zero_count_ += other.zero_count_;
   for (const auto& [idx, n] : other.buckets_) buckets_[idx] += n;
@@ -47,12 +39,12 @@ double QuantileSketch::quantile(double q) const {
   for (const auto& [idx, n] : buckets_) {
     cum += n;
     if (static_cast<double>(cum) > rank) {
-      return 2.0 * std::pow(gamma_, idx) / (gamma_ + 1.0);
+      return 2.0 * std::pow(kGamma, idx) / (kGamma + 1.0);
     }
   }
   // Floating-point slack at q == 1: return the top bucket's estimate.
   if (buckets_.empty()) return 0.0;
-  return 2.0 * std::pow(gamma_, buckets_.rbegin()->first) / (gamma_ + 1.0);
+  return 2.0 * std::pow(kGamma, buckets_.rbegin()->first) / (kGamma + 1.0);
 }
 
 }  // namespace tapo::stats

@@ -1,11 +1,11 @@
 // Mergeable quantile sketch with a fixed relative-error bound.
 //
 // DDSketch-style log-bucket sketch: a value v > 0 lands in bucket
-// i = ceil(log_gamma(v)) with gamma = (1 + alpha) / (1 - alpha), so bucket
+// i = ceil(log_gamma(v)) with gamma = (1 + kAlpha) / (1 - kAlpha), so bucket
 // i covers (gamma^(i-1), gamma^i]. The bucket's representative value
-// 2 * gamma^i / (gamma + 1) is within a factor of [1 - alpha, 1 + alpha]
+// 2 * gamma^i / (gamma + 1) is within a factor of [1 - kAlpha, 1 + kAlpha]
 // of every value in the bucket, which gives the guarantee: quantile(q)
-// returns an estimate within alpha *relative* error of the exact order
+// returns an estimate within kAlpha *relative* error of the exact order
 // statistic at rank floor(q * (count - 1)).
 //
 // Unlike the exact stats::Cdf (which stores every sample), the sketch is
@@ -24,32 +24,27 @@ namespace tapo::stats {
 
 class QuantileSketch {
  public:
-  /// Default relative accuracy: 2% — coarse enough that a fleet-wide
-  /// sketch over microsecond durations stays under ~1k buckets.
-  static constexpr double kDefaultAlpha = 0.02;
+  /// Relative accuracy: 2% — coarse enough that a fleet-wide sketch over
+  /// microsecond durations stays under ~1k buckets.
+  static constexpr double kAlpha = 0.02;
 
   /// Values below this are counted in the zero bucket (durations of zero,
   /// and anything too small to matter at microsecond granularity).
   static constexpr double kMinTracked = 1e-9;
-
-  /// Throws std::invalid_argument unless 0 < relative_accuracy < 1.
-  explicit QuantileSketch(double relative_accuracy = kDefaultAlpha);
 
   /// Records one sample. Values < kMinTracked (including negatives and
   /// NaN) land in the zero bucket and report as 0 from quantile().
   void observe(double v);
 
   /// Adds `other`'s buckets into this sketch. Integer adds: exactly
-  /// associative and commutative. Throws std::invalid_argument when the
-  /// two sketches were built with different relative accuracies.
+  /// associative and commutative.
   void merge(const QuantileSketch& other);
 
   std::uint64_t count() const { return total_; }
   bool empty() const { return total_ == 0; }
-  double relative_accuracy() const { return alpha_; }
 
   /// Estimate of the order statistic at rank floor(q * (count - 1)),
-  /// within alpha relative error (exact 0.0 for zero-bucket ranks).
+  /// within kAlpha relative error (exact 0.0 for zero-bucket ranks).
   /// q is clamped to [0, 1]; an empty sketch reports 0.0.
   double quantile(double q) const;
 
@@ -63,9 +58,6 @@ class QuantileSketch {
   }
 
  private:
-  double alpha_;
-  double gamma_;
-  double inv_log_gamma_;
   std::uint64_t zero_count_ = 0;
   std::uint64_t total_ = 0;
   std::map<std::int32_t, std::uint64_t> buckets_;

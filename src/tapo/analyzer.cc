@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "tcp/rto.h"
 #include "telemetry/telemetry.h"
 
 namespace tapo::analysis {
@@ -46,52 +47,11 @@ AnalyzerConfig& AnalyzerConfig::with_tau(double t) {
   return *this;
 }
 
-AnalyzerConfig& AnalyzerConfig::with_dupthres(std::uint32_t n) {
-  if (n == 0) {
-    throw std::invalid_argument(
-        "AnalyzerConfig: dupthres must be > 0 (zero would classify every "
-        "retransmission as fast)");
-  }
-  dupthres = n;
-  return *this;
-}
-
-AnalyzerConfig& AnalyzerConfig::with_small_inflight(std::uint32_t n) {
-  if (n == 0) {
-    throw std::invalid_argument(
-        "AnalyzerConfig: small_inflight must be > 0");
-  }
-  small_inflight = n;
-  return *this;
-}
-
-AnalyzerConfig& AnalyzerConfig::with_rto(const tcp::RtoConfig& cfg) {
-  rto = cfg;
-  return *this;
-}
-
-AnalyzerConfig& AnalyzerConfig::with_rto_fraction(double f) {
-  // Values above 1 are legitimate (stricter timeout attribution: the
-  // segment must have been quiet for more than a full RTO).
-  if (!(f > 0.0)) {
-    throw std::invalid_argument(
-        "AnalyzerConfig: rto_fraction must be > 0, got " + std::to_string(f));
-  }
-  rto_fraction = f;
-  return *this;
-}
-
-AnalyzerConfig& AnalyzerConfig::with_inflight_sampling(bool on) {
-  sample_inflight_on_ack = on;
-  return *this;
-}
-
 AnalyzerConfig& AnalyzerConfig::with_dup_window(Duration w) {
   if (w < Duration::zero()) {
     throw std::invalid_argument("AnalyzerConfig: dup_window must be >= 0");
   }
   dup_window = w;
-  suppress_capture_dups = true;
   return *this;
 }
 
@@ -107,16 +67,7 @@ void AnalyzerConfig::validate() const {
   if (!(tau > 0.0)) {
     throw std::invalid_argument("AnalyzerConfig: tau must be > 0");
   }
-  if (dupthres == 0) {
-    throw std::invalid_argument("AnalyzerConfig: dupthres must be > 0");
-  }
-  if (small_inflight == 0) {
-    throw std::invalid_argument("AnalyzerConfig: small_inflight must be > 0");
-  }
-  if (!(rto_fraction > 0.0)) {
-    throw std::invalid_argument("AnalyzerConfig: rto_fraction must be > 0");
-  }
-  if (dup_window < Duration::zero()) {
+  if (dup_window && *dup_window < Duration::zero()) {
     throw std::invalid_argument("AnalyzerConfig: dup_window must be >= 0");
   }
   if (ts_quantum < Duration::zero()) {
@@ -125,6 +76,17 @@ void AnalyzerConfig::validate() const {
 }
 
 namespace {
+
+/// The measured kernel's fast-retransmit threshold (2.6.32's
+/// sysctl_tcp_reordering): SACKed segments above a hole that mark it lost,
+/// and the response-tail zone, in segments, of the tail-retransmission rule.
+constexpr std::uint32_t kDupthres = 3;
+/// "Small" in-flight bound of the small-cwnd/rwnd rules: with fewer than
+/// 4 MSS in flight fast retransmit cannot trigger (§4.3).
+constexpr std::uint32_t kSmallInflight = 4;
+/// A retransmission counts as timeout-driven when the segment had been
+/// quiet for at least this fraction of the estimated RTO.
+constexpr double kRtoFraction = 0.9;
 
 /// Telemetry tap for every classified stall. The per-cause counters are the
 /// ground truth the Prometheus snapshot exposes: any stall table a consumer
@@ -283,7 +245,7 @@ struct PacketView {
 class FlowMimic {
  public:
   FlowMimic(const FlowView& view, const AnalyzerConfig& config)
-      : view_(view), config_(config), rto_(config.rto) {
+      : view_(view), config_(config) {
     if (view_.mid_stream) {
       // No handshake in the capture: seed sequence state from the first
       // server data packet and remember that this "stream head" is
@@ -439,7 +401,7 @@ bool FlowMimic::is_capture_dup(const PacketView& a,
     if (!(a.sacks[i] == b.sacks[i])) return false;
   }
   const Duration d = b.ts >= a.ts ? b.ts - a.ts : a.ts - b.ts;
-  return d <= config_.dup_window;
+  return d <= *config_.dup_window;
 }
 
 void FlowMimic::set_sacked(SegMimic& s) {
@@ -493,7 +455,7 @@ void FlowMimic::mark_lost_by_sack() {
   while (lost_cursor_ < segs_.size()) {
     SegMimic& s = segs_[lost_cursor_];
     const std::uint32_t sacked_above = sacked_from_cursor_ - (s.sacked ? 1 : 0);
-    if (sacked_above < config_.dupthres) break;
+    if (sacked_above < kDupthres) break;
     if (s.sacked) {
       --sacked_from_cursor_;
     } else if (!s.lost_est) {
@@ -595,10 +557,10 @@ void FlowMimic::process_server_packet(const PacketView& p, PktAnno& a,
   const Duration elapsed = p.ts - seg->last_tx;
   const Duration rto_now = rto_.rto();
   bool is_rto;
-  if (dupacks_ >= config_.dupthres && elapsed < rto_now) {
+  if (dupacks_ >= kDupthres && elapsed < rto_now) {
     is_rto = false;  // enough dupacks and before the timer: fast retransmit
   } else {
-    is_rto = elapsed >= rto_now * config_.rto_fraction;
+    is_rto = elapsed >= rto_now * kRtoFraction;
   }
   a.is_timeout_retrans = is_rto;
   a.first_retrans_was_rto = seg->first_retrans_was_rto;
@@ -776,9 +738,7 @@ void FlowMimic::process_client_packet(const PacketView& p, PktAnno& a,
     }
   }
 
-  if (config_.sample_inflight_on_ack) {
-    out.inflight_on_ack.push_back(in_flight());
-  }
+  out.inflight_on_ack.push_back(in_flight());
   rto_sample_sum_us_ += static_cast<double>(rto_.rto().us());
   ++rto_sample_count_;
 }
@@ -801,7 +761,7 @@ void FlowMimic::run(FlowAnalysis& out) {
     const PacketView p = pkt(i);
     PktAnno& a = annos_[i];
     if (p.truncated) ++quality_.truncated_packets;
-    if (config_.suppress_capture_dups && i > 0 &&
+    if (config_.dup_window && i > 0 &&
         is_capture_dup(pkt(i - 1), p)) {
       // Capture duplicate (mirror port / dual tap): the stack saw this
       // packet once. Carry the previous packet's state snapshot forward
@@ -1014,14 +974,14 @@ RetransCause FlowMimic::classify_retrans(const PktAnno& prev,
   //    cannot generate enough dupacks (§4.2).
   const net::Seq32 resp_end = response_end_for(seg);
   const std::uint32_t tail_zone =
-      config_.dupthres * static_cast<std::uint32_t>(view_.mss);
+      kDupthres * static_cast<std::uint32_t>(view_.mss);
   if (genuinely_lost && net::distance(seg.end, resp_end) < tail_zone) {
     return RetransCause::kTailRetrans;
   }
 
   // 3/4. Small in-flight: fast retransmit cannot trigger (< 4 MSS, §4.3);
   //      attribute to whichever of cwnd / rwnd was the limit.
-  if (genuinely_lost && prev.in_flight < config_.small_inflight) {
+  if (genuinely_lost && prev.in_flight < kSmallInflight) {
     const std::uint64_t cwnd_bytes =
         static_cast<std::uint64_t>(prev.cwnd_est) * view_.mss;
     if (cwnd_bytes <= prev.rwnd_scaled) return RetransCause::kSmallCwnd;

@@ -15,10 +15,10 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "tapo/flow.h"
-#include "tcp/rto.h"
 #include "tcp/types.h"
 
 namespace tapo::analysis {
@@ -150,28 +150,16 @@ struct FlowAnalysis {
 struct AnalyzerConfig {
   /// Stall threshold multiplier: gap > min(tau*SRTT, RTO).
   double tau = 2.0;
-  std::uint32_t dupthres = 3;
-  /// "Small" in-flight bound for the small-cwnd/rwnd rules (< 4 MSS, §4.3).
-  std::uint32_t small_inflight = 4;
-  /// RTO parameters matching the measured kernel.
-  tcp::RtoConfig rto;
-  /// A retransmission counts as timeout-driven when the segment had been
-  /// quiet for at least this fraction of the estimated RTO.
-  double rto_fraction = 0.9;
-  /// Collect Fig.-11 in-flight samples (costs memory on big traces).
-  bool sample_inflight_on_ack = true;
-  /// Suppress adjacent identical-header records as capture duplicates
-  /// (mirror ports / dual taps deliver both copies back to back). Off by
-  /// default: even a pristine single-tap capture can legitimately contain
-  /// back-to-back byte-identical pure ACKs (dupacks emitted in the same
-  /// microsecond), which no analyzer can tell from a mirror copy — enable
-  /// this only when the capture setup is known to duplicate. Enabling it
-  /// is what makes dup-impaired captures classify identically to pristine
-  /// ones (bench/robustness_stability.cc).
-  bool suppress_capture_dups = false;
-  /// With suppression on, records count as duplicates when their headers
-  /// match and their timestamps differ by at most this much (0 = exact).
-  Duration dup_window = Duration::zero();
+  /// Suppress adjacent identical-header records whose timestamps differ by
+  /// at most this much (zero = exact) as capture duplicates: mirror ports
+  /// and dual taps deliver both copies back to back. Unset (the default)
+  /// keeps every record: even a pristine single-tap capture can
+  /// legitimately contain back-to-back byte-identical pure ACKs (dupacks
+  /// emitted in the same microsecond), which no analyzer can tell from a
+  /// mirror copy, so set a window only when the capture setup is known to
+  /// duplicate. Setting one is what makes dup-impaired captures classify
+  /// identically to pristine ones (bench/robustness_stability.cc).
+  std::optional<Duration> dup_window;
   /// Declared capture-clock granularity: every packet timestamp is floored
   /// to a multiple of this before the mimic sees it (0 = off). Flooring is
   /// idempotent, so analysis at quantum q is *invariant* to capture-side
@@ -185,11 +173,6 @@ struct AnalyzerConfig {
   // validates eagerly and throws std::invalid_argument on a value the
   // classifier cannot run with, mirroring ExperimentConfig::with_*.
   AnalyzerConfig& with_tau(double t);                    // > 0
-  AnalyzerConfig& with_dupthres(std::uint32_t n);        // > 0
-  AnalyzerConfig& with_small_inflight(std::uint32_t n);  // > 0
-  AnalyzerConfig& with_rto(const tcp::RtoConfig& cfg);
-  AnalyzerConfig& with_rto_fraction(double f);           // > 0
-  AnalyzerConfig& with_inflight_sampling(bool on);
   /// Enables duplicate suppression with the given window (>= 0).
   AnalyzerConfig& with_dup_window(Duration w);
   /// Sets the declared capture-clock granularity (>= 0; 0 disables).

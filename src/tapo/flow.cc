@@ -1,6 +1,5 @@
 #include "tapo/flow.h"
 
-#include <stdexcept>
 #include <unordered_map>
 
 #include "net/chunk.h"
@@ -46,25 +45,7 @@ DemuxOptions& DemuxOptions::with_server_port(std::uint16_t port) {
   return *this;
 }
 
-DemuxOptions& DemuxOptions::with_min_packets(std::size_t n) {
-  if (n == 0) {
-    throw std::invalid_argument(
-        "DemuxOptions: min_packets must be > 0 (a zero-packet flow cannot "
-        "exist; use 1 to keep every flow)");
-  }
-  min_packets = n;
-  return *this;
-}
-
-void DemuxOptions::validate() const {
-  if (min_packets == 0) {
-    throw std::invalid_argument("DemuxOptions: min_packets must be > 0");
-  }
-}
-
-FlowAccumulator::FlowAccumulator(const DemuxOptions& opts) : opts_(opts) {
-  opts_.validate();
-}
+FlowAccumulator::FlowAccumulator(const DemuxOptions& opts) : opts_(opts) {}
 
 void FlowAccumulator::reserve(std::size_t packets) {
   slot_of_.reserve(packets);
@@ -127,8 +108,6 @@ FlowViewSet FlowAccumulator::finish() {
   // handshake/transfer meta.
   out.flows_.reserve(accums_.size());
   for (const Accum& a : accums_) {
-    if (a.count < opts_.min_packets) continue;
-
     // Decide which endpoint is the server.
     bool server_is_a;
     if (opts_.server_port != 0) {

@@ -72,17 +72,9 @@ struct DemuxOptions {
   /// The server's port; 0 auto-detects (the endpoint that sent a SYN-ACK,
   /// falling back to the endpoint with more payload bytes).
   std::uint16_t server_port = 0;
-  /// Drop flows with fewer packets than this (noise in real captures).
-  std::size_t min_packets = 1;
 
-  // Fluent construction (aggregate-init keeps working); setters validate
-  // eagerly and throw std::invalid_argument, mirroring ExperimentConfig.
+  // Fluent construction (aggregate-init keeps working).
   DemuxOptions& with_server_port(std::uint16_t port);
-  DemuxOptions& with_min_packets(std::size_t n);  // must be > 0
-
-  /// Throws std::invalid_argument on an unusable combination (min_packets
-  /// of zero). Called by demux_flow_views on entry.
-  void validate() const;
 };
 
 /// Result of a view-based demux: the per-flow views plus the pointer pool

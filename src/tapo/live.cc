@@ -15,7 +15,6 @@ LiveConfig& LiveConfig::with_analyzer(const AnalyzerConfig& a) {
 }
 
 LiveConfig& LiveConfig::with_demux(const DemuxOptions& d) {
-  d.validate();
   demux = d;
   return *this;
 }
@@ -64,7 +63,6 @@ LiveConfig& LiveConfig::with_mem_budget(util::MemoryBudget* b) {
 
 void LiveConfig::validate() const {
   analyzer.validate();
-  demux.validate();
   if (idle_timeout <= Duration::zero()) {
     throw std::invalid_argument("LiveConfig: idle_timeout must be > 0");
   }

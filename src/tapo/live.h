@@ -63,7 +63,7 @@ struct LiveConfig {
 
   /// Throws std::invalid_argument on any unusable field (non-positive
   /// idle_timeout, zero max_flows, ...). Called by the LiveAnalyzer
-  /// constructor, plus the nested analyzer/demux validations.
+  /// constructor, plus the nested analyzer validation.
   void validate() const;
 };
 

@@ -10,6 +10,12 @@ namespace {
 
 constexpr std::uint16_t kMaxWindowField = 65535;
 
+/// Client SYN / request retransmission timer (the stop-and-wait app layer
+/// backs it off up to 64x), and the retries before the client gives up.
+/// 3 s is 2.6.32's TCP_TIMEOUT_INIT.
+constexpr Duration kClientRto = Duration::seconds(3.0);
+constexpr int kMaxClientRetries = 8;
+
 /// RFC 2883 DSACK heuristic: the first SACK block reports a duplicate when
 /// it lies below the cumulative ACK or inside the second block.
 std::optional<net::SackBlock> extract_dsack(const net::TcpHeader& tcp) {
@@ -101,10 +107,10 @@ void Connection::client_send_syn() {
   pkt.tcp.window = static_cast<std::uint16_t>(std::min<std::uint32_t>(
       config_.receiver.init_rwnd_bytes, kMaxWindowField));
   pkt.tcp.mss = static_cast<std::uint16_t>(config_.receiver.mss);
-  pkt.tcp.sack_permitted = config_.receiver.sack_enabled;
+  pkt.tcp.sack_permitted = true;
   if (client_wscale_ > 0) pkt.tcp.window_scale = client_wscale_;
   up_.send(pkt);
-  client_retx_.arm(config_.client_rto * static_cast<std::int64_t>(1 << std::min(client_retries_, 6)));
+  client_retx_.arm(kClientRto * static_cast<std::int64_t>(1 << std::min(client_retries_, 6)));
 }
 
 void Connection::client_emit_ack(const TcpReceiver::AckSpec& spec) {
@@ -145,13 +151,13 @@ void Connection::client_send_request(std::size_t idx) {
     pkt.tcp.seq = client_req_end_ - spec.request_bytes;  // retry: same range
   }
   up_.send(pkt);
-  client_retx_.arm(config_.client_rto * static_cast<std::int64_t>(1 << std::min(client_retries_, 6)));
+  client_retx_.arm(kClientRto * static_cast<std::int64_t>(1 << std::min(client_retries_, 6)));
 }
 
 void Connection::client_retx_fire() {
   if (done_) return;
   ++client_retries_;
-  if (client_retries_ > config_.max_client_retries) {
+  if (client_retries_ > kMaxClientRetries) {
     TAPO_WARN << "connection " << config_.client_to_server.to_string()
               << " gave up after " << client_retries_ << " retries";
     done_ = true;

@@ -55,9 +55,6 @@ struct ConnectionConfig {
   /// below 2^32 to drive the whole transfer across the wrap.
   net::Seq32 client_isn = net::Seq32{1000};
   net::Seq32 server_isn = net::Seq32{5000};
-  /// Client SYN / request retransmission timer (stop-and-wait app layer).
-  Duration client_rto = Duration::seconds(3.0);
-  int max_client_retries = 8;
 };
 
 struct RequestMetrics {

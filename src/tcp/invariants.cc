@@ -180,9 +180,8 @@ void sender_event_slow(const TcpSender& s, TimePoint now) {
   // ssthresh >= 2 (Linux floor) — the untouched initial "infinite" value
   // trivially passes.
   if (s.ssthresh() < 2) fail(InvariantKind::kSsthreshBounds, una, now);
-  const RtoConfig& rc = s.config().rto;
   const Duration rto = s.rto_estimator().rto();
-  if (rto < rc.min_rto || rto > rc.max_rto) {
+  if (rto < kMinRto || rto > kMaxRto) {
     fail(InvariantKind::kRtoRange, una, now);
   }
   check_scoreboard(s.scoreboard(), now);

@@ -21,7 +21,7 @@
 //                             sacked+lost <= packets+retrans (Eq. 1 safety)
 //   cwnd/ssthresh bounds      cwnd >= 1 always; ssthresh >= 2 outside the
 //                             initial no-loss state
-//   RTO discipline            rto in [min_rto, max_rto] (200 ms floor),
+//   RTO discipline            rto in [kMinRto, kMaxRto] (200 ms floor),
 //                             backoff never shrinks the RTO
 //   S-RTO Algorithm 1         probe armed only under the arming
 //                             preconditions; cwnd halved on probe only when
@@ -54,7 +54,7 @@ enum class InvariantKind : std::uint8_t {
   kScoreboardAccounting,     // counter/recount mismatch or range overlap
   kCwndBounds,               // cwnd < 1
   kSsthreshBounds,           // ssthresh < 2
-  kRtoRange,                 // rto outside [min_rto, max_rto]
+  kRtoRange,                 // rto outside [kMinRto, kMaxRto]
   kRtoBackoffRegressed,      // backoff produced a smaller RTO
   kSrtoArming,               // probe armed outside Alg. 1 preconditions
   kSrtoCwndGuard,            // probe halved cwnd though cwnd <= T2/in Recovery

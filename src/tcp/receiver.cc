@@ -6,6 +6,12 @@
 #include "tcp/invariants.h"
 
 namespace tapo::tcp {
+namespace {
+
+/// Ack every second full-sized in-order segment (RFC 1122 4.2.3.2).
+constexpr std::uint32_t kAckEvery = 2;
+
+}  // namespace
 
 TcpReceiver::TcpReceiver(sim::Simulator& sim, ReceiverConfig config,
                          SendAckFn send_ack)
@@ -127,12 +133,10 @@ void TcpReceiver::on_data_impl(Seq32 seq, std::uint32_t len) {
   const Seq32 end = seq + len;
   drain_app_reads();
 
-  std::optional<net::SackBlock> dsack;
   if (is_duplicate(seq, end)) {
     // Spurious retransmission: report via DSACK (RFC 2883) and ack now.
-    if (config_.dsack_enabled) dsack = net::SackBlock{seq, end};
     ++dsacks_sent_;
-    emit_ack(dsack);
+    emit_ack(net::SackBlock{seq, end});
     return;
   }
 
@@ -155,7 +159,7 @@ void TcpReceiver::on_data_impl(Seq32 seq, std::uint32_t len) {
     }
     if (!recent_sacks_.empty()) recent_sacks_.clear();
     ++unacked_segments_;
-    if (unacked_segments_ >= config_.ack_every) {
+    if (unacked_segments_ >= kAckEvery) {
       emit_ack(std::nullopt);
     } else {
       arm_delack();
@@ -193,13 +197,11 @@ void TcpReceiver::emit_ack(std::optional<net::SackBlock> dsack) {
       std::min<std::uint32_t>(config_.mss, buffer_cap_ / 2)) {
     spec.rwnd_bytes = 0;
   }
-  if (config_.sack_enabled) {
-    if (dsack) spec.sack_blocks.push_back(*dsack);
-    for (const auto& b : recent_sacks_) {
-      // push_back drops the block (returns false) once the 4-slot wire
-      // bound is reached.
-      if (!spec.sack_blocks.push_back(b)) break;
-    }
+  if (dsack) spec.sack_blocks.push_back(*dsack);
+  for (const auto& b : recent_sacks_) {
+    // push_back drops the block (returns false) once the 4-slot wire bound
+    // is reached.
+    if (!spec.sack_blocks.push_back(b)) break;
   }
   if (spec.rwnd_bytes == 0) {
     ++zero_window_acks_;

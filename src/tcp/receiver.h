@@ -44,10 +44,6 @@ struct ReceiverConfig {
   /// Delayed-ACK: ack at latest after this delay (RFC 1122 allows 500 ms;
   /// Linux uses 40–200 ms).
   Duration delack_timeout = Duration::millis(40);
-  /// Ack every Nth full-sized in-order segment (2 per RFC 1122).
-  std::uint32_t ack_every = 2;
-  bool sack_enabled = true;
-  bool dsack_enabled = true;
 };
 
 class TcpReceiver {

@@ -23,7 +23,7 @@ void RtoEstimator::sample(Duration rtt) {
   // tcp_rtt_estimator), so RTO >= SRTT + 200 ms. This is the "very
   // conservative algorithm" behind the paper's Fig. 1b observation that
   // the RTO is often an order of magnitude above the RTT.
-  base_rto_ = srtt_ + std::max(rttvar_ * 4, config_.min_rto);
+  base_rto_ = srtt_ + std::max(rttvar_ * 4, kMinRto);
   backoff_ = 0;
   if (telemetry::metrics_enabled()) {
     static auto& srtt_hist =
@@ -33,13 +33,13 @@ void RtoEstimator::sample(Duration rtt) {
 }
 
 Duration RtoEstimator::rto() const {
-  Duration r = has_sample_ ? base_rto_ : config_.initial_rto;
-  r = std::max(r, config_.min_rto);
+  Duration r = has_sample_ ? base_rto_ : kInitialRto;
+  r = std::max(r, kMinRto);
   for (int i = 0; i < backoff_; ++i) {
     r = r * std::int64_t{2};
-    if (r >= config_.max_rto) break;
+    if (r >= kMaxRto) break;
   }
-  return std::min(r, config_.max_rto);
+  return std::min(r, kMaxRto);
 }
 
 void RtoEstimator::backoff() {

@@ -9,21 +9,20 @@
 
 namespace tapo::tcp {
 
-struct RtoConfig {
-  Duration initial_rto = Duration::seconds(3.0);
-  Duration min_rto = Duration::millis(200);
-  Duration max_rto = Duration::seconds(120.0);
-};
+/// RTO before the first RTT sample (2.6.32's TCP_TIMEOUT_INIT).
+inline constexpr Duration kInitialRto = Duration::seconds(3.0);
+/// RTO floor (TCP_RTO_MIN); also the floor of the 4 * RTTVAR term.
+inline constexpr Duration kMinRto = Duration::millis(200);
+/// RTO ceiling (TCP_RTO_MAX).
+inline constexpr Duration kMaxRto = Duration::seconds(120.0);
 
 class RtoEstimator {
  public:
-  explicit RtoEstimator(RtoConfig config = {}) : config_(config) {}
-
   /// Feeds one RTT measurement (Karn's rule: callers must not sample
   /// retransmitted segments). Clears any timeout backoff.
   void sample(Duration rtt);
 
-  /// Current RTO including backoff, clamped to [min_rto, max_rto].
+  /// Current RTO including backoff, clamped to [kMinRto, kMaxRto].
   Duration rto() const;
 
   /// Smoothed RTT; zero before the first sample.
@@ -36,7 +35,6 @@ class RtoEstimator {
   int backoff_exponent() const { return backoff_; }
 
  private:
-  RtoConfig config_;
   Duration srtt_ = Duration::zero();
   Duration rttvar_ = Duration::zero();
   Duration base_rto_;

@@ -44,7 +44,6 @@ TcpSender::TcpSender(sim::Simulator& sim, SenderConfig config, SendSegmentFn sen
     : sim_(sim),
       config_(config),
       send_(std::move(send)),
-      rto_(config.rto),
       cc_(make_congestion_control(config.cc)),
       timer_(sim, [this] { on_timer_fire(); }),
       pace_timer_(sim, [this] {
@@ -52,7 +51,6 @@ TcpSender::TcpSender(sim::Simulator& sim, SenderConfig config, SendSegmentFn sen
         rearm_timer();
       }) {
   cwnd_ = config_.init_cwnd;
-  dupthres_ = config_.dupthres;
 }
 
 void TcpSender::start(Seq32 isn) {
@@ -78,8 +76,10 @@ void TcpSender::app_close() {
 }
 
 std::uint32_t TcpSender::send_window_segments() const {
+  // Limited transmit (RFC 3042): the first two dupacks each let one new
+  // segment out beyond cwnd.
   std::uint32_t quota = 0;
-  if (state_ == CaState::kDisorder && config_.limited_transmit) {
+  if (state_ == CaState::kDisorder) {
     quota = std::min<std::uint32_t>(dupacks_, 2);
   }
   return cwnd_ + quota;
@@ -167,7 +167,7 @@ void TcpSender::retransmit_pending_lost() {
 
 Duration TcpSender::pacing_interval() const {
   const Duration gap = rto_.srtt() / std::max<std::uint32_t>(cwnd_, 1);
-  return std::max(gap, config_.pacing_min_gap);
+  return std::max(gap, kPacingMinGap);
 }
 
 void TcpSender::try_send() {
@@ -238,7 +238,7 @@ void TcpSender::on_ack(Seq32 ack, std::uint32_t rwnd_bytes,
     // A DSACK proves a retransmission was spurious: the network reordered
     // or delayed rather than dropped. Grow dupthres so future reordering of
     // that extent no longer triggers fast retransmit (§3.1).
-    if (config_.adapt_dupthres && dupthres_ < config_.max_dupthres) ++dupthres_;
+    if (dupthres_ < kMaxDupthres) ++dupthres_;
     maybe_undo_spurious_rto(dsack);
     // Adaptive S-RTO verdict: the DSACK covers a recently probed range ->
     // that probe was unnecessary; stretch the probe timer.
@@ -248,7 +248,7 @@ void TcpSender::on_ack(Seq32 ack, std::uint32_t rwnd_bytes,
             net::after(dsack->end, it->start)) {
           ++stats_.srto_spurious_probes;
           srto_backoff_level_ =
-              std::min(srto_backoff_level_ + 1, config_.srto.max_backoff_level);
+              std::min(srto_backoff_level_ + 1, kSrtoMaxBackoffLevel);
           probed_ranges_.erase(it);
           break;
         }
@@ -393,9 +393,9 @@ Duration TcpSender::tlp_pto() const {
   if (!rto_.has_sample()) return rto_.rto();
   Duration pto = rto_.srtt() * 2;
   if (board_.packets_out() == 1) {
-    pto = std::max(pto, rto_.srtt() * 1.5 + config_.tlp_delack_allowance);
+    pto = std::max(pto, rto_.srtt() * 1.5 + kTlpDelackAllowance);
   }
-  pto = std::max(pto, config_.tlp_min_pto);
+  pto = std::max(pto, kTlpMinPto);
   return std::min(pto, rto_.rto());
 }
 
@@ -453,7 +453,7 @@ void TcpSender::rearm_timer_impl() {
       rto_.has_sample()) {
     double mult = config_.srto.probe_rtt_mult;
     if (config_.srto.adaptive) {
-      mult *= 1.0 + config_.srto.backoff_step *
+      mult *= 1.0 + kSrtoBackoffStep *
                         static_cast<double>(srto_backoff_level_);
     }
     const Duration probe = rto_.srtt() * mult;

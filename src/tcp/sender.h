@@ -38,23 +38,34 @@ struct SrtoConfig {
   /// Adaptive probe suppression — the paper's stated future work ("we
   /// leave the reduction of unnecessary retransmissions as future work",
   /// §5.2): every DSACK that reveals a probe to have been unnecessary
-  /// stretches the probe timer by backoff_step; every probe whose segment
-  /// is acked without a DSACK relaxes it again.
+  /// stretches the probe timer by kSrtoBackoffStep; every probe whose
+  /// segment is acked without a DSACK relaxes it again.
   bool adaptive = false;
-  double backoff_step = 0.5;
-  int max_backoff_level = 4;
 };
+
+/// Adaptive S-RTO: each stretch level lengthens the probe timer by this
+/// fraction of probe_rtt_mult * SRTT, up to kSrtoMaxBackoffLevel levels.
+inline constexpr double kSrtoBackoffStep = 0.5;
+inline constexpr int kSrtoMaxBackoffLevel = 4;
+
+/// Fast-retransmit threshold at connection start (2.6.32's
+/// sysctl_tcp_reordering). Each DSACK that proves a fast retransmit
+/// spurious raises it by one ("adjusted to the largest number of reordered
+/// packets", §3.1), up to kMaxDupthres.
+inline constexpr std::uint32_t kInitialDupthres = 3;
+inline constexpr std::uint32_t kMaxDupthres = 10;
+
+/// TLP probe timeout floor, and the worst-case delayed-ACK allowance added
+/// when exactly one packet is in flight (the TLP draft's WCDelAckT).
+inline constexpr Duration kTlpMinPto = Duration::millis(10);
+inline constexpr Duration kTlpDelackAllowance = Duration::millis(200);
+
+/// Shortest gap between paced transmissions.
+inline constexpr Duration kPacingMinGap = Duration::micros(100);
 
 struct SenderConfig {
   std::uint32_t mss = 1448;
   std::uint32_t init_cwnd = 3;  // 2.6.32 initial window
-  RtoConfig rto;
-  std::uint32_t dupthres = 3;
-  /// Raise dupthres when DSACKs reveal spurious fast retransmits
-  /// ("adjusted to the largest number of reordered packets", §3.1).
-  bool adapt_dupthres = true;
-  std::uint32_t max_dupthres = 10;
-  bool limited_transmit = true;
   bool early_retransmit = false;
   /// FACK loss detection (Mathis & Mahdavi, cited as [13]): mark loss from
   /// the forward-most SACK instead of counting SACKed segments. Handles
@@ -62,10 +73,6 @@ struct SenderConfig {
   bool fack = false;
   RecoveryMechanism recovery = RecoveryMechanism::kNative;
   SrtoConfig srto;
-  /// TLP probe timeout floor and the worst-case delayed-ACK allowance used
-  /// when exactly one packet is in flight.
-  Duration tlp_min_pto = Duration::millis(10);
-  Duration tlp_delack_allowance = Duration::millis(200);
   CcAlgo cc = CcAlgo::kReno;
 
   /// Pace new-data transmissions across the RTT (one segment every
@@ -73,7 +80,6 @@ struct SenderConfig {
   /// suggests for continuous-loss stalls ("spacing out the transmission of
   /// packets in a window across one RTT", citing TCP pacing).
   bool pacing = false;
-  Duration pacing_min_gap = Duration::micros(100);
 
   /// F-RTO-style undo: when a DSACK proves the timeout retransmission was
   /// spurious (the original arrived), restore cwnd/ssthresh and return to
@@ -200,7 +206,7 @@ class TcpSender {
   CaState state_ = CaState::kOpen;
   std::uint32_t cwnd_ = 0;
   std::uint32_t ssthresh_ = 0x7fffffff;
-  std::uint32_t dupthres_ = 3;
+  std::uint32_t dupthres_ = kInitialDupthres;
   std::uint32_t dupacks_ = 0;
   Seq32 high_seq_;                   // recovery/loss exit point
   std::uint32_t prr_ack_counter_ = 0;

@@ -2,7 +2,6 @@
 
 #include <cctype>
 #include <cstdio>
-#include <cstdlib>
 #include <utility>
 
 #include "util/env.h"
@@ -147,10 +146,9 @@ class Parser {
     }
     if (pos_ == start) return fail("expected a value");
     const std::string tok = text_.substr(start, pos_ - start);
-    char* end = nullptr;
-    const double d = std::strtod(tok.c_str(), &end);
-    if (end != tok.c_str() + tok.size()) return fail("bad number '" + tok + "'");
-    return Json::make_number(d);
+    const auto d = util::parse_double(tok);
+    if (!d) return fail("bad number '" + tok + "'");
+    return Json::make_number(*d);
   }
 
   std::optional<std::string> string() {

@@ -108,11 +108,6 @@ void Tracer::set_enabled(bool on) {
   enabled_.store(on, std::memory_order_relaxed);
 }
 
-void Tracer::set_shard_capacity(std::size_t events) {
-  util::MutexLock lock(mu_);
-  capacity_ = std::max<std::size_t>(events, 16);
-}
-
 bool Tracer::should_record(EventKind kind) const {
   if (!enabled()) return false;
   if (!(category_of(kind) & categories())) return false;
@@ -126,8 +121,7 @@ Tracer::Shard* Tracer::shard_for_this_thread() {
   }
   util::MutexLock lock(mu_);
   auto shard = std::make_unique<Shard>();
-  shard->cap = capacity_;
-  shard->ring.reserve(capacity_);
+  shard->ring.reserve(kShardCapacity);
   Shard* raw = shard.get();
   shards_.push_back(std::move(shard));
   t_shard_cache = {raw, epoch};
@@ -144,13 +138,12 @@ void Tracer::record(EventKind kind, std::int64_t ts_us, std::uint64_t a,
   ev.a = a;
   ev.b = b;
   ev.kind = kind;
-  const std::size_t cap = shard->cap;
-  if (shard->ring.size() < cap) {
+  if (shard->ring.size() < kShardCapacity) {
     shard->ring.push_back(ev);
   } else {
     shard->ring[shard->head] = ev;  // wrap: overwrite the oldest
   }
-  shard->head = (shard->head + 1) % cap;
+  shard->head = (shard->head + 1) % kShardCapacity;
   ++shard->recorded;
 }
 

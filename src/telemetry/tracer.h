@@ -33,6 +33,9 @@ namespace tapo::telemetry {
 
 class Tracer {
  public:
+  /// Ring capacity of every shard, in events.
+  static constexpr std::size_t kShardCapacity = 1 << 16;
+
   static Tracer& instance();
 
   void set_enabled(bool on);
@@ -47,9 +50,6 @@ class Tracer {
   /// (1 = every flow, the default; 0 behaves as 1).
   void set_sample_every(std::uint64_t n) { sample_every_.store(n ? n : 1, std::memory_order_relaxed); }
   std::uint64_t sample_every() const { return sample_every_.load(std::memory_order_relaxed); }
-
-  /// Ring capacity (events) for shards created after the call.
-  void set_shard_capacity(std::size_t events) TAPO_EXCLUDES(mu_);
 
   /// True when an event of `kind` would be recorded on this thread right
   /// now (enabled + category on + current flow sampled).
@@ -76,15 +76,15 @@ class Tracer {
   /// One JSON object per line, one line per event.
   void export_jsonl(std::ostream& os) const TAPO_EXCLUDES(mu_);
 
-  /// Drops all buffered events, run labels, and drop counts. Shards are
-  /// recycled, not freed, so recording threads re-register lazily.
+  /// Drops all buffered events, run labels, and drop counts. The shards
+  /// are freed: reset() bumps the epoch, so each recording thread drops its
+  /// cached shard pointer and registers a fresh shard on its next event.
   void reset() TAPO_EXCLUDES(mu_);
 
  private:
   struct Shard {
-    std::vector<TraceEvent> ring;
-    std::size_t cap = 0;         // fixed at creation; ring wraps at cap
-    std::size_t head = 0;        // next write position
+    std::vector<TraceEvent> ring;  // wraps at kShardCapacity
+    std::size_t head = 0;          // next write position
     std::uint64_t recorded = 0;  // monotone; recorded - size() = dropped
   };
 
@@ -106,7 +106,6 @@ class Tracer {
   mutable util::Mutex mu_;
   std::vector<std::unique_ptr<Shard>> shards_ TAPO_GUARDED_BY(mu_);
   std::vector<std::string> run_labels_ TAPO_GUARDED_BY(mu_);  // run id - 1
-  std::size_t capacity_ TAPO_GUARDED_BY(mu_) = 1 << 16;
 };
 
 /// RAII marker: events recorded by this thread while the scope is alive are

@@ -1,25 +1,23 @@
 #include "util/env.h"
 
 #include <cctype>
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <limits>
+#include <system_error>
 
 #include "util/logging.h"
 
 namespace tapo::util {
 
 std::optional<std::size_t> parse_positive_size(const std::string& text) {
-  if (text.empty()) return std::nullopt;
-  std::size_t value = 0;
-  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
-  for (const char c : text) {
-    if (!std::isdigit(static_cast<unsigned char>(c))) return std::nullopt;
-    const std::size_t digit = static_cast<std::size_t>(c - '0');
-    if (value > (kMax - digit) / 10) return std::nullopt;  // overflow
-    value = value * 10 + digit;
+  const auto value = parse_u64(text);
+  if (!value || *value == 0 ||
+      *value > std::numeric_limits<std::size_t>::max()) {
+    return std::nullopt;
   }
-  if (value == 0) return std::nullopt;
-  return value;
+  return static_cast<std::size_t>(*value);
 }
 
 std::size_t env_positive_size(const char* name, std::size_t dflt) {
@@ -40,6 +38,16 @@ std::optional<std::uint64_t> parse_u64(const std::string& text) {
     const std::uint64_t digit = static_cast<std::uint64_t>(c - '0');
     if (value > (kMax - digit) / 10) return std::nullopt;  // overflow
     value = value * 10 + digit;
+  }
+  return value;
+}
+
+std::optional<double> parse_double(const std::string& text) {
+  double value = 0.0;
+  const char* const end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || !std::isfinite(value)) {
+    return std::nullopt;
   }
   return value;
 }

@@ -25,6 +25,12 @@ std::size_t env_positive_size(const char* name, std::size_t dflt);
 /// and overflow.
 std::optional<std::uint64_t> parse_u64(const std::string& text);
 
+/// Strict parse of a finite decimal floating-point number ("2", "-0.5",
+/// "1e-3"). Rejects empty strings, leading whitespace or '+', trailing
+/// junk, "inf" and "nan", and literals outside double's range instead of
+/// rounding them to infinity or zero.
+std::optional<double> parse_double(const std::string& text);
+
 /// Strict parse of 1-4 hexadecimal digits (no 0x prefix, either case).
 /// Rejects empty strings, longer inputs, and any non-hex character.
 std::optional<std::uint16_t> parse_hex_u16(const std::string& text);

@@ -57,11 +57,6 @@ ExperimentConfig& ExperimentConfig::with_analyzer(analysis::AnalyzerConfig a) {
   return *this;
 }
 
-ExperimentConfig& ExperimentConfig::with_capture(TraceCapture c) {
-  capture = c;
-  return *this;
-}
-
 ExperimentConfig& ExperimentConfig::with_impairments(
     const sim::CaptureImpairments& imp) {
   imp.validate();
@@ -180,7 +175,7 @@ FlowOutcome run_flow(const FlowScenario& scenario, Rng link_rng,
 
 ExperimentResult run_experiment(const ExperimentConfig& config,
                                 std::size_t threads) {
-  ParallelRunner runner(config, RunOptions{.threads = threads, .progress = {}});
+  ParallelRunner runner(config, RunOptions{.threads = threads});
   CollectingSink sink;
   runner.run(sink);
   return sink.take();

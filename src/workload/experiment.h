@@ -71,12 +71,10 @@ struct ExperimentConfig {
   Duration max_flow_time = Duration::seconds(600.0);
   bool analyze = true;
   analysis::AnalyzerConfig analyzer;
-  /// Keep each flow's packet capture in its FlowOutcome (independent of
-  /// `analyze`, which captures internally but discards after analysis).
-  TraceCapture capture = TraceCapture::kNone;
   /// Capture-realism impairments (sim::apply_impairments) applied to each
-  /// flow's server-NIC trace before analysis and before it is stored in
-  /// the outcome. Default-off: everything downstream sees the pristine
+  /// flow's server-NIC trace before analysis. The runner captures only to
+  /// analyze and drops each trace after analysis, so a FlowResult never
+  /// carries one. Default-off: everything downstream sees the pristine
   /// tap, bit-identically. The per-flow channel seed is
   /// impairments.seed ^ the flow's derived seed, so parallel runs stay
   /// deterministic and bit-identical to serial.
@@ -102,7 +100,6 @@ struct ExperimentConfig {
   ExperimentConfig& with_max_flow_time(Duration d);  // throws on d <= 0
   ExperimentConfig& with_analysis(bool on);
   ExperimentConfig& with_analyzer(analysis::AnalyzerConfig a);
-  ExperimentConfig& with_capture(TraceCapture c);
   ExperimentConfig& with_impairments(const sim::CaptureImpairments& imp);
   ExperimentConfig& with_chaos(const sim::ChaosConfig& c);  // validates
   ExperimentConfig& with_delivery_check(bool on);

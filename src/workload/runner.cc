@@ -51,8 +51,6 @@ RunStats ParallelRunner::run(FlowSink& sink) {
 
   const std::vector<std::uint64_t> seeds = derive_flow_seeds(config_.seed, flows);
   const analysis::Analyzer analyzer(config_.analyzer);
-  const bool keep_trace = config_.capture == TraceCapture::kServerNic;
-  const bool need_capture = config_.analyze || keep_trace;
 
   std::vector<PhaseAccum> phase(threads);
 
@@ -69,9 +67,9 @@ RunStats ParallelRunner::run(FlowSink& sink) {
   std::map<std::size_t, FlowResult> pending;
   std::size_t next_to_emit = 0;
   const std::size_t window = 8 * threads;
-  // Guards the sink/progress serialization contract (runner.h): consume()
-  // and progress() run strictly one-at-a-time under merge_mu. The assert
-  // makes a future locking regression fail loudly in debug/TSan builds.
+  // Guards the sink serialization contract (runner.h): consume() runs
+  // strictly one-at-a-time under merge_mu. The assert makes a future
+  // locking regression fail loudly in debug/TSan builds.
   std::atomic<int> merge_entrants{0};
 
   // One run = one Chrome-trace process; flows become its threads.
@@ -108,7 +106,8 @@ RunStats ParallelRunner::run(FlowSink& sink) {
     guards.flow_id = (run_id << 32) | i;
     FlowOutcome outcome = run_flow(
         scenario, flow_rng.split(), config_.max_flow_time,
-        need_capture ? TraceCapture::kServerNic : TraceCapture::kNone, guards);
+        config_.analyze ? TraceCapture::kServerNic : TraceCapture::kNone,
+        guards);
     if (config_.impairments.enabled() && outcome.trace) {
       // Degrade the pristine tap before anything downstream sees it, with
       // a per-flow channel seed so parallel stays bit-identical to serial.
@@ -125,7 +124,7 @@ RunStats ParallelRunner::run(FlowSink& sink) {
       result.analyses = analyzer.analyze(*outcome.trace).flows;
     }
     const auto t3 = Clock::now();
-    if (!keep_trace) outcome.trace.reset();
+    outcome.trace.reset();
     result.outcome = std::move(outcome);
 
     acc.generate += seconds_between(t0, t1);
@@ -139,7 +138,7 @@ RunStats ParallelRunner::run(FlowSink& sink) {
 
     util::MutexLock lock(merge_mu);
     const int entrants = merge_entrants.fetch_add(1, std::memory_order_acq_rel);
-    assert(entrants == 0 && "FlowSink/progress serialization violated");
+    assert(entrants == 0 && "FlowSink serialization violated");
     (void)entrants;
     pending.emplace(i, std::move(result));
     bool advanced = false;
@@ -148,7 +147,6 @@ RunStats ParallelRunner::run(FlowSink& sink) {
       pending.erase(pending.begin());
       ++next_to_emit;
       advanced = true;
-      if (options_.progress) options_.progress(next_to_emit, flows);
     }
     merge_entrants.fetch_sub(1, std::memory_order_acq_rel);
     if (advanced && threads > 1) window_cv.notify_all();

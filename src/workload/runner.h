@@ -16,16 +16,14 @@
 //
 // Sink contract: FlowSink::consume is invoked exactly once per flow, in
 // ascending index order, from one thread at a time (under the runner's
-// merge lock) — sinks need no internal synchronization. The progress
-// callback runs in the same critical section, so it shares the guarantee.
-// Debug builds assert the mutual exclusion (run() keeps an entrant count
-// around the merge section), and the TSan suite exercises a sink and a
-// progress callback that mutate unsynchronized state from an 8-thread run.
+// merge lock) — sinks need no internal synchronization. Debug builds
+// assert the mutual exclusion (run() keeps an entrant count around the
+// merge section), and the TSan suite exercises a sink that mutates
+// unsynchronized state from an 8-thread run.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "stats/cdf.h"
@@ -46,9 +44,6 @@ struct RunOptions {
   /// Worker threads: 1 = serial in the calling thread (no pool), 0 = all
   /// hardware threads. Clamped to the flow count.
   std::size_t threads = 1;
-  /// Invoked after each flow is handed to the sink, with (done, total).
-  /// Same serialization guarantee as the sink.
-  std::function<void(std::size_t done, std::size_t total)> progress;
 };
 
 class ParallelRunner {

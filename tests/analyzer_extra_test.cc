@@ -81,46 +81,6 @@ TEST(AnalyzerExtra, ResponseBoundariesFromMultipleRequests) {
   EXPECT_TRUE(tail_found);
 }
 
-TEST(AnalyzerExtra, InflightSamplingCanBeDisabled) {
-  FlowBuilder b;
-  b.handshake();
-  b.request(0.1);
-  b.data(0.15, 0);
-  b.ack(0.25, FlowBuilder::seg(1));
-  AnalyzerConfig cfg;
-  cfg.sample_inflight_on_ack = false;
-  const auto fa = b.analyze(cfg);
-  EXPECT_TRUE(fa.inflight_on_ack.empty());
-  AnalyzerConfig on;
-  EXPECT_FALSE(b.analyze(on).inflight_on_ack.empty());
-}
-
-TEST(AnalyzerExtra, RtoFractionConfigurable) {
-  // A retransmission after 0.6*RTO: timeout under a lax fraction, fast
-  // retransmit (-> packet delay stall) under the default 0.9.
-  FlowBuilder b;
-  b.handshake();
-  b.request(0.1);
-  b.data(0.15, 0);
-  b.data(0.15, 1);
-  b.data(0.15, 2);
-  b.ack(0.25, FlowBuilder::seg(2));
-  // RTO estimate ~300 ms; retransmit the tail 210 ms after last activity
-  // (260 ms after the segment's transmission: ~0.85*RTO).
-  b.data(0.46, 2);
-  b.ack(0.56, FlowBuilder::seg(3));
-  AnalyzerConfig lax;
-  lax.rto_fraction = 0.5;
-  const auto fa_lax = b.analyze(lax);
-  ASSERT_EQ(fa_lax.stalls.size(), 1u);
-  EXPECT_EQ(fa_lax.stalls[0].cause, StallCause::kRetransmission);
-  AnalyzerConfig strict;
-  strict.rto_fraction = 1.5;
-  const auto fa_strict = b.analyze(strict);
-  ASSERT_EQ(fa_strict.stalls.size(), 1u);
-  EXPECT_EQ(fa_strict.stalls[0].cause, StallCause::kPacketDelay);
-}
-
 TEST(AnalyzerExtra, SpeedExcludesStalledTime) {
   FlowBuilder b;
   b.handshake();

@@ -498,8 +498,8 @@ TEST(AnalyzerEq1, BlockStraddlingSndUnaAndOverlappingBlocks) {
   EXPECT_EQ(fa.timeout_retrans, 4u);
 }
 
-/// Eight segments; SACKs arrive for 2, then 2+4, 2+4-5, 2+4-6, 2+4-7.
-FlowAnalysis analyze_rising_sacks(std::uint32_t dupthres) {
+TEST(AnalyzerEq1, LostBySackHonoursDupthres) {
+  // Eight segments; SACKs arrive for 2, then 2+4, 2+4-5, 2+4-6, 2+4-7.
   FlowBuilder b;
   b.handshake();
   b.request(0.1);
@@ -509,18 +509,9 @@ FlowAnalysis analyze_rising_sacks(std::uint32_t dupthres) {
     b.ack(0.25 + 0.01 * (top - 4), 0, {{2, 3}, {4, top}});
   }
   b.ack(0.4, 8);
-  return b.analyze(AnalyzerConfig{}.with_dupthres(dupthres));
-}
-
-TEST(AnalyzerEq1, LostBySackHonoursDupthres) {
-  // dupthres 1: everything below any SACKed segment is lost at once.
-  EXPECT_EQ(analyze_rising_sacks(1).inflight_on_ack,
-            (Samples{0, 0, 5, 3, 2, 1, 0, 0}));
-  EXPECT_EQ(analyze_rising_sacks(3).inflight_on_ack,
-            (Samples{0, 0, 7, 6, 3, 1, 0, 0}));
-  // dupthres 5: 0 and 1 are lost only once five segments above are SACKed.
-  EXPECT_EQ(analyze_rising_sacks(5).inflight_on_ack,
-            (Samples{0, 0, 7, 6, 5, 4, 1, 0}));
+  // dupthres is 3: segments 0 and 1 stay in flight until three segments
+  // above them are SACKed (2, 4, 5), and segment 3 until 4, 5 and 6 are.
+  EXPECT_EQ(b.analyze().inflight_on_ack, (Samples{0, 0, 7, 6, 3, 1, 0, 0}));
 }
 
 TEST(AnalyzerEq1, SacksDuringLossAreMarkedAfterLeavingLoss) {

@@ -334,9 +334,6 @@ TEST(CaptureRealism, DegradedFlowsCarryCaptureQuality) {
 TEST(ConfigBuilders, AnalyzerConfigValidates) {
   analysis::AnalyzerConfig a;
   EXPECT_THROW(a.with_tau(0.0), std::invalid_argument);
-  EXPECT_THROW(a.with_dupthres(0), std::invalid_argument);
-  EXPECT_THROW(a.with_small_inflight(0), std::invalid_argument);
-  EXPECT_THROW(a.with_rto_fraction(0.0), std::invalid_argument);
   EXPECT_THROW(a.with_dup_window(Duration::micros(-1)),
                std::invalid_argument);
   EXPECT_THROW(a.with_ts_quantum(Duration::micros(-1)),
@@ -344,27 +341,18 @@ TEST(ConfigBuilders, AnalyzerConfigValidates) {
 
   const auto ok = analysis::AnalyzerConfig{}
                       .with_tau(1.5)
-                      .with_dupthres(2)
                       .with_dup_window(Duration::micros(5))
                       .with_ts_quantum(Duration::micros(10));
   EXPECT_NO_THROW(ok.validate());
-  EXPECT_TRUE(ok.suppress_capture_dups);
+  EXPECT_EQ(ok.dup_window, Duration::micros(5));
 
   // Aggregate init keeps working and the Analyzer ctor validates.
   analysis::AnalyzerConfig bad;
   bad.tau = -1.0;
   EXPECT_THROW(analysis::Analyzer{bad}, std::invalid_argument);
-}
-
-TEST(ConfigBuilders, DemuxOptionsValidates) {
-  analysis::DemuxOptions d;
-  EXPECT_THROW(d.with_min_packets(0), std::invalid_argument);
-  EXPECT_NO_THROW(d.with_server_port(8080).with_min_packets(2).validate());
-
-  analysis::DemuxOptions bad;
-  bad.min_packets = 0;
-  net::PacketTrace trace;
-  EXPECT_THROW(analysis::demux_flow_views(trace, bad), std::invalid_argument);
+  analysis::AnalyzerConfig bad_window;
+  bad_window.dup_window = Duration::micros(-1);
+  EXPECT_THROW(analysis::Analyzer{bad_window}, std::invalid_argument);
 }
 
 TEST(ConfigBuilders, LiveConfigValidates) {
@@ -466,9 +454,7 @@ TEST(PcapSnaplen, TruncatedOptionsSurviveRoundTripAndAnalysis) {
   EXPECT_EQ(back[1].payload_len, 1448u);
 
   // The analyzer consumes the degraded capture and reports the truncation.
-  const auto result =
-      analysis::Analyzer{}.analyze(back, analysis::DemuxOptions{}
-                                             .with_min_packets(1));
+  const auto result = analysis::Analyzer{}.analyze(back);
   ASSERT_EQ(result.flows.size(), 1u);
   EXPECT_EQ(result.flows[0].capture.truncated_packets, 2u);
   EXPECT_LT(result.flows[0].capture.confidence, 1.0);

@@ -254,7 +254,7 @@ TEST(FleetRecordSink, RunnerActsAsOneServerShard) {
                   RecordSinkConfig{}
                       .with_shard_id(3)
                       .with_service(2)
-                      .with_flow_spacing(Duration::millis(250)));
+                      .with_base_time_us(1'000'000));
   workload::ParallelRunner runner(cfg);
   runner.run(sink);
 
@@ -269,7 +269,8 @@ TEST(FleetRecordSink, RunnerActsAsOneServerShard) {
     EXPECT_EQ(r.shard_id, 3u);
     EXPECT_EQ(r.service, 2u);
     EXPECT_EQ(r.flow_index, i);
-    EXPECT_EQ(r.start_us, static_cast<std::int64_t>(i) * 250'000);
+    EXPECT_EQ(r.start_us,
+              1'000'000 + static_cast<std::int64_t>(i) * kFlowSpacing.us());
     EXPECT_GT(r.packets, 0u);
     EXPECT_GT(r.transmission_us, 0);
   }
@@ -290,11 +291,6 @@ TEST(FleetRecordSink, EmissionIsDeterministicAcrossRuns) {
     return os.str();
   };
   EXPECT_EQ(emit(), emit());
-}
-
-TEST(FleetRecordSink, NegativeSpacingThrows) {
-  EXPECT_THROW(RecordSinkConfig{}.with_flow_spacing(Duration::micros(-1)),
-               std::invalid_argument);
 }
 
 }  // namespace

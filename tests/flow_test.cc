@@ -130,17 +130,6 @@ TEST(Demux, InitRwndFallsBackToSynWindow) {
   EXPECT_EQ(flows[0].init_rwnd_bytes, 4096u);
 }
 
-TEST(Demux, MinPacketsFilters) {
-  net::PacketTrace trace;
-  trace.add(pkt(1, 10, 20, 1111, 80, 100));  // singleton flow
-  trace.add(pkt(2, 11, 20, 2222, 80, 100));
-  trace.add(pkt(3, 20, 11, 80, 2222, 100));
-  DemuxOptions opts;
-  opts.min_packets = 2;
-  const auto flows = demux_flow_views(trace, opts);
-  EXPECT_EQ(flows.size(), 1u);
-}
-
 TEST(Demux, PayloadByteCounters) {
   net::PacketTrace trace;
   trace.add(pkt(1, 10, 20, 1111, 80, 100));

@@ -127,27 +127,6 @@ TEST(Receiver, DsackOnDuplicateOooSegment) {
   EXPECT_EQ(h.rcv->dsacks_sent(), 1u);
 }
 
-TEST(Receiver, DsackDisabledStillAcksDuplicates) {
-  auto cfg = test_config();
-  cfg.dsack_enabled = false;
-  Harness h(cfg);
-  h.data(0);
-  h.data(1);
-  h.data(0);
-  ASSERT_EQ(h.acks.size(), 2u);
-  EXPECT_TRUE(h.acks[1].sack_blocks.empty());
-}
-
-TEST(Receiver, SackDisabledOmitsBlocks) {
-  auto cfg = test_config();
-  cfg.sack_enabled = false;
-  Harness h(cfg);
-  h.data(0);
-  h.data(2);
-  ASSERT_EQ(h.acks.size(), 1u);
-  EXPECT_TRUE(h.acks[0].sack_blocks.empty());
-}
-
 TEST(Receiver, WindowShrinksWithUnreadData) {
   auto cfg = test_config();
   cfg.app_read_Bps = 1;  // effectively frozen reader

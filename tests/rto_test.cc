@@ -19,7 +19,7 @@ TEST(Rto, FirstSampleSetsSrttAndVar) {
   EXPECT_TRUE(e.has_sample());
   EXPECT_EQ(e.srtt(), Duration::millis(100));
   EXPECT_EQ(e.rttvar(), Duration::millis(50));
-  // RTO = srtt + max(4*rttvar, min_rto) = 100 + 200 = 300ms.
+  // RTO = srtt + max(4*rttvar, kMinRto) = 100 + 200 = 300ms.
   EXPECT_EQ(e.rto(), Duration::millis(300));
 }
 
@@ -27,7 +27,7 @@ TEST(Rto, LinuxFloorDominatesSmallVariance) {
   RtoEstimator e;
   // Feed identical samples until rttvar decays.
   for (int i = 0; i < 100; ++i) e.sample(Duration::millis(100));
-  // rttvar -> ~0, so RTO -> srtt + min_rto = 300ms.
+  // rttvar -> ~0, so RTO -> srtt + kMinRto = 300ms.
   EXPECT_EQ(e.srtt(), Duration::millis(100));
   EXPECT_LT(e.rttvar(), Duration::millis(5));
   EXPECT_EQ(e.rto(), Duration::millis(300));
@@ -83,19 +83,6 @@ TEST(Rto, MaxClamp) {
   e.sample(Duration::millis(500));
   for (int i = 0; i < 20; ++i) e.backoff();
   EXPECT_EQ(e.rto(), Duration::seconds(120.0));
-}
-
-TEST(Rto, CustomConfig) {
-  RtoConfig cfg;
-  cfg.initial_rto = Duration::seconds(1.0);
-  cfg.min_rto = Duration::millis(50);
-  cfg.max_rto = Duration::seconds(10.0);
-  RtoEstimator e(cfg);
-  EXPECT_EQ(e.rto(), Duration::seconds(1.0));
-  for (int i = 0; i < 100; ++i) e.sample(Duration::millis(20));
-  EXPECT_EQ(e.rto(), Duration::millis(70));  // srtt 20 + floor 50
-  for (int i = 0; i < 20; ++i) e.backoff();
-  EXPECT_EQ(e.rto(), Duration::seconds(10.0));
 }
 
 TEST(Rto, ZeroSampleClamped) {

@@ -112,25 +112,12 @@ TEST(ParallelRunner, SinkSeesFlowsInIndexOrder) {
   EXPECT_LE(stats.worker_utilization, 1.0);
 }
 
-TEST(ParallelRunner, ProgressCallbackCountsEveryFlow) {
-  const auto cfg = small_config(web_search_profile(), 12);
-  std::vector<std::size_t> done;
-  RunOptions options;
-  options.threads = 3;
-  options.progress = [&](std::size_t d, std::size_t total) {
-    EXPECT_EQ(total, 12u);
-    done.push_back(d);
-  };
-  CollectingSink sink;
-  ParallelRunner(cfg, options).run(sink);
-  ASSERT_EQ(done.size(), 12u);
-  for (std::size_t i = 0; i < done.size(); ++i) EXPECT_EQ(done[i], i + 1);
-}
-
 TEST(ParallelRunner, BreakdownSinkMatchesBufferedAggregation) {
   const auto cfg = small_config(software_download_profile(), 16, 5);
   const auto buffered = run_experiment(cfg);
   const auto ref = analysis::make_stall_breakdown(buffered.analyses);
+  // The runner captures only to analyze: no outcome keeps its trace.
+  for (const auto& o : buffered.outcomes) EXPECT_FALSE(o.trace.has_value());
 
   BreakdownSink sink;
   RunOptions options;
@@ -151,35 +138,27 @@ TEST(ParallelRunner, BreakdownSinkMatchesBufferedAggregation) {
   EXPECT_EQ(sink.retrans().f_double_time, rref.f_double_time);
 }
 
-// The serialization contract (runner.h): consume() and the progress
-// callback run one-at-a-time under the merge lock, so plain unsynchronized
-// state is safe to mutate from either. The counters below are deliberately
-// non-atomic; the TSan build's runner_parallel_tsan entry runs this test
-// under ThreadSanitizer, which would flag any unlocked concurrent access.
-TEST(ParallelRunner, ProgressCallbackSerializedWithSink) {
+// The serialization contract (runner.h): consume() runs one-at-a-time
+// under the merge lock, so plain unsynchronized state is safe to mutate
+// from it. The counters below are deliberately non-atomic; the sanitizer
+// jobs run every test under ThreadSanitizer too, which would flag any
+// unlocked concurrent access.
+TEST(ParallelRunner, SinkSerializedAcrossEightThreads) {
   const auto cfg = small_config(web_search_profile(), 32, 11);
   struct PlainSink : FlowSink {
     std::uint64_t consumed = 0;        // unsynchronized on purpose
     std::uint64_t packets = 0;
     void consume(FlowResult&& r) override {
+      EXPECT_EQ(r.index, consumed);  // strictly sequential, never reordered
       ++consumed;
       packets += r.packets;
     }
   };
   PlainSink sink;
-  std::uint64_t progress_calls = 0;    // unsynchronized on purpose
-  std::size_t last_done = 0;
   RunOptions options;
   options.threads = 8;
-  options.progress = [&](std::size_t done, std::size_t) {
-    ++progress_calls;
-    EXPECT_EQ(done, last_done + 1);  // strictly sequential, never reordered
-    last_done = done;
-  };
   ParallelRunner(cfg, options).run(sink);
   EXPECT_EQ(sink.consumed, 32u);
-  EXPECT_EQ(progress_calls, 32u);
-  EXPECT_EQ(last_done, 32u);
   EXPECT_GT(sink.packets, 0u);
 }
 
@@ -227,27 +206,6 @@ TEST(ParallelRunner, DeriveFlowSeedsIsPureAndMatchesMasterSplits) {
   for (std::size_t i = 0; i < 5; ++i) EXPECT_EQ(master.split_seed(), a[i]);
 }
 
-TEST(ParallelRunner, TraceCaptureReturnsOwnedTraces) {
-  auto cfg = small_config(web_search_profile(), 4);
-  cfg.capture = TraceCapture::kServerNic;
-  const auto res = run_experiment(cfg, 2);
-  ASSERT_EQ(res.outcomes.size(), 4u);
-  std::uint64_t packets = 0;
-  for (const auto& o : res.outcomes) {
-    ASSERT_TRUE(o.trace.has_value());
-    EXPECT_GT(o.trace->size(), 0u);
-    packets += o.trace->size();
-  }
-  EXPECT_EQ(packets, res.total_packets);
-
-  // Default: no traces retained, analysis still runs.
-  cfg.capture = TraceCapture::kNone;
-  const auto lean = run_experiment(cfg, 2);
-  for (const auto& o : lean.outcomes) EXPECT_FALSE(o.trace.has_value());
-  EXPECT_EQ(lean.analyses.size(), 4u);
-  EXPECT_EQ(lean.total_packets, res.total_packets);
-}
-
 TEST(ParallelRunner, RunFlowCaptureMatchesAnalyzePath) {
   const auto profile = web_search_profile();
   Rng rng(3);
@@ -291,7 +249,6 @@ TEST(ExperimentConfigValidation, FluentChainBuildsValidConfig) {
                        .with_seed(123)
                        .with_recovery(tcp::RecoveryMechanism::kSrto)
                        .with_analysis(false)
-                       .with_capture(TraceCapture::kServerNic)
                        .with_max_flow_time(Duration::seconds(30.0));
   EXPECT_NO_THROW(cfg.validate());
   EXPECT_EQ(cfg.flows, 7u);
@@ -299,7 +256,6 @@ TEST(ExperimentConfigValidation, FluentChainBuildsValidConfig) {
   ASSERT_TRUE(cfg.recovery.has_value());
   EXPECT_EQ(*cfg.recovery, tcp::RecoveryMechanism::kSrto);
   EXPECT_FALSE(cfg.analyze);
-  EXPECT_EQ(cfg.capture, TraceCapture::kServerNic);
   const auto res = run_experiment(cfg, 2);
   EXPECT_EQ(res.outcomes.size(), 7u);
   EXPECT_TRUE(res.analyses.empty());

@@ -81,7 +81,6 @@ TEST(EarlyRetransmit, DisabledWaitsForRto) {
 TEST(EarlyRetransmit, InactiveWhenNewDataPending) {
   SenderConfig cfg = base_config();
   cfg.early_retransmit = true;
-  cfg.limited_transmit = false;  // keep the window composition fixed
   Harness h(cfg);
   h.sender->app_write(10 * kMss);  // plenty of new data
   h.advance(Duration::millis(10));
@@ -93,9 +92,7 @@ TEST(EarlyRetransmit, InactiveWhenNewDataPending) {
 // ---- Reordering / dupthres adaptation ----
 
 TEST(Reordering, DupthresStopsRepeatedSpuriousRetransmits) {
-  SenderConfig cfg = base_config();
-  cfg.adapt_dupthres = true;
-  Harness h(cfg);
+  Harness h(base_config());
   h.sender->app_write(30 * kMss);
   h.advance(Duration::millis(10));
   // Reordering episode: 3 sacked dupacks -> spurious fast retransmit.
@@ -131,15 +128,13 @@ TEST(Reordering, DupthresStopsRepeatedSpuriousRetransmits) {
 }
 
 TEST(Reordering, DupthresCapped) {
-  SenderConfig cfg = base_config();
-  cfg.adapt_dupthres = true;
-  cfg.max_dupthres = 5;
-  Harness h(cfg);
+  Harness h(base_config());
   h.sender->app_write(3 * kMss);
   for (int i = 0; i < 20; ++i) {
     h.sender->on_ack(kIsn, 1 << 20, {}, net::SackBlock{kIsn, h.seg(1)});
   }
-  EXPECT_EQ(h.sender->dupthres(), 5u);
+  EXPECT_EQ(h.sender->dupthres(), kMaxDupthres);
+  EXPECT_EQ(kMaxDupthres, 10u);
 }
 
 // ---- Persist / zero-window corner cases ----

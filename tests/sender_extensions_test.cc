@@ -4,6 +4,7 @@
 // stated future work).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -196,7 +197,6 @@ SenderConfig adaptive_srto_config() {
   cfg.recovery = RecoveryMechanism::kSrto;
   cfg.srto.t1 = 10;
   cfg.srto.adaptive = true;
-  cfg.srto.backoff_step = 0.5;
   return cfg;
 }
 
@@ -243,21 +243,33 @@ TEST(AdaptiveSrto, UsefulProbeRelaxesTimer) {
 }
 
 TEST(AdaptiveSrto, BackoffLevelCapped) {
-  SenderConfig cfg = adaptive_srto_config();
-  cfg.srto.max_backoff_level = 2;
-  Harness h(cfg);
-  for (int round = 0; round < 5; ++round) {
-    h.sender->app_write(2 * kMss);
-    // Wait long enough for any stretched probe (cap: 2*(1+1)=4*SRTT).
-    h.advance(Duration::millis(450));
-    // Everything acked; DSACK marks the probe spurious each round.
-    h.sender->on_ack(h.sender->snd_nxt(), 1 << 20, {},
-                     net::SackBlock{h.sender->snd_una() - 2 * kMss,
-                                    h.sender->snd_una() - kMss});
+  Harness h(adaptive_srto_config());
+  // SRTT ~30 ms: the base probe waits 2*SRTT, and each level adds
+  // kSrtoBackoffStep of it. Even an uncapped fifth level (7*SRTT) would
+  // stay below the RTO (SRTT + 200 ms floor), so only the cap stops the
+  // stretch.
+  for (int i = 0; i < 40; ++i) h.sender->seed_rtt(Duration::millis(30));
+  const Duration srtt = h.sender->rto_estimator().srtt();
+  h.sender->app_write(9 * kMss);
+  for (int i = 0; i < 7; ++i) {
+    SCOPED_TRACE(i);
+    const TimePoint armed = h.sim.now();
+    const auto before = h.sender->stats().srto_probes;
+    while (h.sender->stats().srto_probes == before) {
+      h.advance(Duration::millis(1));
+    }
+    const int level = std::min(i, kSrtoMaxBackoffLevel);
+    const Duration want = srtt * (2.0 * (1.0 + kSrtoBackoffStep * level));
+    EXPECT_GE(h.sim.now() - armed, want);
+    EXPECT_LT(h.sim.now() - armed, want + Duration::millis(1));
+    // The probed head arrived after all: acking just that segment with a
+    // DSACK marks the probe spurious without an RTT sample (Karn's rule).
+    h.sender->on_ack(h.seg(i + 1), 1 << 20, {},
+                     net::SackBlock{h.seg(i), h.seg(i + 1)});
+    ASSERT_EQ(h.sender->stats().srto_spurious_probes,
+              static_cast<std::uint64_t>(i + 1));
+    ASSERT_EQ(h.sender->rto_estimator().srtt(), srtt);
   }
-  // Probes kept firing every round despite repeated spurious verdicts
-  // (the cap keeps the probe below the RTO).
-  EXPECT_GE(h.sender->stats().srto_probes, 4u);
 }
 
 TEST(AdaptiveSrto, NonAdaptiveIgnoresVerdicts) {

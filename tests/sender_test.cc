@@ -281,9 +281,7 @@ TEST(Sender, FinRetransmittedOnRto) {
 }
 
 TEST(Sender, DupthresAdaptsOnDsack) {
-  SenderConfig cfg = test_config();
-  cfg.adapt_dupthres = true;
-  Harness h(cfg);
+  Harness h;
   h.sender->app_write(3 * kMss);
   EXPECT_EQ(h.sender->dupthres(), 3u);
   h.sender->on_ack(kIsn, 1 << 20, {}, net::SackBlock{kIsn, kIsn + kMss});

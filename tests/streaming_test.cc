@@ -284,29 +284,22 @@ TEST(ChunkedDemux, ViewsPointIntoRetainedChunksWithoutCopying) {
 }
 
 TEST(ChunkedDemux, AnalyzeAppliesDemuxOptionsLikeTheViewPath) {
-  // analyze() must honour server_port and min_packets exactly as
-  // demux_flow_views + analyze_flow do, over both trace shapes.
+  // analyze() must honour server_port exactly as demux_flow_views +
+  // analyze_flow do, over both trace shapes.
   const Analyzer analyzer;
   const net::PacketTrace trace =
       merged_trace(workload::web_search_profile(), /*seed=*/65, 8);
   const FlowViewSet all = demux_flow_views(trace);
   ASSERT_GT(all.size(), 2u);
-  std::vector<std::size_t> sizes;
-  for (const FlowView& v : all) sizes.push_back(v.size());
-  std::nth_element(sizes.begin(), sizes.begin() + sizes.size() / 2,
-                   sizes.end());
-  const std::size_t median = sizes[sizes.size() / 2];
   const net::FlowKey first = all[0].server_to_client;
 
   // The real server port, then the first flow's client port (which flips
-  // every flow's orientation), each with a min_packets that drops flows.
+  // every flow's orientation).
   for (const std::uint16_t port : {first.src_port, first.dst_port}) {
     SCOPED_TRACE(port);
-    const DemuxOptions opts =
-        DemuxOptions{}.with_server_port(port).with_min_packets(median);
+    const DemuxOptions opts = DemuxOptions{}.with_server_port(port);
     const FlowViewSet views = demux_flow_views(trace, opts);
-    ASSERT_GT(views.size(), 0u);
-    ASSERT_LT(views.size(), all.size());
+    ASSERT_EQ(views.size(), all.size());
     AnalysisResult expected;
     for (const FlowView& view : views) {
       expected.flows.push_back(analyzer.analyze_flow(view));

@@ -186,6 +186,23 @@ TEST(Env, ParsePositiveSizeRejectsMalformedInput) {
   EXPECT_FALSE(util::parse_positive_size("99999999999999999999999999"));
 }
 
+TEST(Env, ParseDoubleAcceptsDecimalsAndExponents) {
+  EXPECT_EQ(util::parse_double("2"), 2.0);
+  EXPECT_EQ(util::parse_double("-0.5"), -0.5);
+  EXPECT_EQ(util::parse_double("0.05"), 0.05);
+  EXPECT_EQ(util::parse_double("1e-3"), 1e-3);
+  EXPECT_EQ(util::parse_double("-3E2"), -300.0);
+  EXPECT_EQ(util::parse_double(".5"), 0.5);
+}
+
+TEST(Env, ParseDoubleRejectsMalformedOrNonFinite) {
+  for (const char* bad : {"", "2x", "x2", " 2", "2 ", "+2", "1.5.2", "1e",
+                          "0x10", "inf", "-inf", "nan", "1e400", "-1e400",
+                          "1e-400"}) {
+    EXPECT_FALSE(util::parse_double(bad)) << "'" << bad << "'";
+  }
+}
+
 TEST(Env, EnvPositiveSizeFallsBackOnBadValues) {
   ::setenv("TAPO_TEST_ENV_SIZE", "123", 1);
   EXPECT_EQ(util::env_positive_size("TAPO_TEST_ENV_SIZE", 7), 123u);

@@ -168,7 +168,7 @@ TEST(ZeroCopyProperty, ViewsSurviveSortCalledBeforeDemux) {
       prev = cp.timestamp;
     }
   }
-  // Every arena packet belongs to exactly one view (min_packets is 1).
+  // Every arena packet belongs to exactly one view.
   EXPECT_EQ(viewed, arena.size());
   EXPECT_EQ(views.pool_bytes(), arena.size() * sizeof(net::CapturedPacket*));
   // The sorted trace analyzes identically via both entry points.

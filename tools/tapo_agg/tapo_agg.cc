@@ -136,8 +136,7 @@ int run_emit(const std::vector<std::string>& args, const char* argv0) {
               .with_shard_id(shard)
               .with_service(static_cast<std::uint8_t>(svc))
               // Stagger shards so their windows interleave at merge time.
-              .with_base_time_us(static_cast<std::int64_t>(shard) * 250'000)
-              .with_flow_spacing(Duration::millis(500)));
+              .with_base_time_us(static_cast<std::int64_t>(shard) * 250'000));
       workload::ParallelRunner runner(cfg);
       runner.run(sink);
     }

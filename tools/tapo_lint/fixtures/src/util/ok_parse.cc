@@ -4,4 +4,5 @@
 
 namespace fixture {
 long primitive(const char* s) { return std::strtol(s, nullptr, 10); }
+double real_primitive(const char* s) { return std::strtod(s, nullptr); }
 }  // namespace fixture

@@ -25,11 +25,12 @@
 //                      untraced runs behave differently.
 //   pragma-once        Header files must start their preprocessor life with
 //                      #pragma once (the project's include-guard idiom).
-//   naked-parse        atoi/strtoul/std::stoul-family calls outside
-//                      src/util/. CLI/env numbers must go through the
-//                      validated util parse helpers (util::parse_u64,
+//   naked-parse        atoi/strtoul/std::stoul-family and atof/strtod/
+//                      std::stod-family calls outside src/util/. CLI/env
+//                      numbers must go through the validated util parse
+//                      helpers (util::parse_u64, util::parse_double,
 //                      util::env_positive_size, ...) so malformed input
-//                      warns instead of silently truncating to 0.
+//                      is rejected instead of silently truncating to 0.
 //   raw-struct-io      fwrite()/fread() calls, or memcpy() with a sizeof
 //                      operand (a struct image copied to/from a byte
 //                      buffer), outside src/net/ and src/fleet/. Raw struct
@@ -541,14 +542,16 @@ void rule_naked_parse(const FileAnalysis& a, std::vector<Finding>& out) {
   if (path_contains(f.path, "src/util/")) return;
   static const std::vector<std::string> kParsers = {
       "atoi", "atol", "atoll", "strtol", "strtoul", "strtoull",
-      "stoi", "stol", "stoll", "stoul", "stoull"};
+      "stoi", "stol", "stoll", "stoul", "stoull",
+      "atof", "strtod", "strtof", "stod", "stof"};
   for (std::size_t n = 0; n < f.code.size(); ++n) {
     for (const auto& p : kParsers) {
       if (word_then_paren(f.code[n], p)) {
         out.push_back({f.path, n + 1, "naked-parse",
                        p + "() accepts malformed input silently; use the "
                            "validated util parse helpers (util::parse_u64, "
-                           "util::env_positive_size, ...)"});
+                           "util::parse_double, util::env_positive_size, "
+                           "...)"});
         break;
       }
     }
