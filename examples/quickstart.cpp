@@ -18,7 +18,7 @@ using namespace tapo;
 
 namespace {
 
-double parse_non_negative(const char* s, const char* name) {
+double parse_arg(const char* s, const char* name) {
   const auto v = util::parse_double(s);
   if (!v || *v < 0) {
     std::fprintf(stderr, "error: %s must be a non-negative number, got '%s'\n",
@@ -31,10 +31,10 @@ double parse_non_negative(const char* s, const char* name) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const double loss = argc > 1 ? parse_non_negative(argv[1], "loss") : 0.03;
-  const double rtt_ms = argc > 2 ? parse_non_negative(argv[2], "rtt_ms") : 120.0;
+  const double loss = argc > 1 ? parse_arg(argv[1], "loss") : 0.03;
+  const double rtt_ms = argc > 2 ? parse_arg(argv[2], "rtt_ms") : 120.0;
   const std::uint64_t bytes =
-      argc > 3 ? static_cast<std::uint64_t>(parse_non_negative(argv[3], "bytes"))
+      argc > 3 ? static_cast<std::uint64_t>(parse_arg(argv[3], "bytes"))
                : 400 * 1024;
 
   // 1. A duplex path: data path with random loss, cleaner ACK path.

@@ -7,6 +7,17 @@
 #include "telemetry/telemetry.h"
 
 namespace tapo::tcp {
+namespace {
+
+/// TLP probe timeout floor, and the worst-case delayed-ACK allowance added
+/// when exactly one packet is in flight (the TLP draft's WCDelAckT).
+constexpr Duration kTlpMinPto = Duration::millis(10);
+constexpr Duration kTlpDelackAllowance = Duration::millis(200);
+
+/// Shortest gap between paced transmissions.
+constexpr Duration kPacingMinGap = Duration::micros(100);
+
+}  // namespace
 
 using telemetry::EventKind;
 
@@ -453,8 +464,7 @@ void TcpSender::rearm_timer_impl() {
       rto_.has_sample()) {
     double mult = config_.srto.probe_rtt_mult;
     if (config_.srto.adaptive) {
-      mult *= 1.0 + kSrtoBackoffStep *
-                        static_cast<double>(srto_backoff_level_);
+      mult *= 1.0 + kSrtoBackoffStep * static_cast<double>(srto_backoff_level_);
     }
     const Duration probe = rto_.srtt() * mult;
     if (probe < rto_.rto()) {

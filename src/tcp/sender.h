@@ -55,14 +55,6 @@ inline constexpr int kSrtoMaxBackoffLevel = 4;
 inline constexpr std::uint32_t kInitialDupthres = 3;
 inline constexpr std::uint32_t kMaxDupthres = 10;
 
-/// TLP probe timeout floor, and the worst-case delayed-ACK allowance added
-/// when exactly one packet is in flight (the TLP draft's WCDelAckT).
-inline constexpr Duration kTlpMinPto = Duration::millis(10);
-inline constexpr Duration kTlpDelackAllowance = Duration::millis(200);
-
-/// Shortest gap between paced transmissions.
-inline constexpr Duration kPacingMinGap = Duration::micros(100);
-
 struct SenderConfig {
   std::uint32_t mss = 1448;
   std::uint32_t init_cwnd = 3;  // 2.6.32 initial window

@@ -42,6 +42,11 @@
 #            Compare two commits with `run.sh compare` instead (see
 #            bench/perf_baseline/README.md)
 #
+# Not a configuration: tools/ci/compare_outputs.sh <base-ref> builds a
+# base ref beside the working tree and diffs every bench, harness and CLI
+# output between them, so a change that claims bit-identical output can
+# show it.
+#
 
 # Each configuration gets its own build tree under build-ci/ so sanitizer
 # flags never bleed between them.
