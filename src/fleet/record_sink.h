@@ -27,8 +27,8 @@ struct RecordSinkConfig {
   /// workload::Service index (see fleet::service_name); plain integer so
   /// the fleet tier does not depend on the workload layer.
   std::uint8_t service = 0;
-  /// Logical capture time of flow 0; flow i starts kFlowSpacing later
-  /// per index.
+  /// Logical capture time of flow 0; flow i starts at
+  /// base_time_us + i * kFlowSpacing.
   std::int64_t base_time_us = 0;
 
   // Fluent construction, mirroring ExperimentConfig::with_*.
