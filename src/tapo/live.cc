@@ -131,7 +131,6 @@ void LiveAnalyzer::finalize(const net::FlowKey& key) {
   // Release only after analysis: the arena was live until here.
   if (config_.mem_budget != nullptr && entry.charged_bytes != 0) {
     config_.mem_budget->release(entry.charged_bytes);
-    stats_.flow_bytes -= entry.charged_bytes;
     update_resident_gauge();
   }
 }
@@ -141,7 +140,6 @@ void LiveAnalyzer::recharge(Entry& entry) {
   const std::size_t want = entry.trace.capacity_bytes() + kFlowOverheadBytes;
   if (want > entry.charged_bytes) {
     config_.mem_budget->charge(want - entry.charged_bytes);
-    stats_.flow_bytes += want - entry.charged_bytes;
     entry.charged_bytes = want;
   }
 }
@@ -203,7 +201,6 @@ void LiveAnalyzer::add_packet(const net::CapturedPacket& pkt) {
 
   auto [it, inserted] = flows_.try_emplace(key);
   if (inserted) {
-    ++stats_.flows_started;
     lru_.push_back(key);
     it->second.lru_it = std::prev(lru_.end());
   } else {

@@ -69,7 +69,6 @@ struct LiveConfig {
 
 struct LiveStats {
   std::uint64_t packets = 0;
-  std::uint64_t flows_started = 0;
   std::uint64_t flows_finalized = 0;
   std::uint64_t flows_evicted = 0;    // table-full evictions
   std::uint64_t truncated_flows = 0;  // per-flow packet cap hit
@@ -77,9 +76,6 @@ struct LiveStats {
   std::size_t active_flows = 0;
   /// Most flows the table held at once, after each packet's evictions.
   std::size_t peak_active_flows = 0;
-  /// Bytes currently charged by this analyzer's flow table (subset of the
-  /// shared budget's resident() when other stages charge the same ledger).
-  std::size_t flow_bytes = 0;
 };
 
 class LiveAnalyzer {

@@ -103,27 +103,24 @@ const SegmentState* Scoreboard::on_retransmit(Seq32 seq, TimePoint now, bool rto
     ++retrans_out_;
   }
   s.last_sent = now;
-  if (rto) {
-    s.rto_retransmitted = true;
-  } else {
-    s.fast_retransmitted = true;
-  }
+  if (rto) s.rto_retransmitted = true;
   check();
   return &s;
 }
 
-template <class Reached>
-std::uint32_t Scoreboard::mark_lost_below(Reached reached) {
-  // Both marking rules mark a window prefix: the segments with enough
-  // SACKed segments, or SACKed bytes, above them. SACKs only lengthen it,
-  // and segments leave the window only from the front. Every segment the
-  // cursor has passed stays SACKed or lost until clear_lost_marks rewinds
-  // it, and none at or above it is lost, so each segment is visited once.
-  // When dupthres rises the prefix can end behind the cursor, which then
-  // waits.
+std::uint32_t Scoreboard::mark_lost_by_sack(std::uint32_t dupthres) {
+  // The segments with at least dupthres SACKed segments above them form a
+  // window prefix. SACKs only lengthen it, and segments leave the window
+  // only from the front. Every segment the cursor has passed stays SACKed
+  // or lost until clear_lost_marks rewinds it, and none at or above it is
+  // lost, so each segment is visited once. When dupthres rises the prefix
+  // can end behind the cursor, which then waits.
   std::uint32_t newly = 0;
-  for (; lost_cursor_ < segs_.size() && reached(lost_cursor_); ++lost_cursor_) {
-    if (segs_[lost_cursor_].sacked) {
+  for (; lost_cursor_ < segs_.size(); ++lost_cursor_) {
+    const bool sacked = segs_[lost_cursor_].sacked;
+    // The SACKed segments above this one: the tally, less itself.
+    if (sacked_from_cursor_ - (sacked ? 1 : 0) < dupthres) break;
+    if (sacked) {
       --sacked_from_cursor_;
     } else {
       set_lost(lost_cursor_);
@@ -132,31 +129,6 @@ std::uint32_t Scoreboard::mark_lost_below(Reached reached) {
   }
   check();
   return newly;
-}
-
-std::uint32_t Scoreboard::mark_lost_by_sack(std::uint32_t dupthres) {
-  return mark_lost_below([this, dupthres](std::size_t i) {
-    const std::uint32_t sacked_above =
-        sacked_from_cursor_ - (segs_[i].sacked ? 1 : 0);
-    return sacked_above >= dupthres;
-  });
-}
-
-Seq32 Scoreboard::highest_sacked() const {
-  for (auto it = segs_.rbegin(); it != segs_.rend(); ++it) {
-    if (it->sacked) return it->end;
-  }
-  return snd_una();
-}
-
-std::uint32_t Scoreboard::mark_lost_by_fack(std::uint32_t dupthres,
-                                            std::uint32_t mss) {
-  const Seq32 fack = highest_sacked();
-  const std::uint64_t margin = static_cast<std::uint64_t>(dupthres) * mss;
-  return mark_lost_below([this, fack, margin](std::size_t i) {
-    const Seq32 end = segs_[i].end;
-    return net::before(end, fack) && net::distance(end, fack) >= margin;
-  });
 }
 
 bool Scoreboard::mark_head_lost() {

@@ -40,7 +40,6 @@ struct SegmentState {
   bool lost = false;                  // marked lost (pending retransmit)
   bool retrans_pending = false;       // retransmitted, not yet acked/re-lost
   bool rto_retransmitted = false;     // ever retransmitted by the native RTO
-  bool fast_retransmitted = false;    // ever retransmitted by fast retransmit
   TimePoint first_sent;
   TimePoint last_sent;
 
@@ -88,15 +87,6 @@ class Scoreboard {
   /// `dupthres` SACKed segments lie above it. Returns newly marked count.
   std::uint32_t mark_lost_by_sack(std::uint32_t dupthres);
 
-  /// FACK-style loss marking (Mathis & Mahdavi): an unSACKed segment is
-  /// lost when the forward-most SACKed byte is at least `dupthres` *
-  /// `mss` bytes above its end — more aggressive than RFC 6675 under
-  /// multiple losses in one window. Returns newly marked count.
-  std::uint32_t mark_lost_by_fack(std::uint32_t dupthres, std::uint32_t mss);
-
-  /// Highest SACKed sequence (snd_fack); snd_una when nothing is SACKed.
-  Seq32 highest_sacked() const;
-
   /// Marks the head (first unSACKed) segment lost. Returns true if marked.
   bool mark_head_lost();
 
@@ -106,14 +96,13 @@ class Scoreboard {
 
   /// Clears the lost flag on every segment, leaving retrans_pending as it
   /// is, and rewinds the lost cursor to the head. The sender calls it
-  /// whenever it leaves Recovery or Loss for Open, and at a spurious-RTO
-  /// undo.
+  /// whenever it leaves Recovery or Loss for Open.
   void clear_lost_marks();
 
   // -- Counters (all in segments, mirroring the kernel variables).
   // Maintained incrementally so every accessor is O(1): the sender queries
-  // several per ACK, which would otherwise be quadratic per window. The
-  // loss-marking rules resume from the lost cursor (lost_cursor_) and
+  // several per ACK, which would otherwise be quadratic per window. Loss
+  // marking resumes from the lost cursor (lost_cursor_) and
   // next_lost_to_retransmit from the next-lost cursor (next_lost_). --
   std::uint32_t packets_out() const { return static_cast<std::uint32_t>(segs_.size()); }
   std::uint32_t sacked_out() const { return sacked_out_; }
@@ -145,10 +134,6 @@ class Scoreboard {
   std::size_t index_of(Seq32 seq) const;
   /// Index of the first segment starting at or after `seq`.
   std::size_t first_at_or_after(Seq32 seq) const;
-  /// Marks lost every unSACKed segment from the lost cursor up to the first
-  /// one where `reached(i)` is false, and moves the cursor there.
-  template <class Reached>
-  std::uint32_t mark_lost_below(Reached reached);
 
   void pop_front();
   void set_sacked(std::size_t i);

@@ -223,7 +223,6 @@ void TcpSender::maybe_complete_recovery() {
   }
   state_ = CaState::kOpen;
   dupacks_ = 0;
-  undo_armed_ = false;
   board_.clear_lost_marks();
 }
 
@@ -250,7 +249,6 @@ void TcpSender::on_ack(Seq32 ack, std::uint32_t rwnd_bytes,
     // or delayed rather than dropped. Grow dupthres so future reordering of
     // that extent no longer triggers fast retransmit (§3.1).
     if (dupthres_ < kMaxDupthres) ++dupthres_;
-    maybe_undo_spurious_rto(dsack);
     // Adaptive S-RTO verdict: the DSACK covers a recently probed range ->
     // that probe was unnecessary; stretch the probe timer.
     if (config_.srto.adaptive) {
@@ -321,20 +319,9 @@ void TcpSender::on_ack(Seq32 ack, std::uint32_t rwnd_bytes,
     case CaState::kDisorder: {
       state_ = (dupacks_ > 0 || board_.sacked_out() > 0) ? CaState::kDisorder
                                                          : CaState::kOpen;
-      const std::uint32_t newly_lost =
-          config_.fack ? board_.mark_lost_by_fack(dupthres_, config_.mss)
-                       : board_.mark_lost_by_sack(dupthres_);
-      bool enter = newly_lost > 0 ||
-                   (dupacks_ >= dupthres_ && board_.packets_out() > 0);
-      if (!enter && config_.early_retransmit && board_.packets_out() > 0 &&
-          board_.packets_out() < 4 && net::at_or_after(snd_nxt_, write_seq_)) {
-        // RFC 5827: with < 4 outstanding and no new data, lower the dup
-        // threshold to packets_out - 1 (min 1).
-        const std::uint32_t er = std::max<std::uint32_t>(
-            1, board_.packets_out() > 0 ? board_.packets_out() - 1 : 1);
-        enter = dupacks_ >= er || board_.sacked_out() >= er;
-      }
-      if (enter) {
+      const std::uint32_t newly_lost = board_.mark_lost_by_sack(dupthres_);
+      if (newly_lost > 0 ||
+          (dupacks_ >= dupthres_ && board_.packets_out() > 0)) {
         if (board_.lost_out() == 0) board_.mark_head_lost();
         enter_recovery();
       }
@@ -345,11 +332,7 @@ void TcpSender::on_ack(Seq32 ack, std::uint32_t rwnd_bytes,
       break;
     }
     case CaState::kRecovery: {
-      if (config_.fack) {
-        board_.mark_lost_by_fack(dupthres_, config_.mss);
-      } else {
-        board_.mark_lost_by_sack(dupthres_);
-      }
+      board_.mark_lost_by_sack(dupthres_);
       if (ack_advanced && net::before(snd_una_, high_seq_) &&
           board_.packets_out() > 0) {
         // NewReno partial ACK: the next unSACKed hole is lost, and its
@@ -379,25 +362,6 @@ void TcpSender::on_ack(Seq32 ack, std::uint32_t rwnd_bytes,
   rearm_timer();
   invariants::on_sender_event(*this, sim_.now());
   check_done();
-}
-
-void TcpSender::maybe_undo_spurious_rto(
-    const std::optional<net::SackBlock>& dsack) {
-  if (!config_.spurious_rto_undo || !undo_armed_ || !dsack) return;
-  if (state_ != CaState::kLoss) return;
-  // The DSACK must report the segment the RTO retransmitted: the original
-  // made it after all, so the collapse to cwnd=1 was unnecessary.
-  if (net::after(dsack->start, undo_seq_) ||
-      net::at_or_before(dsack->end, undo_seq_)) {
-    return;
-  }
-  undo_armed_ = false;
-  ++stats_.spurious_rto_undos;
-  cwnd_ = undo_cwnd_;
-  ssthresh_ = undo_ssthresh_;
-  state_ = CaState::kOpen;
-  dupacks_ = 0;
-  board_.clear_lost_marks();
 }
 
 Duration TcpSender::tlp_pto() const {
@@ -524,13 +488,6 @@ void TcpSender::fire_rto() {
     rto_fires.add(1);
   }
   if (state_ != CaState::kLoss) {
-    // Save the pre-collapse window for a potential spurious-RTO undo.
-    if (config_.spurious_rto_undo) {
-      undo_cwnd_ = cwnd_;
-      undo_ssthresh_ = ssthresh_;
-      undo_seq_ = board_.snd_una();
-      undo_armed_ = true;
-    }
     ssthresh_ = cc_->ssthresh(cwnd_);
     cc_->on_loss_event(sim_.now());
   }

@@ -7,8 +7,7 @@
 //
 // Three loss-recovery configurations are selectable, mirroring the paper's
 // production A/B setup (§5.1): native Linux, TLP (Tail Loss Probe), and the
-// paper's contribution S-RTO (Algorithm 1). Early Retransmit (RFC 5827) is
-// additionally available (off by default — the measured kernel lacked it).
+// paper's contribution S-RTO (Algorithm 1).
 #pragma once
 
 #include <cstdint>
@@ -58,11 +57,6 @@ inline constexpr std::uint32_t kMaxDupthres = 10;
 struct SenderConfig {
   std::uint32_t mss = 1448;
   std::uint32_t init_cwnd = 3;  // 2.6.32 initial window
-  bool early_retransmit = false;
-  /// FACK loss detection (Mathis & Mahdavi, cited as [13]): mark loss from
-  /// the forward-most SACK instead of counting SACKed segments. Handles
-  /// multiple losses per window more aggressively.
-  bool fack = false;
   RecoveryMechanism recovery = RecoveryMechanism::kNative;
   SrtoConfig srto;
   CcAlgo cc = CcAlgo::kReno;
@@ -72,11 +66,6 @@ struct SenderConfig {
   /// suggests for continuous-loss stalls ("spacing out the transmission of
   /// packets in a window across one RTT", citing TCP pacing).
   bool pacing = false;
-
-  /// F-RTO-style undo: when a DSACK proves the timeout retransmission was
-  /// spurious (the original arrived), restore cwnd/ssthresh and return to
-  /// Open instead of slow-starting from 1 (off in the measured kernel).
-  bool spurious_rto_undo = false;
 };
 
 struct SenderStats {
@@ -90,7 +79,6 @@ struct SenderStats {
   std::uint64_t persist_probes = 0;
   std::uint64_t zero_window_episodes = 0;
   std::uint64_t dsacks_received = 0;     // spurious retransmissions reported
-  std::uint64_t spurious_rto_undos = 0;  // F-RTO-style cwnd restorations
   std::uint64_t srto_spurious_probes = 0;  // probes revealed useless by DSACK
 };
 
@@ -181,7 +169,6 @@ class TcpSender {
   void check_done();
   Duration tlp_pto() const;
   Duration pacing_interval() const;
-  void maybe_undo_spurious_rto(const std::optional<net::SackBlock>& dsack);
   /// Telemetry taps (no-ops unless tracing/metrics are enabled).
   void note_segment(const SegmentOut& out);
   void trace_window();
@@ -224,11 +211,6 @@ class TcpSender {
   bool tlp_probe_outstanding_ = false;
   sim::Timer pace_timer_;
   TimePoint pace_next_;
-  /// Saved window state for spurious-RTO undo.
-  std::uint32_t undo_cwnd_ = 0;
-  std::uint32_t undo_ssthresh_ = 0;
-  Seq32 undo_seq_;              // head seq the pending undo applies to
-  bool undo_armed_ = false;
 
   /// Adaptive S-RTO: recently probed ranges awaiting a verdict, and the
   /// current probe-timer stretch level.

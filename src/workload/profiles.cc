@@ -24,7 +24,6 @@ tcp::SenderConfig default_sender() {
   s.init_cwnd = 3;
   s.cc = tcp::CcAlgo::kCubic;  // kernel 2.6.32 default
   s.recovery = tcp::RecoveryMechanism::kNative;
-  s.early_retransmit = false;  // not in the measured kernel (§2.1 footnote)
   return s;
 }
 

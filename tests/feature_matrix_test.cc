@@ -18,26 +18,24 @@ namespace {
 
 struct Features {
   bool pacing;
-  bool fack;
-  bool undo;
-  bool early_retransmit;
   tcp::RecoveryMechanism recovery;
   bool adaptive_srto;
 };
 
 using Param = std::tuple<int /*feature preset*/, double /*loss*/>;
 
+// Preset numbers appear in the test names, so each keeps its number: a new
+// preset takes a new one, and a removed one leaves a gap.
+constexpr int kPresets[] = {0, 1, 5, 6, 7, 8};
+
 Features preset(int i) {
   switch (i) {
-    case 0: return {false, false, false, false, tcp::RecoveryMechanism::kNative, false};
-    case 1: return {true, false, false, false, tcp::RecoveryMechanism::kNative, false};
-    case 2: return {false, true, false, false, tcp::RecoveryMechanism::kNative, false};
-    case 3: return {false, false, true, false, tcp::RecoveryMechanism::kNative, false};
-    case 4: return {false, false, false, true, tcp::RecoveryMechanism::kNative, false};
-    case 5: return {false, false, false, false, tcp::RecoveryMechanism::kTlp, false};
-    case 6: return {false, false, false, false, tcp::RecoveryMechanism::kSrto, false};
-    case 7: return {false, false, false, false, tcp::RecoveryMechanism::kSrto, true};
-    case 8: return {true, true, true, true, tcp::RecoveryMechanism::kSrto, true};
+    case 0: return {false, tcp::RecoveryMechanism::kNative, false};
+    case 1: return {true, tcp::RecoveryMechanism::kNative, false};
+    case 5: return {false, tcp::RecoveryMechanism::kTlp, false};
+    case 6: return {false, tcp::RecoveryMechanism::kSrto, false};
+    case 7: return {false, tcp::RecoveryMechanism::kSrto, true};
+    case 8: return {true, tcp::RecoveryMechanism::kSrto, true};
     default: return preset(0);
   }
 }
@@ -63,9 +61,6 @@ TEST_P(FeatureMatrix, ReliableAndAnalyzable) {
   cfg.client_to_server = {net::ipv4_from_string("10.0.0.1"),
                           net::ipv4_from_string("192.168.1.1"), 40001, 80};
   cfg.sender.pacing = f.pacing;
-  cfg.sender.fack = f.fack;
-  cfg.sender.spurious_rto_undo = f.undo;
-  cfg.sender.early_retransmit = f.early_retransmit;
   cfg.sender.recovery = f.recovery;
   cfg.sender.srto.adaptive = f.adaptive_srto;
   tcp::RequestSpec req;
@@ -100,7 +95,7 @@ TEST_P(FeatureMatrix, ReliableAndAnalyzable) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllFeaturesAllLosses, FeatureMatrix,
-    ::testing::Combine(::testing::Range(0, 9),
+    ::testing::Combine(::testing::ValuesIn(kPresets),
                        ::testing::Values(0.0, 0.03, 0.10, 0.20)));
 
 }  // namespace

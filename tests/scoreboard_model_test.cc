@@ -35,7 +35,6 @@ struct Coverage {
   int mark_after_dupthres_rise = 0;
   int clear_mid_recovery = 0;    // clear_lost_marks with lost and SACKed
   int sack_after_mark_all = 0;   // a timeout-lost segment then SACKed
-  int fack_marked = 0;
   int retransmitted_lost_sacked = 0;
   int crossed_wrap = 0;          // snd_nxt passed 2^32
 };
@@ -45,8 +44,7 @@ std::string describe(const SegmentState& s) {
   os << "[" << s.start.raw() << "," << s.end.raw() << ") retrans="
      << int{s.retrans} << " sacked=" << s.sacked << " lost=" << s.lost
      << " pending=" << s.retrans_pending << " rto=" << s.rto_retransmitted
-     << " fast=" << s.fast_retransmitted << " first=" << s.first_sent.us()
-     << " last=" << s.last_sent.us();
+     << " first=" << s.first_sent.us() << " last=" << s.last_sent.us();
   return os.str();
 }
 
@@ -55,7 +53,6 @@ bool same(const SegmentState& a, const SegmentState& b) {
          a.sacked == b.sacked && a.lost == b.lost &&
          a.retrans_pending == b.retrans_pending &&
          a.rto_retransmitted == b.rto_retransmitted &&
-         a.fast_retransmitted == b.fast_retransmitted &&
          a.first_sent == b.first_sent && a.last_sent == b.last_sent;
 }
 
@@ -80,10 +77,8 @@ class Lockstep {
       r = ack(what);
     } else if (op < 58) {
       r = sack(what);
-    } else if (op < 68) {
-      r = mark_by_sack(what);
     } else if (op < 73) {
-      r = mark_by_fack(what);
+      r = mark_by_sack(what);
     } else if (op < 77) {
       what << "mark_head_lost";
       if (board_.mark_head_lost() != ref_.mark_head_lost()) {
@@ -244,16 +239,6 @@ class Lockstep {
     return ::testing::AssertionSuccess();
   }
 
-  ::testing::AssertionResult mark_by_fack(std::ostringstream& what) {
-    const auto thres = static_cast<std::uint32_t>(rng_.uniform_int(1, 5));
-    what << "mark_lost_by_fack " << thres;
-    const std::uint32_t got = board_.mark_lost_by_fack(thres, kMss);
-    const std::uint32_t want = ref_.mark_lost_by_fack(thres, kMss);
-    if (got != want) return ::testing::AssertionFailure() << got << " want " << want;
-    if (got > 0) ++cov_.fack_marked;
-    return ::testing::AssertionSuccess();
-  }
-
   ::testing::AssertionResult retransmit(std::ostringstream& what) {
     const auto next = ref_.next_lost_to_retransmit();
     const Seq32 seq = next && rng_.chance(0.7) ? *next : position();
@@ -288,10 +273,6 @@ class Lockstep {
                                              << describe(board_.segments()[i])
                                              << " want " << describe(segs[i]);
       }
-    }
-    if (!(board_.highest_sacked() == ref_.highest_sacked())) {
-      return ::testing::AssertionFailure() << "highest_sacked " << board_.highest_sacked().raw()
-                                           << " want " << ref_.highest_sacked().raw();
     }
     if (start_of(board_.first_unsacked()) != start_of(ref_.first_unsacked()) ||
         start_of(board_.last_unsacked()) != start_of(ref_.last_unsacked())) {
@@ -345,7 +326,6 @@ TEST(ScoreboardModel, MatchesScanReferenceStepByStep) {
   EXPECT_GT(cov.mark_after_dupthres_rise, 0);
   EXPECT_GT(cov.clear_mid_recovery, 0);
   EXPECT_GT(cov.sack_after_mark_all, 0);
-  EXPECT_GT(cov.fack_marked, 0);
   EXPECT_GT(cov.retransmitted_lost_sacked, 0);
   EXPECT_GT(cov.crossed_wrap, 0);
 }

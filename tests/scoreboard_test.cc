@@ -119,7 +119,6 @@ TEST(Scoreboard, RetransmitBookkeeping) {
   const SegmentState* s = b.find(S(1));
   ASSERT_NE(s, nullptr);
   EXPECT_EQ(s->retrans, 1);
-  EXPECT_TRUE(s->fast_retransmitted);
   EXPECT_FALSE(s->rto_retransmitted);
   EXPECT_EQ(s->last_sent, TimePoint::from_us(5000));
   EXPECT_EQ(s->first_sent, TimePoint::from_us(1000));

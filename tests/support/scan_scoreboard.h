@@ -37,11 +37,7 @@ class ScanScoreboard {
       ++retrans_out_;
     }
     s->last_sent = now;
-    if (rto) {
-      s->rto_retransmitted = true;
-    } else {
-      s->fast_retransmitted = true;
-    }
+    if (rto) s->rto_retransmitted = true;
   }
 
   std::vector<SegmentState> ack_to(Seq32 ack) {
@@ -85,28 +81,6 @@ class ScanScoreboard {
       }
       if (!it->lost && sacked_above >= dupthres) {
         set_lost(*it);
-        ++newly;
-      }
-    }
-    return newly;
-  }
-
-  Seq32 highest_sacked() const {
-    for (auto it = segs_.rbegin(); it != segs_.rend(); ++it) {
-      if (it->sacked) return it->end;
-    }
-    return snd_una();
-  }
-
-  std::uint32_t mark_lost_by_fack(std::uint32_t dupthres, std::uint32_t mss) {
-    const Seq32 fack = highest_sacked();
-    const std::uint64_t margin = static_cast<std::uint64_t>(dupthres) * mss;
-    std::uint32_t newly = 0;
-    for (auto& s : segs_) {
-      if (s.sacked || s.lost) continue;
-      if (net::at_or_after(s.end, fack)) break;
-      if (net::distance(s.end, fack) >= margin) {
-        set_lost(s);
         ++newly;
       }
     }
