@@ -20,8 +20,14 @@ using tcp::RecoveryMechanism;
 int main(int argc, char** argv) {
   Service svc = Service::kWebSearch;
   if (argc > 1) {
-    if (std::strcmp(argv[1], "cloud") == 0) svc = Service::kCloudStorage;
-    if (std::strcmp(argv[1], "soft") == 0) svc = Service::kSoftwareDownload;
+    if (std::strcmp(argv[1], "cloud") == 0) {
+      svc = Service::kCloudStorage;
+    } else if (std::strcmp(argv[1], "soft") == 0) {
+      svc = Service::kSoftwareDownload;
+    } else if (std::strcmp(argv[1], "web") != 0) {
+      std::fprintf(stderr, "error: service must be web, cloud or soft\n");
+      return 1;
+    }
   }
   std::size_t flows = 400;
   if (argc > 2) {
