@@ -12,6 +12,9 @@
 #     fleet report and its --prom exposition
 #   - pcap_analyze --demo: the capture's bytes and the --csv files, then
 #     the capture analyzed with --summary, --live and --mem-budget 65536
+#   - the example CLIs that drive the sender outside the benches:
+#     quickstart 0.08 150 60000, srto_ab web 300 0.05, srto_ab cloud 100
+#     and service_comparison
 #
 # Everything is seeded, so the outputs must match byte for byte. Only the
 # lines that carry wall-clock figures are dropped before the diff, matched
@@ -52,7 +55,8 @@ benches=(
   ablate_stall_tau
 )
 harnesses=(chaos_storm robustness_stability fleet_scale)
-targets=("${benches[@]}" "${harnesses[@]}" tapo_agg pcap_analyze)
+examples=(quickstart srto_ab service_comparison)
+targets=("${benches[@]}" "${harnesses[@]}" "${examples[@]}" tapo_agg pcap_analyze)
 
 # Lines carrying wall-clock figures (see the header).
 strip='\[perf\]|records/s\b'
@@ -90,6 +94,11 @@ collect() {
   run pcap_summary.txt "${pa}" demo.pcap --summary
   run pcap_live.txt "${pa}" demo.pcap --live --summary
   run pcap_budget.txt "${pa}" demo.pcap --mem-budget 65536 --summary
+  local ex="${bin}/examples"
+  run quickstart.txt "${ex}/quickstart" 0.08 150 60000
+  run srto_ab_web.txt "${ex}/srto_ab" web 300 0.05
+  run srto_ab_cloud.txt "${ex}/srto_ab" cloud 100
+  run service_comparison.txt "${ex}/service_comparison"
   cd "${root}"
 }
 
