@@ -179,9 +179,6 @@ int run_replay(std::uint64_t seed, const std::string& scenario_name) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  tapo::bench::init_telemetry(argc, argv);
-  telemetry::set_metrics_enabled(true);
-
   std::uint64_t replay_seed = 0;
   bool have_replay = false;
   std::string replay_scenario;
@@ -196,8 +193,17 @@ int main(int argc, char** argv) {
       have_replay = true;
     } else if (std::strncmp(argv[i], "--scenario=", 11) == 0) {
       replay_scenario = argv[i] + 11;
+    } else if (std::strncmp(argv[i], "--telemetry-out=", 16) != 0) {
+      // A misspelt flag must not silently run the whole storm.
+      std::printf("unknown argument '%s'\n"
+                  "usage: chaos_storm [--replay-seed=<u64> --scenario=<name>] "
+                  "[--telemetry-out=<dir>]\n",
+                  argv[i]);
+      return 2;
     }
   }
+  tapo::bench::init_telemetry(argc, argv);
+  telemetry::set_metrics_enabled(true);
   if (have_replay || !replay_scenario.empty()) {
     if (!have_replay || replay_scenario.empty()) {
       std::printf("replay needs BOTH --replay-seed=<u64> and "

@@ -33,7 +33,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <limits>
 #include <new>
 #include <string>
 
@@ -150,8 +149,6 @@ analysis::LiveConfig unbounded_live_config(util::MemoryBudget* budget) {
   analysis::LiveConfig cfg;
   cfg.with_idle_timeout(Duration::max())
       .with_fin_linger(Duration::max())
-      .with_max_flows(std::numeric_limits<std::size_t>::max())
-      .with_max_packets_per_flow(std::numeric_limits<std::size_t>::max())
       .with_mem_budget(budget);
   return cfg;
 }

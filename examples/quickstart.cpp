@@ -4,6 +4,7 @@
 //   ./quickstart [loss] [rtt_ms] [bytes]
 #include <cstdio>
 #include <cstdlib>
+#include <stdexcept>
 
 #include "net/ipv4.h"
 #include "sim/link.h"
@@ -28,15 +29,17 @@ double parse_arg(const char* s, const char* name) {
   return *v;
 }
 
-}  // namespace
+std::uint64_t parse_bytes(const char* s) {
+  const auto v = util::parse_positive_size(s);
+  if (!v) {
+    std::fprintf(stderr, "error: bytes must be a positive integer, got '%s'\n",
+                 s);
+    std::exit(1);
+  }
+  return *v;
+}
 
-int main(int argc, char** argv) {
-  const double loss = argc > 1 ? parse_arg(argv[1], "loss") : 0.03;
-  const double rtt_ms = argc > 2 ? parse_arg(argv[2], "rtt_ms") : 120.0;
-  const std::uint64_t bytes =
-      argc > 3 ? static_cast<std::uint64_t>(parse_arg(argv[3], "bytes"))
-               : 400 * 1024;
-
+int run(double loss, double rtt_ms, std::uint64_t bytes) {
   // 1. A duplex path: data path with random loss, cleaner ACK path.
   sim::Simulator sim;
   sim::LinkConfig down_cfg;
@@ -63,10 +66,15 @@ int main(int argc, char** argv) {
   conn.start();
   sim.run_until(TimePoint::from_us(0) + Duration::seconds(600.0));
 
-  std::printf("simulated flow: %s, %llu bytes, completed=%d, took %.3fs\n",
+  std::printf("simulated flow: %s, %llu bytes, completed=%d",
               cfg.client_to_server.to_string().c_str(),
-              static_cast<unsigned long long>(bytes), conn.done(),
-              (conn.metrics().finished - conn.metrics().syn_sent).sec());
+              static_cast<unsigned long long>(bytes), conn.done());
+  // An unfinished flow has no finish time to measure to.
+  if (conn.done()) {
+    std::printf(", took %.3fs",
+                (conn.metrics().finished - conn.metrics().syn_sent).sec());
+  }
+  std::printf("\n");
   std::printf("sender: sent=%llu retrans=%llu rto_fires=%llu\n",
               static_cast<unsigned long long>(conn.sender().stats().segments_sent),
               static_cast<unsigned long long>(conn.sender().stats().retransmissions),
@@ -80,4 +88,20 @@ int main(int argc, char** argv) {
     std::printf("%s", analysis::describe_flow(fa).c_str());
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const double loss = argc > 1 ? parse_arg(argv[1], "loss") : 0.03;
+  const double rtt_ms = argc > 2 ? parse_arg(argv[2], "rtt_ms") : 120.0;
+  const std::uint64_t bytes = argc > 3 ? parse_bytes(argv[3]) : 400 * 1024;
+  try {
+    return run(loss, rtt_ms, bytes);
+  } catch (const std::invalid_argument& e) {
+    // A setting out of range, such as a loss rate of 1 or more, which
+    // sim::LinkConfig::validate rejects.
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
 }

@@ -1,10 +1,28 @@
 #include "sim/link.h"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 #include "net/ipv4.h"
 
 namespace tapo::sim {
+
+void LinkConfig::validate() const {
+  const auto require = [](double p, bool one_ok, const char* name) {
+    if (!(p >= 0.0 && (p < 1.0 || (one_ok && p == 1.0)))) {
+      throw std::invalid_argument(std::string("LinkConfig: ") + name +
+                                  (one_ok ? " must be in [0, 1], got "
+                                          : " must be in [0, 1), got ") +
+                                  std::to_string(p));
+    }
+  };
+  require(random_loss, false, "random_loss");
+  require(reorder_prob, true, "reorder_prob");
+  require(delay_burst_prob, true, "delay_burst_prob");
+  require(p_good_to_bad, true, "p_good_to_bad");
+  require(bad_loss, true, "bad_loss");
+}
 
 void Link::set_burst(double p_g2b, Duration duration, double bad_loss) {
   config_.p_good_to_bad = p_g2b;

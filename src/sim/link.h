@@ -52,6 +52,11 @@ struct LinkConfig {
   double p_good_to_bad = 0.0;
   Duration burst_duration = Duration::millis(150);
   double bad_loss = 0.9;
+
+  /// Throws std::invalid_argument naming the field when a probability is
+  /// out of range: random_loss must be in [0, 1) (a link that drops every
+  /// packet can never deliver a retransmission), the others in [0, 1].
+  void validate() const;
 };
 
 struct LinkStats {
@@ -66,8 +71,11 @@ class Link {
  public:
   using DeliverFn = std::function<void(const net::CapturedPacket&)>;
 
+  /// Validates `config` (LinkConfig::validate) before anything is sent.
   Link(Simulator& sim, LinkConfig config, Rng rng)
-      : sim_(sim), config_(config), rng_(rng) {}
+      : sim_(sim), config_(config), rng_(rng) {
+    config_.validate();
+  }
 
   void set_deliver(DeliverFn fn) { deliver_ = std::move(fn); }
 

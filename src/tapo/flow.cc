@@ -13,10 +13,8 @@ void fold_meta(FlowView& m, const net::CapturedPacket& cp, bool from_server) {
   const net::TcpHeader& tcp = cp.tcp;
   if (tcp.flags.syn && !tcp.flags.ack && !from_server) {
     m.saw_syn = true;
-    m.client_isn = tcp.seq;
     m.syn_window = tcp.window;
     if (tcp.mss) m.mss = *tcp.mss;
-    m.sack_permitted = tcp.sack_permitted;
     m.client_wscale = tcp.window_scale.value_or(0);
   } else if (tcp.flags.syn && tcp.flags.ack && from_server) {
     m.saw_synack = true;
@@ -26,15 +24,9 @@ void fold_meta(FlowView& m, const net::CapturedPacket& cp, bool from_server) {
     m.init_rwnd_bytes = static_cast<std::uint32_t>(tcp.window)
                         << m.client_wscale;
   }
-  if (tcp.flags.fin) m.saw_fin = true;
-  if (from_server) {
-    m.server_payload_bytes += cp.payload_len;
-    if (cp.payload_len > 0 && !m.saw_server_data) {
-      m.saw_server_data = true;
-      m.first_server_data_seq = tcp.seq;
-    }
-  } else {
-    m.client_payload_bytes += cp.payload_len;
+  if (from_server && cp.payload_len > 0 && !m.saw_server_data) {
+    m.saw_server_data = true;
+    m.first_server_data_seq = tcp.seq;
   }
 }
 

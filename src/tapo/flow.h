@@ -1,7 +1,7 @@
 // Flow reconstruction: demultiplexes a server-side packet trace into
 // per-connection flows oriented server->client, and extracts the handshake
-// parameters TAPO's classifier needs (MSS, SACK permission, window scale,
-// initial receive window — Table 2's "receiver side" category).
+// parameters TAPO's classifier needs (MSS, window scale, initial receive
+// window — Table 2's "receiver side" category).
 //
 // A FlowView is the one flow representation: the flow's meta plus a span
 // of packet *pointers* into the demuxed storage, produced by
@@ -33,12 +33,9 @@ struct FlowView {
 
   bool saw_syn = false;
   bool saw_synack = false;
-  bool saw_fin = false;
 
-  net::Seq32 client_isn;
   net::Seq32 server_isn;
   std::uint16_t mss = 1448;
-  bool sack_permitted = false;
   std::uint8_t client_wscale = 0;
   /// Window advertised by the client in its SYN (unscaled, bytes).
   std::uint32_t syn_window = 0;
@@ -46,9 +43,6 @@ struct FlowView {
   /// "initial rwnd" the paper studies (Fig. 6 / Table 4); falls back to
   /// syn_window when the client never sent a data-phase ACK.
   std::uint32_t init_rwnd_bytes = 0;
-
-  std::uint64_t server_payload_bytes = 0;  // sum over packets (incl. retrans)
-  std::uint64_t client_payload_bytes = 0;
 
   /// Capture started mid-connection: no SYN or SYN-ACK was observed but
   /// server data was (rotated captures, mid-stream taps). The mimic then

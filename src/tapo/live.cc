@@ -37,25 +37,6 @@ LiveConfig& LiveConfig::with_fin_linger(Duration d) {
   return *this;
 }
 
-LiveConfig& LiveConfig::with_max_flows(std::size_t n) {
-  if (n == 0) {
-    throw std::invalid_argument(
-        "LiveConfig: max_flows must be > 0 (the table could hold nothing)");
-  }
-  max_flows = n;
-  return *this;
-}
-
-LiveConfig& LiveConfig::with_max_packets_per_flow(std::size_t n) {
-  if (n <= 1) {
-    throw std::invalid_argument(
-        "LiveConfig: max_packets_per_flow must be > 1 (every flow would be "
-        "truncated on arrival)");
-  }
-  max_packets_per_flow = n;
-  return *this;
-}
-
 LiveConfig& LiveConfig::with_mem_budget(util::MemoryBudget* b) {
   mem_budget = b;
   return *this;
@@ -69,33 +50,22 @@ void LiveConfig::validate() const {
   if (fin_linger < Duration::zero()) {
     throw std::invalid_argument("LiveConfig: fin_linger must be >= 0");
   }
-  if (max_flows == 0) {
-    throw std::invalid_argument("LiveConfig: max_flows must be > 0");
-  }
-  if (max_packets_per_flow <= 1) {
-    throw std::invalid_argument(
-        "LiveConfig: max_packets_per_flow must be > 1");
-  }
 }
 
 namespace {
 
-void count_flow_event(const char* which) {
+void count_finalized() {
   if (!telemetry::metrics_enabled()) return;
   static auto& finalized = telemetry::Registry::instance().counter(
       "tapo_live_flows_finalized_total");
-  static auto& evicted =
-      telemetry::Registry::instance().counter("tapo_live_flows_evicted_total");
-  static auto& truncated = telemetry::Registry::instance().counter(
-      "tapo_live_flows_truncated_total");
-  static auto& budget = telemetry::Registry::instance().counter(
+  finalized.add(1);
+}
+
+void count_budget_evicted() {
+  if (!telemetry::metrics_enabled()) return;
+  static auto& evicted = telemetry::Registry::instance().counter(
       "tapo_live_flows_budget_evicted_total");
-  switch (which[0]) {
-    case 'f': finalized.add(1); break;
-    case 'e': evicted.add(1); break;
-    case 't': truncated.add(1); break;
-    case 'b': budget.add(1); break;
-  }
+  evicted.add(1);
 }
 
 }  // namespace
@@ -114,7 +84,7 @@ void LiveAnalyzer::finalize(const net::FlowKey& key) {
   ++stats_.flows_finalized;
   TAPO_TRACE(telemetry::EventKind::kFlowFinalize,
              entry.last_activity.us(), entry.trace.size(), flows_.size());
-  count_flow_event("finalize");
+  count_finalized();
   stats_.active_flows = flows_.size();
   if (!entry.trace.empty()) {
     // The one analysis engine (FlowAccumulator demux + analyze_flow) over
@@ -154,18 +124,23 @@ std::size_t LiveAnalyzer::soft_limit() const {
   return config_.mem_budget->limit() / 2;
 }
 
-void LiveAnalyzer::evict_for(std::size_t incoming, const net::FlowKey* keep) {
+void LiveAnalyzer::evict(const net::FlowKey& key, TimePoint now) {
+  ++stats_.budget_evictions;
+  TAPO_TRACE(telemetry::EventKind::kFlowEvict, now.us(),
+             config_.mem_budget->resident(), config_.mem_budget->limit());
+  count_budget_evicted();
+  finalize(key);
+}
+
+void LiveAnalyzer::evict_for(TimePoint now, std::size_t incoming,
+                             const net::FlowKey* keep) {
   util::MemoryBudget* budget = config_.mem_budget;
   if (budget == nullptr || budget->unlimited()) return;
   const std::size_t soft = soft_limit();
   while (budget->resident() + incoming > soft && !lru_.empty()) {
     if (keep != nullptr && lru_.front() == *keep) break;
     const std::size_t before = budget->resident();
-    ++stats_.budget_evictions;
-    TAPO_TRACE(telemetry::EventKind::kFlowEvict, 0, budget->resident(),
-               budget->limit());
-    count_flow_event("budget");
-    finalize(lru_.front());
+    evict(lru_.front(), now);
     if (budget->resident() >= before) break;  // other stages hold the rest
   }
 }
@@ -218,15 +193,13 @@ void LiveAnalyzer::add_packet(const net::CapturedPacket& pkt) {
         it->second.trace.capacity_bytes_after_append() + kFlowOverheadBytes;
     if (want > it->second.charged_bytes) {
       const std::size_t delta = want - it->second.charged_bytes;
-      evict_for(delta, &key);
+      evict_for(pkt.timestamp, delta, &key);
       // Still no room with every other flow gone: this one flow outgrows
       // the budget on its own. Analyze what we have and restart the
-      // window, exactly like the max_packets_per_flow truncation path.
+      // window.
       if (config_.mem_budget->resident() + delta > soft_limit() &&
           !it->second.trace.empty()) {
-        ++stats_.budget_evictions;
-        count_flow_event("budget");
-        finalize(key);  // invalidates `it`
+        evict(key, pkt.timestamp);  // invalidates `it`
         it = flows_.try_emplace(key).first;
         lru_.push_back(key);
         it->second.lru_it = std::prev(lru_.end());
@@ -240,26 +213,8 @@ void LiveAnalyzer::add_packet(const net::CapturedPacket& pkt) {
   if (pkt.tcp.flags.fin) entry.fin_seen = true;
   recharge(entry);
 
-  if (entry.trace.size() >= config_.max_packets_per_flow) {
-    // Long-lived elephant: analyze what we have and restart the window.
-    ++stats_.truncated_flows;
-    TAPO_TRACE(telemetry::EventKind::kFlowTruncate, pkt.timestamp.us(),
-               entry.trace.size(), flows_.size());
-    count_flow_event("truncate");
-    finalize(key);
-  }
-
   reap(pkt.timestamp);
-
-  // Table-full eviction: kick the least recently active flow.
-  while (flows_.size() > config_.max_flows && !lru_.empty()) {
-    ++stats_.flows_evicted;
-    TAPO_TRACE(telemetry::EventKind::kFlowEvict, pkt.timestamp.us(),
-               flows_.size(), config_.max_flows);
-    count_flow_event("evict");
-    finalize(lru_.front());
-  }
-  evict_over_budget();
+  evict_for(pkt.timestamp, 0, nullptr);
   stats_.active_flows = flows_.size();
   stats_.peak_active_flows =
       std::max(stats_.peak_active_flows, stats_.active_flows);

@@ -3,17 +3,15 @@
 // The paper's TAPO ran offline on daily traces but was "integrated into the
 // TCP analysis platform for daily maintenance of the network" (§3.3). This
 // is that integration surface: packets are fed one at a time (e.g. from a
-// capture socket), flows are tracked in a bounded-memory table, and each
-// flow is analyzed with the full offline fidelity when it finishes (FIN
-// observed + quiescent) or idles out.
+// capture socket), flows are tracked in a flow table, and each flow is
+// analyzed with the full offline fidelity when it finishes (FIN observed +
+// quiescent) or idles out.
 //
-// Memory bounds: at most `max_flows` concurrent flows (least-recently-
-// active evicted first) and at most `max_packets_per_flow` buffered packets
-// per flow (flows exceeding it are analyzed and restarted, counted in
-// `truncated_flows`). With a util::MemoryBudget attached the bound becomes
-// byte-accurate: every buffered flow charges its arena footprint against
-// the shared pipeline ledger, and crossing the soft limit finalizes flows
-// from the LRU front instead of letting residency grow toward OOM.
+// Memory bound: bytes, through a util::MemoryBudget. Every buffered flow
+// charges its arena footprint against the shared pipeline ledger, and
+// crossing the soft limit finalizes flows from the LRU front instead of
+// letting residency grow toward OOM. Without a budget nothing bounds
+// residency but idle/FIN reaping, just as batch mode holds the whole capture.
 #pragma once
 
 #include <cstdint>
@@ -34,35 +32,31 @@ struct LiveConfig {
   Duration idle_timeout = Duration::seconds(60.0);
   /// A flow whose FIN (both-direction quiescence) is this old is finalized.
   Duration fin_linger = Duration::seconds(3.0);
-  std::size_t max_flows = 100'000;
-  std::size_t max_packets_per_flow = 200'000;
   /// Optional shared pipeline ledger (non-owning; must outlive the
   /// analyzer). When set and limited, every buffered flow charges its
   /// arena footprint plus a fixed per-flow overhead; once residency
   /// crosses the soft limit (half the cap) the least-recently-active
   /// flows are analyzed-and-dropped until back under it, and a single
-  /// flow that outgrows the budget alone is analyzed-and-restarted like
-  /// the max_packets_per_flow truncation path. An evicted flow that
-  /// keeps sending restarts mid-stream, which the classifier already
-  /// surfaces as capture-suspect rather than inventing a stall cause.
-  /// The half-budget headroom keeps the *peak* (which includes the open
-  /// ingest chunk and the finalize-time transients that scale with the
-  /// largest buffered flow) under the configured cap, not just the
-  /// steady state.
+  /// flow that outgrows the budget alone is analyzed and its window
+  /// restarted. An evicted flow that keeps sending restarts mid-stream,
+  /// which the classifier already surfaces as capture-suspect rather than
+  /// inventing a stall cause. The half-budget headroom keeps the *peak*
+  /// (which includes the open ingest chunk and the finalize-time
+  /// transients that scale with the largest buffered flow) under the
+  /// configured cap, not just the steady state. An unlimited budget evicts
+  /// nothing but still records residency and its high-water mark.
   util::MemoryBudget* mem_budget = nullptr;
 
   // Fluent construction (aggregate-init keeps working); setters validate
   // eagerly and throw std::invalid_argument, mirroring ExperimentConfig.
   LiveConfig& with_analyzer(const AnalyzerConfig& a);
   LiveConfig& with_demux(const DemuxOptions& d);
-  LiveConfig& with_idle_timeout(Duration d);   // > 0
-  LiveConfig& with_fin_linger(Duration d);     // >= 0
-  LiveConfig& with_max_flows(std::size_t n);   // > 0
-  LiveConfig& with_max_packets_per_flow(std::size_t n);  // > 1
-  LiveConfig& with_mem_budget(util::MemoryBudget* b);    // nullptr detaches
+  LiveConfig& with_idle_timeout(Duration d);           // > 0
+  LiveConfig& with_fin_linger(Duration d);             // >= 0
+  LiveConfig& with_mem_budget(util::MemoryBudget* b);  // nullptr detaches
 
   /// Throws std::invalid_argument on any unusable field (non-positive
-  /// idle_timeout, zero max_flows, ...). Called by the LiveAnalyzer
+  /// idle_timeout, negative fin_linger). Called by the LiveAnalyzer
   /// constructor, plus the nested analyzer validation.
   void validate() const;
 };
@@ -70,9 +64,7 @@ struct LiveConfig {
 struct LiveStats {
   std::uint64_t packets = 0;
   std::uint64_t flows_finalized = 0;
-  std::uint64_t flows_evicted = 0;    // table-full evictions
-  std::uint64_t truncated_flows = 0;  // per-flow packet cap hit
-  std::uint64_t budget_evictions = 0; // mem-budget soft-limit evictions
+  std::uint64_t budget_evictions = 0;  // mem-budget soft-limit evictions
   std::size_t active_flows = 0;
   /// Most flows the table held at once, after each packet's evictions.
   std::size_t peak_active_flows = 0;
@@ -125,11 +117,14 @@ class LiveAnalyzer {
   void recharge(Entry& entry);
   /// Eviction threshold: half the cap (see LiveConfig::mem_budget).
   std::size_t soft_limit() const;
+  /// Budget eviction of one flow at capture time `now`: counts it, traces
+  /// it and finalizes it.
+  void evict(const net::FlowKey& key, TimePoint now);
   /// Analyzes-and-drops LRU-front flows while the shared ledger plus
   /// `incoming` bytes sits above the soft limit. Never drops `keep`
   /// (the flow about to receive the incoming bytes).
-  void evict_for(std::size_t incoming, const net::FlowKey* keep);
-  void evict_over_budget() { evict_for(0, nullptr); }
+  void evict_for(TimePoint now, std::size_t incoming,
+                 const net::FlowKey* keep);
   void update_resident_gauge();
 
   LiveConfig config_;

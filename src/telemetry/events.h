@@ -29,8 +29,8 @@ enum class EventKind : std::uint8_t {
   kStallSpan,
   // -- flow / run lifecycle (category kLifecycle) --
   kFlowFinalize, // live analyzer finalized a flow; a = packets buffered
-  kFlowEvict,    // table-full LRU eviction (finalize follows); a = packets
-  kFlowTruncate, // per-flow packet cap hit; a = packets
+  kFlowEvict,    // live analyzer budget eviction (finalize follows);
+                 // a = resident bytes, b = budget limit bytes
   kFlowDone,     // runner finished a flow; a = sim packets, b = completed
   kRunBegin,     // a = flows in the run
   kRunEnd,       // a = flows emitted

@@ -37,7 +37,6 @@ const char* to_string(EventKind k) {
     case EventKind::kStallSpan: return "stall";
     case EventKind::kFlowFinalize: return "flow_finalize";
     case EventKind::kFlowEvict: return "flow_evict";
-    case EventKind::kFlowTruncate: return "flow_truncate";
     case EventKind::kFlowDone: return "flow_done";
     case EventKind::kRunBegin: return "run_begin";
     case EventKind::kRunEnd: return "run_end";
@@ -61,7 +60,6 @@ unsigned category_of(EventKind k) {
       return kControl;
     case EventKind::kFlowFinalize:
     case EventKind::kFlowEvict:
-    case EventKind::kFlowTruncate:
     case EventKind::kFlowDone:
     case EventKind::kRunBegin:
     case EventKind::kRunEnd:

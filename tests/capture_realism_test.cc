@@ -360,15 +360,12 @@ TEST(ConfigBuilders, LiveConfigValidates) {
   EXPECT_THROW(c.with_idle_timeout(Duration::zero()), std::invalid_argument);
   EXPECT_THROW(c.with_fin_linger(Duration::micros(-1)),
                std::invalid_argument);
-  EXPECT_THROW(c.with_max_flows(0), std::invalid_argument);
-  EXPECT_THROW(c.with_max_packets_per_flow(1), std::invalid_argument);
   EXPECT_NO_THROW(analysis::LiveConfig{}
                       .with_idle_timeout(Duration::seconds(1.0))
-                      .with_max_flows(10)
                       .validate());
 
   analysis::LiveConfig bad;
-  bad.max_flows = 0;
+  bad.idle_timeout = Duration::zero();
   test::AnalysisCollector sink;
   EXPECT_THROW(analysis::LiveAnalyzer(bad, sink), std::invalid_argument);
 }

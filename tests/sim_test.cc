@@ -1,6 +1,9 @@
 // Tests for the discrete-event simulator and link models.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "sim/link.h"
@@ -210,6 +213,43 @@ TEST(Link, RandomLossRate) {
   EXPECT_NEAR(static_cast<double>(delivered) / n, 0.9, 0.01);
   EXPECT_EQ(link.stats().dropped_random + link.stats().delivered,
             static_cast<std::uint64_t>(n));
+}
+
+TEST(Link, ConstructorValidatesProbabilities) {
+  Simulator sim;
+  const auto rejects = [&](LinkConfig cfg, const std::string& field) {
+    try {
+      Link link(sim, cfg, Rng(1));
+      ADD_FAILURE() << field << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+  };
+  LinkConfig all_loss;
+  all_loss.random_loss = 1.0;  // no packet, hence no retransmission, survives
+  rejects(all_loss, "random_loss");
+  LinkConfig negative;
+  negative.reorder_prob = -0.1;
+  rejects(negative, "reorder_prob");
+  LinkConfig over;
+  over.delay_burst_prob = 1.5;
+  rejects(over, "delay_burst_prob");
+  LinkConfig nan;
+  nan.p_good_to_bad = std::nan("");
+  rejects(nan, "p_good_to_bad");
+  LinkConfig bad;
+  bad.bad_loss = 2.0;
+  rejects(bad, "bad_loss");
+
+  // The top of each range is accepted: 1 where the range is closed.
+  LinkConfig edges;
+  edges.random_loss = 0.999;
+  edges.reorder_prob = 1.0;
+  edges.delay_burst_prob = 1.0;
+  edges.p_good_to_bad = 1.0;
+  edges.bad_loss = 1.0;
+  EXPECT_NO_THROW(edges.validate());
 }
 
 TEST(Link, BandwidthSerialization) {

@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <limits>
 #include <span>
 #include <sstream>
 #include <string>
@@ -156,8 +155,6 @@ AnalysisResult analyze_via_streaming_pipeline(const net::PacketTrace& trace,
       LiveConfig{}
           .with_idle_timeout(Duration::max())
           .with_fin_linger(Duration::max())
-          .with_max_flows(std::numeric_limits<std::size_t>::max())
-          .with_max_packets_per_flow(std::numeric_limits<std::size_t>::max())
           .with_mem_budget(budget);
   test::AnalysisCollector sink;
   LiveAnalyzer live(config, sink);

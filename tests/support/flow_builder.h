@@ -36,9 +36,7 @@ struct FlowBuilder {
     flow.saw_syn = true;
     flow.saw_synack = true;
     flow.server_isn = net::Seq32{kServerIsn};
-    flow.client_isn = net::Seq32{kClientIsn};
     flow.mss = kMss;
-    flow.sack_permitted = true;
     flow.init_rwnd_bytes = kBigWindow;
   }
 
