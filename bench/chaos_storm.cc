@@ -182,6 +182,8 @@ int main(int argc, char** argv) {
   std::uint64_t replay_seed = 0;
   bool have_replay = false;
   std::string replay_scenario;
+  tapo::bench::init_telemetry(argc, argv, {"--replay-seed=", "--scenario="},
+                              "[--replay-seed=<u64> --scenario=<name>]");
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--replay-seed=", 14) == 0) {
       const auto parsed = util::parse_u64(argv[i] + 14);
@@ -193,16 +195,8 @@ int main(int argc, char** argv) {
       have_replay = true;
     } else if (std::strncmp(argv[i], "--scenario=", 11) == 0) {
       replay_scenario = argv[i] + 11;
-    } else if (std::strncmp(argv[i], "--telemetry-out=", 16) != 0) {
-      // A misspelt flag must not silently run the whole storm.
-      std::printf("unknown argument '%s'\n"
-                  "usage: chaos_storm [--replay-seed=<u64> --scenario=<name>] "
-                  "[--telemetry-out=<dir>]\n",
-                  argv[i]);
-      return 2;
     }
   }
-  tapo::bench::init_telemetry(argc, argv);
   telemetry::set_metrics_enabled(true);
   if (have_replay || !replay_scenario.empty()) {
     if (!have_replay || replay_scenario.empty()) {

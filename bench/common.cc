@@ -1,10 +1,12 @@
 #include "common.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <thread>
 
 #include "telemetry/telemetry.h"
@@ -72,13 +74,28 @@ std::vector<ServiceRun> run_all_services(std::size_t flows, std::uint64_t seed,
   return runs;
 }
 
-void init_telemetry(int argc, char** argv) {
+void init_telemetry(int argc, char** argv,
+                    std::initializer_list<std::string_view> own_flags,
+                    std::string_view own_usage) {
   const char* dir = std::getenv("TAPO_TELEMETRY_OUT");
   std::string from_flag;
   for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    constexpr const char* kFlag = "--telemetry-out=";
-    if (arg.rfind(kFlag, 0) == 0) from_flag = arg.substr(std::string(kFlag).size());
+    const std::string_view arg = argv[i];
+    constexpr std::string_view kFlag = "--telemetry-out=";
+    if (arg.starts_with(kFlag)) {
+      from_flag = arg.substr(kFlag.size());
+      continue;
+    }
+    if (std::ranges::none_of(own_flags, [&](std::string_view flag) {
+          return arg.starts_with(flag);
+        })) {
+      const std::string prog = argv[0];
+      std::string usage = prog.substr(prog.rfind('/') + 1);
+      if (!own_usage.empty()) (usage += ' ') += own_usage;
+      std::printf("unknown argument '%s'\nusage: %s [--telemetry-out=<dir>]\n",
+                  argv[i], usage.c_str());
+      std::exit(2);
+    }
   }
   if (!from_flag.empty()) {
     g_telemetry_dir = from_flag;  // flag wins over the env var

@@ -20,7 +20,9 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "stats/cdf.h"
@@ -38,9 +40,14 @@ std::size_t flows_per_service(std::size_t dflt = 400);
 std::size_t bench_threads(std::size_t dflt = 1);
 
 /// Enables telemetry when --telemetry-out=<dir> appears in argv or
-/// TAPO_TELEMETRY_OUT is set (see file header). Call first in main();
-/// unknown arguments are left alone.
-void init_telemetry(int argc, char** argv);
+/// TAPO_TELEMETRY_OUT is set (see file header). Call first in main(),
+/// before any flow runs. Any other argument must start with one of
+/// `own_flags`, the bench's own `--name=` flags (shown in the usage line as
+/// `own_usage`); anything else prints a usage line and exits 2, so a
+/// misspelt flag cannot silently run the whole bench.
+void init_telemetry(int argc, char** argv,
+                    std::initializer_list<std::string_view> own_flags = {},
+                    std::string_view own_usage = "");
 
 /// Writes the telemetry artifacts to the directory chosen at
 /// init_telemetry time (no-op when telemetry was never enabled). Call last

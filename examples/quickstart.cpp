@@ -19,6 +19,9 @@ using namespace tapo;
 
 namespace {
 
+/// How much virtual time the one simulated flow gets.
+constexpr Duration kHorizon = Duration::seconds(600.0);
+
 double parse_arg(const char* s, const char* name) {
   const auto v = util::parse_double(s);
   if (!v || *v < 0) {
@@ -64,7 +67,7 @@ int run(double loss, double rtt_ms, std::uint64_t bytes) {
   net::PacketTrace trace;
   tcp::Connection conn(sim, down, up, cfg, &trace);
   conn.start();
-  sim.run_until(TimePoint::from_us(0) + Duration::seconds(600.0));
+  sim.run_until(TimePoint::epoch() + kHorizon);
 
   std::printf("simulated flow: %s, %llu bytes, completed=%d",
               cfg.client_to_server.to_string().c_str(),
@@ -96,6 +99,14 @@ int main(int argc, char** argv) {
   const double loss = argc > 1 ? parse_arg(argv[1], "loss") : 0.03;
   const double rtt_ms = argc > 2 ? parse_arg(argv[2], "rtt_ms") : 120.0;
   const std::uint64_t bytes = argc > 3 ? parse_bytes(argv[3]) : 400 * 1024;
+  // A path whose one-way delay outlasts the horizon delivers nothing in it.
+  if (rtt_ms / 2000.0 >= kHorizon.sec()) {
+    std::fprintf(stderr,
+                 "error: rtt_ms %s gives a one-way delay of %g s, not below "
+                 "the %g s simulation horizon\n",
+                 argv[2], rtt_ms / 2000.0, kHorizon.sec());
+    return 1;
+  }
   try {
     return run(loss, rtt_ms, bytes);
   } catch (const std::invalid_argument& e) {

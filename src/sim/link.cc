@@ -1,6 +1,7 @@
 #include "sim/link.h"
 
 #include <algorithm>
+#include <cassert>
 #include <stdexcept>
 #include <string>
 
@@ -56,6 +57,25 @@ std::size_t Link::wire_size(const net::CapturedPacket& pkt) const {
   return net::kIpv4HeaderLen + pkt.tcp.header_len() + pkt.payload_len;
 }
 
+Link::~Link() {
+  if (wire_.empty()) return;
+  sim_.pending_ -= wire_.size();
+  sim_.drop(this);
+}
+
+void Link::settle_departures() {
+  while (!departures_.empty() && sim_.past(departures_.front())) {
+    departures_.pop_front();
+    --queued_;
+  }
+#ifndef NDEBUG
+  assert(departures_.size() == queued_);
+  for (std::size_t i = 1; i < departures_.size(); ++i) {
+    assert(departures_[i - 1] < departures_[i]);
+  }
+#endif
+}
+
 void Link::send(net::CapturedPacket pkt) {
   ++stats_.sent;
   if (decide_drop()) return;
@@ -63,6 +83,7 @@ void Link::send(net::CapturedPacket pkt) {
   const TimePoint now = sim_.now();
   TimePoint depart = now;
   if (config_.bandwidth_Bps > 0) {
+    settle_departures();
     if (queued_ >= config_.queue_packets) {
       ++stats_.dropped_queue;
       return;
@@ -73,7 +94,7 @@ void Link::send(net::CapturedPacket pkt) {
     depart = std::max(now, busy_until_) + tx;
     busy_until_ = depart;
     ++queued_;
-    sim_.schedule_at(depart, [this] { --queued_; });
+    departures_.push_back(sim_.take_key(depart));
   }
 
   Duration extra = Duration::zero();
@@ -100,30 +121,54 @@ void Link::send(net::CapturedPacket pkt) {
   if (reordered) extra += config_.reorder_delay;
 
   TimePoint arrive = depart + config_.prop_delay + extra;
+  if (reordered) {
+    std::uint32_t slot = 0;
+    if (free_held_.empty()) {
+      slot = static_cast<std::uint32_t>(held_.size());
+      held_.push_back(pkt);
+    } else {
+      slot = free_held_.back();
+      free_held_.pop_back();
+      held_[slot] = pkt;
+    }
+    sim_.schedule_at(arrive, [this, slot] {
+      // Copy the packet out and free its slot first: the handler may send
+      // on this link, which can reuse the slot or grow the vector.
+      net::CapturedPacket held = held_[slot];
+      free_held_.push_back(slot);
+      deliver(held);
+    });
+    return;
+  }
   // Delivery is FIFO, like a real queue: jitter and delay bursts stretch
-  // arrivals but never let a packet overtake an earlier one. Only a
-  // reordered packet is exempt.
-  if (!reordered) {
-    if (arrive < last_arrival_) arrive = last_arrival_;
-    last_arrival_ = arrive;
+  // arrivals but never let a packet overtake an earlier one. So the ring
+  // stays sorted by key, and its head, the only entry in the heap, is the
+  // link's next delivery.
+  if (arrive < last_arrival_) arrive = last_arrival_;
+  last_arrival_ = arrive;
+  const Simulator::Key key = sim_.take_key(arrive);
+  if (wire_.empty()) {
+    sim_.push({.key = key, .owner = this, .kind = Simulator::Kind::kLink});
   }
-  std::uint32_t slot = 0;
-  if (free_wire_.empty()) {
-    slot = static_cast<std::uint32_t>(wire_.size());
-    wire_.push_back(pkt);
-  } else {
-    slot = free_wire_.back();
-    free_wire_.pop_back();
-    wire_[slot] = pkt;
-  }
-  sim_.schedule_at(arrive, [this, slot] { deliver(slot); });
+  wire_.push_back(InFlight{key, pkt});
+  ++sim_.pending_;
 }
 
-void Link::deliver(std::uint32_t slot) {
-  // Copy the packet out and free its slot first: the handler may send on
-  // this link, which can reuse the slot or grow the wire.
-  net::CapturedPacket pkt = wire_[slot];
-  free_wire_.push_back(slot);
+void Link::deliver_head() {
+  // Copy the packet out first: the handler may send on this link and grow
+  // the ring.
+  net::CapturedPacket pkt = wire_.front().pkt;
+  wire_.pop_front();
+  --sim_.pending_;
+  if (!wire_.empty()) {
+    sim_.push({.key = wire_.front().key,
+               .owner = this,
+               .kind = Simulator::Kind::kLink});
+  }
+  deliver(pkt);
+}
+
+void Link::deliver(net::CapturedPacket& pkt) {
   ++stats_.delivered;
   if (deliver_) {
     pkt.timestamp = sim_.now();

@@ -3,8 +3,18 @@
 // processes (i.i.d. random loss and Gilbert-Elliott bursts — the latter
 // drives the paper's continuous-loss and double-retransmission stalls,
 // which need correlated drops).
+//
+// Events: delivery is FIFO except for reordered packets, so a link keeps
+// its in-order packets in a ring sorted by (arrival, sequence number) and
+// only the ring's head in the simulator's heap; each packet keeps the key
+// a scheduled delivery would have had. A reordered packet is delivered by
+// an ordinary closure event. The bottleneck queue keeps the key of each
+// packet's departure in a second ring, and the next send retires every
+// departure whose key orders before the event now running, which is when
+// a departure event would have fired. Neither ring allocates once grown.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -76,6 +86,12 @@ class Link {
       : sim_(sim), config_(config), rng_(rng) {
     config_.validate();
   }
+  /// Drops the packets still on the ring. The simulator must outlive the
+  /// link, and must not run on after it while a reordered packet's
+  /// closure, which names the link, is still queued.
+  ~Link();
+  Link(const Link&) = delete;
+  Link& operator=(const Link&) = delete;
 
   void set_deliver(DeliverFn fn) { deliver_ = std::move(fn); }
 
@@ -102,9 +118,52 @@ class Link {
   void force_outage(Duration duration);
 
  private:
+  friend class Simulator;
+
+  /// A FIFO queue in a circular buffer that doubles when full and never
+  /// shrinks, so it allocates nothing once it has grown to its peak.
+  template <class T>
+  class Ring {
+   public:
+    bool empty() const { return size_ == 0; }
+    std::size_t size() const { return size_; }
+    const T& operator[](std::size_t i) const {
+      return buf_[(head_ + i) & (buf_.size() - 1)];
+    }
+    const T& front() const { return buf_[head_]; }
+    void push_back(const T& v) {
+      if (size_ == buf_.size()) grow();
+      buf_[(head_ + size_) & (buf_.size() - 1)] = v;
+      ++size_;
+    }
+    void pop_front() {
+      head_ = (head_ + 1) & (buf_.size() - 1);
+      --size_;
+    }
+
+   private:
+    void grow() {
+      std::vector<T> bigger(std::max<std::size_t>(4, 2 * buf_.size()));
+      for (std::size_t i = 0; i < size_; ++i) bigger[i] = (*this)[i];
+      buf_.swap(bigger);
+      head_ = 0;
+    }
+    std::vector<T> buf_;  // capacity a power of two
+    std::size_t head_ = 0;
+    std::size_t size_ = 0;
+  };
+  struct InFlight {
+    Simulator::Key key;
+    net::CapturedPacket pkt;
+  };
+
   bool decide_drop();
   std::size_t wire_size(const net::CapturedPacket& pkt) const;
-  void deliver(std::uint32_t slot);
+  /// Retires the bottleneck departures that have happened by now.
+  void settle_departures();
+  /// Pops the ring's head and delivers it (the simulator's kLink event).
+  void deliver_head();
+  void deliver(net::CapturedPacket& pkt);
 
   Simulator& sim_;
   LinkConfig config_;
@@ -117,11 +176,13 @@ class Link {
   TimePoint busy_until_ = TimePoint::epoch();
   TimePoint last_arrival_ = TimePoint::epoch();
   std::size_t queued_ = 0;
-  // Packets on the wire, each in a slot until its delivery event fires.
-  // That event's closure holds only `this` and the slot index, so it fits
+  Ring<Simulator::Key> departures_;  // the queued_ packets' departures
+  Ring<InFlight> wire_;              // in-order packets, by key
+  // Reordered packets, each in a slot until its delivery closure fires.
+  // That closure holds only `this` and the slot index, so it fits
   // std::function's inline buffer and scheduling it allocates nothing.
-  std::vector<net::CapturedPacket> wire_;
-  std::vector<std::uint32_t> free_wire_;
+  std::vector<net::CapturedPacket> held_;
+  std::vector<std::uint32_t> free_held_;
 };
 
 }  // namespace tapo::sim

@@ -1,7 +1,10 @@
 #include "sim/simulator.h"
 
+#include <algorithm>
+#include <cassert>
 #include <utility>
 
+#include "sim/link.h"
 #include "telemetry/telemetry.h"
 
 namespace tapo::sim {
@@ -17,66 +20,127 @@ void count_executed(std::size_t executed) {
   events.add(executed);
 }
 
+// std::*_heap build a max-heap, so "less" is "fires later".
+constexpr auto fires_later = [](const auto& a, const auto& b) {
+  return b.key < a.key;
+};
+
 }  // namespace
 
-EventId Simulator::schedule(Duration delay, EventFn fn) {
+void Simulator::schedule(Duration delay, EventFn fn) {
   if (delay < Duration::zero()) delay = Duration::zero();
-  return schedule_at(now_ + delay, std::move(fn));
+  schedule_at(now() + delay, std::move(fn));
 }
 
-EventId Simulator::schedule_at(TimePoint when, EventFn fn) {
-  if (when < now_) when = now_;
+void Simulator::schedule_at(TimePoint when, EventFn fn) {
   std::uint32_t slot = 0;
   if (free_slots_.empty()) {
     slot = static_cast<std::uint32_t>(slots_.size());
-    slots_.emplace_back();
+    slots_.push_back(std::move(fn));
   } else {
     slot = free_slots_.back();
     free_slots_.pop_back();
+    slots_[slot] = std::move(fn);
   }
-  Slot& s = slots_[slot];
-  s.fn = std::move(fn);
-  queue_.push(Event{when, next_seq_++, slot, s.generation});
+  push(Entry{.key = take_key(when), .slot = slot});
   ++pending_;
-  return (static_cast<EventId>(s.generation) << 32) | slot;
 }
 
-void Simulator::cancel(EventId id) {
-  // The queue entry becomes a stale tombstone, dropped by peek_runnable.
-  const auto slot = static_cast<std::uint32_t>(id);
-  const auto generation = static_cast<std::uint32_t>(id >> 32);
-  if (generation != 0 && slot < slots_.size() &&
-      slots_[slot].generation == generation) {
-    release(slot);
+void Simulator::push(const Entry& e) {
+  heap_.push_back(e);
+  std::push_heap(heap_.begin(), heap_.end(), fires_later);
+}
+
+void Simulator::pop() {
+  std::pop_heap(heap_.begin(), heap_.end(), fires_later);
+  heap_.pop_back();
+}
+
+void Simulator::drop(const void* owner) {
+  // Marking leaves every key in place, so the heap order holds.
+  for (Entry& e : heap_) {
+    if (e.owner == owner) e.kind = Kind::kDropped;
   }
-}
-
-void Simulator::release(std::uint32_t slot) {
-  Slot& s = slots_[slot];
-  s.fn = nullptr;
-  --pending_;
-  if (++s.generation != 0) free_slots_.push_back(slot);
 }
 
 bool Simulator::peek_runnable() {
-  while (!queue_.empty()) {
-    const Event& ev = queue_.top();
-    if (slots_[ev.slot].generation == ev.generation) return true;
-    queue_.pop();  // cancelled: its slot has moved on to a new generation
+  while (!heap_.empty()) {
+    const Entry& head = heap_.front();
+    if (head.kind == Kind::kClosure || head.kind == Kind::kLink) return true;
+    if (head.kind == Kind::kTimer) {
+      Timer& t = *static_cast<Timer*>(head.owner);
+      // Any other entry of the timer was superseded by an earlier re-arm.
+      if (head.key == t.entry_) {
+        if (t.armed_ && t.expiry_ == head.key) return true;
+        if (t.armed_) {
+          // Re-armed later since this entry was pushed: move it there.
+          Entry moved = head;
+          moved.key = t.entry_ = t.expiry_;
+          pop();
+          push(moved);
+          continue;
+        }
+        t.entry_ = kNoKey;  // cancelled
+      }
+    }
+    pop();
   }
   return false;
 }
 
 void Simulator::fire_head() {
-  const Event ev = queue_.top();
-  queue_.pop();
-  now_ = ev.when;
-  // Free the slot before the handler runs: it may schedule into it, and a
-  // cancel of its own id is then a no-op.
-  EventFn fn = std::move(slots_[ev.slot].fn);
-  release(ev.slot);
-  fn();
+  check_pending();
+  const Entry head = heap_.front();
+  pop();
+  clock_ = head.key;
+  switch (head.kind) {
+    case Kind::kClosure: {
+      // Free the slot before the handler runs: it may schedule into it.
+      EventFn fn = std::move(slots_[head.slot]);
+      free_slots_.push_back(head.slot);
+      --pending_;
+      fn();
+      break;
+    }
+    case Kind::kTimer: {
+      Timer& t = *static_cast<Timer*>(head.owner);
+      t.entry_ = kNoKey;
+      t.armed_ = false;
+      --pending_;
+      t.on_fire_();
+      break;
+    }
+    case Kind::kLink:
+      static_cast<Link*>(head.owner)->deliver_head();
+      break;
+    case Kind::kDropped:
+      break;  // peek_runnable never leaves one at the head
+  }
 }
+
+#ifndef NDEBUG
+void Simulator::check_pending() const {
+  std::size_t closures = 0;
+  std::size_t timers = 0;
+  std::size_t packets = 0;
+  for (const Entry& e : heap_) {
+    switch (e.kind) {
+      case Kind::kClosure: ++closures; break;
+      case Kind::kTimer: {
+        const Timer& t = *static_cast<const Timer*>(e.owner);
+        if (t.armed_ && e.key == t.entry_) ++timers;
+        break;
+      }
+      case Kind::kLink:
+        packets += static_cast<const Link*>(e.owner)->wire_.size();
+        break;
+      case Kind::kDropped: break;
+    }
+  }
+  assert(closures == slots_.size() - free_slots_.size());
+  assert(closures + timers + packets == pending_);
+}
+#endif
 
 std::size_t Simulator::run(std::size_t limit) {
   std::size_t executed = 0;
@@ -95,40 +159,52 @@ std::size_t Simulator::run_until(TimePoint deadline) {
 std::size_t Simulator::run_until(TimePoint deadline, std::size_t max_events) {
   std::size_t executed = 0;
   while (executed < max_events && peek_runnable()) {
-    // Beyond the deadline: leave it queued (handler intact) for a later
-    // run call — no re-push needed since we only peeked.
-    if (queue_.top().when > deadline) break;
+    // Beyond the deadline: leave it queued for a later run call — no
+    // re-push needed since we only peeked.
+    if (heap_.front().key.when > deadline) break;
     fire_head();
     ++executed;
   }
   // Budget exhaustion leaves virtual time at the last executed event, so a
   // tripped watchdog reports where the run stuck rather than the deadline.
   const bool exhausted = executed >= max_events && peek_runnable() &&
-                         queue_.top().when <= deadline;
-  if (!exhausted && now_ < deadline) now_ = deadline;
+                         heap_.front().key.when <= deadline;
+  // Otherwise everything up to the deadline has run, bottleneck departures
+  // that Link settles lazily included.
+  if (!exhausted && now() <= deadline) clock_ = Key{deadline, next_seq_};
   count_executed(executed);
   return executed;
 }
 
 std::optional<TimePoint> Simulator::next_event_time() {
   if (!peek_runnable()) return std::nullopt;
-  return queue_.top().when;
+  return heap_.front().key.when;
+}
+
+Timer::~Timer() {
+  cancel();
+  sim_.drop(this);
 }
 
 void Timer::arm(Duration delay) {
-  cancel();
-  deadline_ = sim_.now() + delay;
-  pending_ = sim_.schedule(delay, [this] {
-    pending_ = 0;
-    on_fire_();
-  });
+  if (!armed_) ++sim_.pending_;
+  armed_ = true;
+  expiry_ = sim_.take_key(sim_.now() + delay);
+  // A queued entry at or before the new expiry re-pushes itself when it
+  // reaches the head; only an earlier expiry needs an entry of its own.
+  if (expiry_ < entry_) {
+    entry_ = expiry_;
+    sim_.push(Simulator::Entry{
+        .key = expiry_, .owner = this, .kind = Simulator::Kind::kTimer});
+  }
 }
 
 void Timer::cancel() {
-  if (pending_ != 0) {
-    sim_.cancel(pending_);
-    pending_ = 0;
-  }
+  // The queued entry stays; it is dropped when it reaches the head, or
+  // reused by the next arm.
+  if (!armed_) return;
+  armed_ = false;
+  --sim_.pending_;
 }
 
 }  // namespace tapo::sim

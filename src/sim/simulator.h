@@ -1,22 +1,28 @@
 // Discrete-event simulation core.
 //
-// A single-threaded event loop with microsecond virtual time. Events
-// scheduled for the same instant fire in scheduling order (FIFO), which
-// keeps runs fully deterministic. Timers are cancellable handles — TCP
-// rearms/cancels its RTO, delayed-ACK, probe and persist timers constantly,
-// so cancellation is O(1). Handlers live in a slot vector that a free list
-// recycles, so scheduling allocates nothing once the slots have grown. An
-// EventId names a (slot, generation) pair: firing or cancelling an event
-// frees its slot and bumps the slot's generation, so a stale id matches
-// nothing, and the queue entries it leaves behind are dropped lazily at pop
-// time. A slot is pending exactly while its generation matches an id that
-// was handed out.
+// A single-threaded event loop with microsecond virtual time. Every event
+// has a key, (time, sequence number), the sequence number drawn from one
+// counter when the event is scheduled; events fire in key order, so events
+// at the same instant fire in scheduling order and runs are fully
+// deterministic. The binary heap holds a few entries per connection rather
+// than one per event, because two kinds of source keep their own events:
+//  - A `Timer` keeps its expiry key in place. A re-arm to a later key leaves
+//    the timer's queued entry alone: when that entry reaches the head it
+//    re-checks the timer and re-pushes itself at the new key. Only a re-arm
+//    to an earlier key pushes a new entry, and an entry that no longer
+//    stands for its timer's expiry is dropped at the head without firing or
+//    counting. TCP re-arms its retransmission timer on every ACK, so this
+//    leaves one entry where cancel-and-reschedule left a tombstone per ACK.
+//  - A `Link` (link.h) keeps its in-order packets in a FIFO ring sorted by
+//    key and only the ring's head in the heap.
+// Any other event is a one-shot closure whose handler lives in a slot that
+// a free list recycles, so scheduling allocates nothing once the slots have
+// grown. Closures cannot be cancelled; a `Timer` can.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <queue>
 #include <vector>
 
 #include "util/time.h"
@@ -25,21 +31,20 @@ namespace tapo::sim {
 
 using EventFn = std::function<void()>;
 
-/// Identifies a scheduled event: its slot in the low 32 bits, the slot's
-/// generation (never 0) in the high 32. 0 is never a valid id.
-using EventId = std::uint64_t;
+class Link;
+class Timer;
 
 class Simulator {
  public:
-  TimePoint now() const { return now_; }
+  Simulator() = default;
+  Simulator(const Simulator&) = delete;
+  Simulator& operator=(const Simulator&) = delete;
+
+  TimePoint now() const { return clock_.when; }
 
   /// Schedules `fn` to run `delay` from now. Negative delays clamp to now.
-  EventId schedule(Duration delay, EventFn fn);
-  EventId schedule_at(TimePoint when, EventFn fn);
-
-  /// Cancels a pending event. Cancelling an already-fired or unknown id is a
-  /// no-op (timers race with the events that cancel them).
-  void cancel(EventId id);
+  void schedule(Duration delay, EventFn fn);
+  void schedule_at(TimePoint when, EventFn fn);
 
   /// Runs until the queue drains or `limit` events have fired.
   /// Returns the number of events executed.
@@ -56,68 +61,97 @@ class Simulator {
   /// overload, so a budget that never trips changes nothing.
   std::size_t run_until(TimePoint deadline, std::size_t max_events);
 
-  /// Timestamp of the earliest pending (non-cancelled) event, if any.
-  /// Non-const: lazily drops cancelled tombstones off the queue head.
+  /// Timestamp of the earliest pending event, if any. Non-const: settles
+  /// stale timer entries at the queue head first.
   std::optional<TimePoint> next_event_time();
 
+  /// Pending events: closures, armed timers and packets on link rings.
   bool empty() const { return pending_ == 0; }
   std::size_t pending() const { return pending_; }
 
  private:
-  struct Slot {
-    EventFn fn;
-    std::uint32_t generation = 1;
-  };
-  struct Event {
+  friend class Link;
+  friend class Timer;
+
+  /// An event's place in the order: earliest time first, then scheduling
+  /// order.
+  struct Key {
     TimePoint when;
-    std::uint64_t seq;  // scheduling order
-    std::uint32_t slot;
-    std::uint32_t generation;
-    // Heap entry ordering: earliest time first; FIFO among equal times.
-    bool operator>(const Event& o) const {
-      if (when != o.when) return when > o.when;
-      return seq > o.seq;
-    }
+    std::uint64_t seq = 0;
+    auto operator<=>(const Key&) const = default;
+  };
+  /// Greater than every key that is drawn: a timer with no queued entry.
+  static constexpr Key kNoKey{TimePoint::max(), UINT64_MAX};
+
+  enum class Kind : std::uint8_t { kClosure, kTimer, kLink, kDropped };
+  struct Entry {
+    Key key;
+    void* owner = nullptr;  // the Timer or Link
+    std::uint32_t slot = 0;  // kClosure: index into slots_
+    Kind kind = Kind::kClosure;
   };
 
-  /// Drops cancelled entries off the top of the queue until the head is a
-  /// live event (it stays queued, so callers can peek the deadline first)
-  /// or the queue is exhausted.
+  /// The key of an event scheduled now for `when` (clamped to now).
+  Key take_key(TimePoint when) {
+    return Key{when < clock_.when ? clock_.when : when, next_seq_++};
+  }
+  /// True if an event with key `k` would already have fired: it orders
+  /// before the event now running or, between runs, before the point the
+  /// last run reached.
+  bool past(const Key& k) const { return k < clock_; }
+  void push(const Entry& e);
+  void pop();
+  /// Marks every queued entry of a destroyed Timer or Link as dropped.
+  void drop(const void* owner);
+
+  /// Settles stale timer entries and drops dead ones off the top of the
+  /// queue until the head is a live event (it stays queued, so callers can
+  /// peek the deadline first) or the queue is exhausted.
   bool peek_runnable();
   /// Pops the head (a live event), advances the clock to it and runs it.
   void fire_head();
-  /// Destroys the slot's handler and recycles the slot under a new
-  /// generation. A slot whose generation would wrap to 0 is retired.
-  void release(std::uint32_t slot);
 
-  TimePoint now_ = TimePoint::epoch();
+#ifdef NDEBUG
+  void check_pending() const {}
+#else
+  /// Recounts pending_ from the queue: live closure slots, armed timers and
+  /// the packets on each queued link ring.
+  void check_pending() const;
+#endif
+
+  /// The key of the event now running; between runs, the point the last
+  /// run reached.
+  Key clock_{TimePoint::epoch(), 0};
   std::uint64_t next_seq_ = 0;
   std::size_t pending_ = 0;
-  std::priority_queue<Event, std::vector<Event>, std::greater<>> queue_;
-  std::vector<Slot> slots_;
+  std::vector<Entry> heap_;  // a min-heap on Entry::key
+  std::vector<EventFn> slots_;
   std::vector<std::uint32_t> free_slots_;
 };
 
-/// A self-rearming timer bound to one Simulator. Guarantees at most one
-/// pending expiry; arm() while pending reschedules.
+/// A self-rearming timer bound to one Simulator, which must outlive it.
+/// Guarantees at most one pending expiry; arm() while pending reschedules.
 class Timer {
  public:
   Timer(Simulator& sim, EventFn on_fire)
       : sim_(sim), on_fire_(std::move(on_fire)) {}
-  ~Timer() { cancel(); }
+  ~Timer();
   Timer(const Timer&) = delete;
   Timer& operator=(const Timer&) = delete;
 
   void arm(Duration delay);
   void cancel();
-  bool armed() const { return pending_ != 0; }
-  TimePoint deadline() const { return deadline_; }
+  bool armed() const { return armed_; }
+  TimePoint deadline() const { return expiry_.when; }
 
  private:
+  friend class Simulator;
+
   Simulator& sim_;
   EventFn on_fire_;
-  EventId pending_ = 0;
-  TimePoint deadline_;
+  bool armed_ = false;
+  Simulator::Key expiry_;                     // valid while armed
+  Simulator::Key entry_ = Simulator::kNoKey;  // the entry that stands for it
 };
 
 }  // namespace tapo::sim
