@@ -58,11 +58,10 @@ std::vector<ServiceRun> run_all_services(std::size_t flows, std::uint64_t seed,
   for (auto svc : {workload::Service::kCloudStorage,
                    workload::Service::kSoftwareDownload,
                    workload::Service::kWebSearch}) {
-    auto cfg = workload::ExperimentConfig{}
-                   .with_profile(workload::profile_for(svc))
-                   .with_flows(flows)
-                   .with_seed(seed)
-                   .with_analysis(analyze);
+    const workload::ExperimentConfig cfg{.profile = workload::profile_for(svc),
+                                         .flows = flows,
+                                         .seed = seed,
+                                         .analyze = analyze};
     workload::RunOptions options;
     options.threads = bench_threads();
     workload::ParallelRunner runner(cfg, std::move(options));

@@ -44,8 +44,7 @@ constexpr std::size_t kShards = 4;
 constexpr double kMinRecordsPerSec = 10'000.0;
 
 /// Narrow windows so even small TAPO_BENCH_FLOWS runs span several.
-const fleet::FleetConfig kFleetConfig =
-    fleet::FleetConfig{}.with_window(Duration::seconds(10));
+const fleet::FleetConfig kFleetConfig{.window = Duration::seconds(10)};
 
 /// Emits one shard's record stream: all three services, flows stamped at a
 /// steady logical rate, shards staggered so their windows interleave.
@@ -55,19 +54,16 @@ std::string emit_shard(std::uint32_t shard, std::size_t flows) {
   for (auto svc : {workload::Service::kCloudStorage,
                    workload::Service::kSoftwareDownload,
                    workload::Service::kWebSearch}) {
-    auto cfg = workload::ExperimentConfig{}
-                   .with_profile(workload::profile_for(svc))
-                   .with_flows(flows)
-                   .with_seed(kBenchSeed + shard)
-                   .with_analysis(true);
+    const workload::ExperimentConfig cfg{.profile = workload::profile_for(svc),
+                                         .flows = flows,
+                                         .seed = kBenchSeed + shard};
     workload::RunOptions options;
     options.threads = bench_threads();
     fleet::RecordSink sink(
-        writer, fleet::RecordSinkConfig{}
-                    .with_shard_id(shard)
-                    .with_service(static_cast<std::uint8_t>(svc))
-                    .with_base_time_us(static_cast<std::int64_t>(shard) *
-                                       250'000));
+        writer,
+        {.shard_id = shard,
+         .service = static_cast<std::uint8_t>(svc),
+         .base_time_us = static_cast<std::int64_t>(shard) * 250'000});
     workload::ParallelRunner runner(cfg, std::move(options));
     runner.run(sink);
   }

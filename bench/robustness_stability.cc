@@ -106,12 +106,11 @@ struct ArmResult {
 ArmResult run_arm(workload::Service svc, std::size_t flows,
                   const sim::CaptureImpairments& imp,
                   const analysis::AnalyzerConfig& acfg) {
-  auto cfg = workload::ExperimentConfig{}
-                 .with_profile(workload::profile_for(svc))
-                 .with_flows(flows)
-                 .with_seed(kBenchSeed)
-                 .with_analyzer(acfg);
-  if (imp.enabled()) cfg.with_impairments(imp);
+  const workload::ExperimentConfig cfg{.profile = workload::profile_for(svc),
+                                       .flows = flows,
+                                       .seed = kBenchSeed,
+                                       .analyzer = acfg,
+                                       .impairments = imp};
   workload::RunOptions options;
   options.threads = bench_threads();
   const QualityTotals before = counters_now();
@@ -164,41 +163,32 @@ struct Scenario {
 
 std::vector<Scenario> scenarios() {
   using analysis::AnalyzerConfig;
-  using sim::CaptureImpairments;
   // Dup scenarios declare the capture as duplicating (suppression on);
   // quantization scenarios declare the capture clock's granularity
   // (analysis floors to it, so the coarse clock is provably harmless).
-  const auto dup_cfg = AnalyzerConfig{}.with_dup_window(Duration::micros(1));
-  const auto quant_cfg =
-      AnalyzerConfig{}.with_ts_quantum(Duration::micros(100));
-  auto combined_cfg = dup_cfg;
-  combined_cfg.with_ts_quantum(Duration::micros(100));
+  const AnalyzerConfig dup_cfg{.dup_window = Duration::micros(1)};
+  const AnalyzerConfig quant_cfg{.ts_quantum = Duration::micros(100)};
+  const AnalyzerConfig combined_cfg{.dup_window = Duration::micros(1),
+                                    .ts_quantum = Duration::micros(100)};
 
   std::vector<Scenario> s;
-  s.push_back({"drop 1%", CaptureImpairments{}.with_drop(0.01), {}, false,
-               true});
-  s.push_back({"burst drop", CaptureImpairments{}.with_burst_drop(0.005, 0.6),
+  s.push_back({"drop 1%", {.drop_prob = 0.01}, {}, false, true});
+  s.push_back({"burst drop",
+               {.burst_drop_prob = 0.005, .burst_continue_prob = 0.6},
                {}, false, true});
-  s.push_back({"snaplen 54", CaptureImpairments{}.with_snaplen(54), {}, false,
-               true});
-  s.push_back({"dup only 5%", CaptureImpairments{}.with_duplication(0.05),
-               dup_cfg, true, true});
-  s.push_back({"reorder 5%", CaptureImpairments{}.with_reordering(0.05), {},
-               false, false});
-  s.push_back({"quantize 100us",
-               CaptureImpairments{}.with_quantization(Duration::micros(100)),
+  s.push_back({"snaplen 54", {.snaplen = 54}, {}, false, true});
+  s.push_back({"dup only 5%", {.dup_prob = 0.05}, dup_cfg, true, true});
+  s.push_back({"reorder 5%", {.reorder_prob = 0.05}, {}, false, false});
+  s.push_back({"quantize 100us", {.quantize = Duration::micros(100)},
                quant_cfg, true, false});
-  s.push_back({"jitter 50us",
-               CaptureImpairments{}.with_jitter(Duration::micros(50)), {},
-               false, false});
-  s.push_back({"mid-stream", CaptureImpairments{}.with_mid_stream_start(3),
-               {}, false, true});
+  s.push_back({"jitter 50us", {.jitter = Duration::micros(50)}, {}, false,
+               false});
+  s.push_back({"mid-stream", {.skip_first = 3}, {}, false, true});
   s.push_back({"combined",
-               CaptureImpairments{}
-                   .with_drop(0.01)
-                   .with_snaplen(54)
-                   .with_duplication(0.02)
-                   .with_quantization(Duration::micros(100)),
+               {.drop_prob = 0.01,
+                .snaplen = 54,
+                .dup_prob = 0.02,
+                .quantize = Duration::micros(100)},
                combined_cfg, false, true});
   return s;
 }

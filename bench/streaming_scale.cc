@@ -146,11 +146,9 @@ net::PacketTrace build_trace(std::size_t target_bytes, std::size_t max_flows) {
 }
 
 analysis::LiveConfig unbounded_live_config(util::MemoryBudget* budget) {
-  analysis::LiveConfig cfg;
-  cfg.with_idle_timeout(Duration::max())
-      .with_fin_linger(Duration::max())
-      .with_mem_budget(budget);
-  return cfg;
+  return {.idle_timeout = Duration::max(),
+          .fin_linger = Duration::max(),
+          .mem_budget = budget};
 }
 
 /// Counts the analyses the live analyzer finalizes and keeps none of

@@ -91,14 +91,14 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "error: --server-port must be 1..65535\n");
         return 1;
       }
-      demux.with_server_port(static_cast<std::uint16_t>(*port));
+      demux.server_port = static_cast<std::uint16_t>(*port);
     } else if (arg == "--tau" && i + 1 < argc) {
       const auto tau = tapo::util::parse_double(argv[++i]);
       if (!tau || *tau <= 0.0) {
         std::fprintf(stderr, "error: --tau must be a positive number\n");
         return 1;
       }
-      config.with_tau(*tau);
+      config.tau = *tau;
     } else if (arg == "--summary") {
       summary_only = true;
     } else if (arg == "--csv" && i + 1 < argc) {
@@ -139,12 +139,9 @@ int main(int argc, char** argv) {
     pcap::StreamingReader reader(path, pcap::StreamingOptions{
                                            .budget = &budget});
     if (live_mode) {
-      const auto live_cfg = analysis::LiveConfig{}
-                                .with_analyzer(config)
-                                .with_demux(demux)
-                                .with_mem_budget(&budget);
       workload::CollectingSink sink;
-      analysis::LiveAnalyzer live(live_cfg, sink);
+      analysis::LiveAnalyzer live(
+          {.analyzer = config, .demux = demux, .mem_budget = &budget}, sink);
       while (auto chunk = reader.next_chunk()) live.add_chunk(*chunk);
       rstats = reader.stats();
       std::printf("%s: %zu records, %zu TCP packets (%zu skipped)\n",

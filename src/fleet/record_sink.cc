@@ -4,21 +4,6 @@
 
 namespace tapo::fleet {
 
-RecordSinkConfig& RecordSinkConfig::with_shard_id(std::uint32_t id) {
-  shard_id = id;
-  return *this;
-}
-
-RecordSinkConfig& RecordSinkConfig::with_service(std::uint8_t s) {
-  service = s;
-  return *this;
-}
-
-RecordSinkConfig& RecordSinkConfig::with_base_time_us(std::int64_t t) {
-  base_time_us = t;
-  return *this;
-}
-
 FlowRecord make_flow_record(const tapo::FlowResult& result,
                             const RecordSinkConfig& cfg) {
   FlowRecord r;

@@ -31,10 +31,12 @@ struct RecordSinkConfig {
   /// base_time_us + i * kFlowSpacing.
   std::int64_t base_time_us = 0;
 
-  // Fluent construction, mirroring ExperimentConfig::with_*.
-  RecordSinkConfig& with_shard_id(std::uint32_t id);
-  RecordSinkConfig& with_service(std::uint8_t s);
-  RecordSinkConfig& with_base_time_us(std::int64_t t);
+  // Kept only because bench/perf_baseline/workloads.cc builds its config
+  // with it; everything else assigns the field.
+  RecordSinkConfig& with_service(std::uint8_t s) {
+    service = s;
+    return *this;
+  }
 };
 
 /// Logical inter-flow arrival spacing of the records a sink writes.

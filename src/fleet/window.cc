@@ -47,14 +47,6 @@ std::string service_name(std::uint8_t s) {
 
 // ----------------------------------------------------------- FleetConfig
 
-FleetConfig& FleetConfig::with_window(Duration w) {
-  if (w <= Duration::zero()) {
-    throw std::invalid_argument("FleetConfig: window must be > 0");
-  }
-  window = w;
-  return *this;
-}
-
 void FleetConfig::validate() const {
   if (window <= Duration::zero()) {
     throw std::invalid_argument("FleetConfig: window must be > 0");

@@ -38,7 +38,8 @@ struct FleetConfig {
   /// Window width for the rolling aggregation (> 0).
   Duration window = Duration::seconds(60);
 
-  FleetConfig& with_window(Duration w);        // throws on w <= 0
+  /// Throws std::invalid_argument on a non-positive window. Called by the
+  /// WindowAggregator constructor.
   void validate() const;
 };
 

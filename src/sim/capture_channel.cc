@@ -28,73 +28,6 @@ telemetry::Counter& injected_counter(const char* kind) {
 
 }  // namespace
 
-CaptureImpairments& CaptureImpairments::with_drop(double p) {
-  require_prob(p, "drop_prob");
-  drop_prob = p;
-  return *this;
-}
-
-CaptureImpairments& CaptureImpairments::with_burst_drop(double enter,
-                                                        double cont) {
-  require_prob(enter, "burst_drop_prob");
-  require_prob(cont, "burst_continue_prob");
-  burst_drop_prob = enter;
-  burst_continue_prob = cont;
-  return *this;
-}
-
-CaptureImpairments& CaptureImpairments::with_snaplen(std::uint32_t bytes) {
-  if (bytes != 0 &&
-      bytes < net::kIpv4HeaderLen + net::kTcpMinHeaderLen) {
-    throw std::invalid_argument(
-        "CaptureImpairments: snaplen must be 0 (full capture) or >= " +
-        std::to_string(net::kIpv4HeaderLen + net::kTcpMinHeaderLen) +
-        " wire bytes (IP + fixed TCP header), got " + std::to_string(bytes));
-  }
-  snaplen = bytes;
-  return *this;
-}
-
-CaptureImpairments& CaptureImpairments::with_duplication(double p) {
-  require_prob(p, "dup_prob");
-  dup_prob = p;
-  return *this;
-}
-
-CaptureImpairments& CaptureImpairments::with_reordering(double p) {
-  require_prob(p, "reorder_prob");
-  reorder_prob = p;
-  return *this;
-}
-
-CaptureImpairments& CaptureImpairments::with_quantization(Duration granularity) {
-  if (granularity <= Duration::zero()) {
-    throw std::invalid_argument(
-        "CaptureImpairments: quantization granularity must be > 0");
-  }
-  quantize = granularity;
-  return *this;
-}
-
-CaptureImpairments& CaptureImpairments::with_jitter(Duration j) {
-  if (j < Duration::zero()) {
-    throw std::invalid_argument("CaptureImpairments: jitter must be >= 0");
-  }
-  jitter = j;
-  return *this;
-}
-
-CaptureImpairments& CaptureImpairments::with_mid_stream_start(
-    std::size_t skip) {
-  skip_first = skip;
-  return *this;
-}
-
-CaptureImpairments& CaptureImpairments::with_seed(std::uint64_t s) {
-  seed = s;
-  return *this;
-}
-
 bool CaptureImpairments::enabled() const {
   return drop_prob > 0.0 || burst_drop_prob > 0.0 || snaplen != 0 ||
          dup_prob > 0.0 || reorder_prob > 0.0 ||
@@ -111,9 +44,10 @@ void CaptureImpairments::validate() const {
   if (snaplen != 0 &&
       snaplen < net::kIpv4HeaderLen + net::kTcpMinHeaderLen) {
     throw std::invalid_argument(
-        "CaptureImpairments: snaplen must be 0 or >= " +
+        "CaptureImpairments: snaplen must be 0 (full capture) or >= " +
         std::to_string(net::kIpv4HeaderLen + net::kTcpMinHeaderLen) +
-        " wire bytes");
+        " wire bytes (IP + fixed TCP header), got " +
+        std::to_string(snaplen));
   }
   if (quantize < Duration::zero()) {
     throw std::invalid_argument(

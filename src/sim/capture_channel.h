@@ -24,9 +24,8 @@
 
 namespace tapo::sim {
 
-/// Composable capture impairments. All default-off; fluent validated
-/// setters mirror the ExperimentConfig builder idiom (aggregate-init keeps
-/// working for tests that want to set fields directly).
+/// Composable capture impairments, all default-off. Set the fields
+/// directly; apply_impairments() checks them through validate().
 struct CaptureImpairments {
   /// Per-record i.i.d. capture-drop probability in [0, 1).
   double drop_prob = 0.0;
@@ -60,24 +59,13 @@ struct CaptureImpairments {
   /// experiment runner so parallel runs stay deterministic).
   std::uint64_t seed = 1;
 
-  // Fluent construction; each setter validates eagerly and returns *this.
-  CaptureImpairments& with_drop(double p);  // throws unless 0 <= p < 1
-  CaptureImpairments& with_burst_drop(double enter, double cont);
-  CaptureImpairments& with_snaplen(std::uint32_t bytes);  // >= 40 wire bytes
-  CaptureImpairments& with_duplication(double p);
-  CaptureImpairments& with_reordering(double p);
-  CaptureImpairments& with_quantization(Duration granularity);  // > 0
-  CaptureImpairments& with_jitter(Duration j);                  // >= 0
-  CaptureImpairments& with_mid_stream_start(std::size_t skip);
-  CaptureImpairments& with_seed(std::uint64_t s);
-
   /// True when any impairment is active (the channel is a no-op otherwise).
   bool enabled() const;
 
   /// Full validation (same contract as ExperimentConfig::validate): throws
-  /// std::invalid_argument with a self-explanatory message on out-of-range
-  /// probabilities, a snaplen too small to hold the fixed headers, or a
-  /// negative duration.
+  /// std::invalid_argument with a self-explanatory message on a
+  /// probability outside [0, 1), a non-zero snaplen too small to hold the
+  /// fixed headers, or a negative duration.
   void validate() const;
 };
 

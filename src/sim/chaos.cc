@@ -26,77 +26,6 @@ void require_rate(double rate, Duration duration, const char* what) {
 
 }  // namespace
 
-ChaosConfig& ChaosConfig::with_seed(std::uint64_t s) {
-  seed = s;
-  return *this;
-}
-
-ChaosConfig& ChaosConfig::with_reorder_storms(double rate, Duration duration,
-                                              double prob, Duration hold) {
-  require_rate(rate, duration, "reorder storm");
-  require(prob >= 0.0 && prob <= 1.0,
-          "ChaosConfig: reorder_prob must be in [0, 1]");
-  require(hold > Duration::zero(),
-          "ChaosConfig: reorder_hold must be positive");
-  reorder_storm_rate = rate;
-  reorder_storm_duration = duration;
-  reorder_prob = prob;
-  reorder_hold = hold;
-  return *this;
-}
-
-ChaosConfig& ChaosConfig::with_ack_loss(double rate, Duration duration,
-                                        double prob) {
-  require_rate(rate, duration, "ACK loss");
-  require(prob >= 0.0 && prob <= 1.0,
-          "ChaosConfig: ack_loss_prob must be in [0, 1]");
-  ack_loss_rate = rate;
-  ack_loss_duration = duration;
-  ack_loss_prob = prob;
-  return *this;
-}
-
-ChaosConfig& ChaosConfig::with_ack_compression(double rate, Duration duration) {
-  require_rate(rate, duration, "ACK compression");
-  ack_compress_rate = rate;
-  ack_compress_duration = duration;
-  return *this;
-}
-
-ChaosConfig& ChaosConfig::with_rwnd_flaps(double rate, Duration duration) {
-  require_rate(rate, duration, "rwnd flap");
-  rwnd_flap_rate = rate;
-  rwnd_flap_duration = duration;
-  return *this;
-}
-
-ChaosConfig& ChaosConfig::with_rtt_spikes(double rate, Duration duration,
-                                          Duration extra) {
-  require_rate(rate, duration, "RTT spike");
-  require(extra > Duration::zero(),
-          "ChaosConfig: rtt_spike_extra must be positive");
-  rtt_spike_rate = rate;
-  rtt_spike_duration = duration;
-  rtt_spike_extra = extra;
-  return *this;
-}
-
-ChaosConfig& ChaosConfig::with_blackholes(double rate, Duration duration) {
-  require_rate(rate, duration, "blackhole");
-  blackhole_rate = rate;
-  blackhole_duration = duration;
-  return *this;
-}
-
-ChaosConfig& ChaosConfig::with_retrans_drops(double prob) {
-  require(prob >= 0.0 && prob < 1.0,
-          "ChaosConfig: retrans_drop_prob must be in [0, 1) — a probability "
-          "of 1 would drop every retransmission forever and the flow could "
-          "never complete");
-  retrans_drop_prob = prob;
-  return *this;
-}
-
 void ChaosConfig::validate() const {
   require_rate(reorder_storm_rate, reorder_storm_duration, "reorder storm");
   require_rate(ack_loss_rate, ack_loss_duration, "ACK loss");
@@ -109,7 +38,9 @@ void ChaosConfig::validate() const {
   require(ack_loss_prob >= 0.0 && ack_loss_prob <= 1.0,
           "ChaosConfig: ack_loss_prob must be in [0, 1]");
   require(retrans_drop_prob >= 0.0 && retrans_drop_prob < 1.0,
-          "ChaosConfig: retrans_drop_prob must be in [0, 1)");
+          "ChaosConfig: retrans_drop_prob must be in [0, 1) — a probability "
+          "of 1 would drop every retransmission forever and the flow could "
+          "never complete");
   if (reorder_storm_rate > 0.0) {
     require(reorder_hold > Duration::zero(),
             "ChaosConfig: reorder_hold must be positive");
@@ -121,37 +52,46 @@ void ChaosConfig::validate() const {
 }
 
 const std::vector<ChaosScenario>& ChaosScenario::catalog() {
-  static const std::vector<ChaosScenario> kCatalog = [] {
-    std::vector<ChaosScenario> v;
-    v.push_back({"reorder-storm",
-                 ChaosConfig{}.with_reorder_storms(
-                     0.8, Duration::millis(400), 0.5, Duration::millis(40))});
-    v.push_back({"ack-squeeze",
-                 ChaosConfig{}
-                     .with_ack_loss(0.6, Duration::millis(250), 0.9)
-                     .with_ack_compression(0.6, Duration::millis(150))});
-    v.push_back({"rwnd-flap",
-                 ChaosConfig{}.with_rwnd_flaps(0.5, Duration::millis(500))});
-    v.push_back({"rtt-quake",
-                 ChaosConfig{}.with_rtt_spikes(0.7, Duration::millis(300),
-                                               Duration::millis(250))});
-    v.push_back({"blackhole",
-                 ChaosConfig{}.with_blackholes(0.3, Duration::millis(350))});
-    v.push_back(
-        {"retrans-reaper", ChaosConfig{}.with_retrans_drops(0.5)});
-    v.push_back({"everything",
-                 ChaosConfig{}
-                     .with_reorder_storms(0.4, Duration::millis(300), 0.4,
-                                          Duration::millis(30))
-                     .with_ack_loss(0.3, Duration::millis(200), 0.8)
-                     .with_ack_compression(0.3, Duration::millis(120))
-                     .with_rwnd_flaps(0.25, Duration::millis(400))
-                     .with_rtt_spikes(0.3, Duration::millis(250),
-                                      Duration::millis(200))
-                     .with_blackholes(0.15, Duration::millis(300))
-                     .with_retrans_drops(0.3)});
-    return v;
-  }();
+  static const std::vector<ChaosScenario> kCatalog = {
+      {"reorder-storm",
+       {.reorder_storm_rate = 0.8,
+        .reorder_storm_duration = Duration::millis(400),
+        .reorder_prob = 0.5,
+        .reorder_hold = Duration::millis(40)}},
+      {"ack-squeeze",
+       {.ack_loss_rate = 0.6,
+        .ack_loss_duration = Duration::millis(250),
+        .ack_loss_prob = 0.9,
+        .ack_compress_rate = 0.6,
+        .ack_compress_duration = Duration::millis(150)}},
+      {"rwnd-flap",
+       {.rwnd_flap_rate = 0.5, .rwnd_flap_duration = Duration::millis(500)}},
+      {"rtt-quake",
+       {.rtt_spike_rate = 0.7,
+        .rtt_spike_duration = Duration::millis(300),
+        .rtt_spike_extra = Duration::millis(250)}},
+      {"blackhole",
+       {.blackhole_rate = 0.3, .blackhole_duration = Duration::millis(350)}},
+      {"retrans-reaper", {.retrans_drop_prob = 0.5}},
+      {"everything",
+       {.reorder_storm_rate = 0.4,
+        .reorder_storm_duration = Duration::millis(300),
+        .reorder_prob = 0.4,
+        .reorder_hold = Duration::millis(30),
+        .ack_loss_rate = 0.3,
+        .ack_loss_duration = Duration::millis(200),
+        .ack_loss_prob = 0.8,
+        .ack_compress_rate = 0.3,
+        .ack_compress_duration = Duration::millis(120),
+        .rwnd_flap_rate = 0.25,
+        .rwnd_flap_duration = Duration::millis(400),
+        .rtt_spike_rate = 0.3,
+        .rtt_spike_duration = Duration::millis(250),
+        .rtt_spike_extra = Duration::millis(200),
+        .blackhole_rate = 0.15,
+        .blackhole_duration = Duration::millis(300),
+        .retrans_drop_prob = 0.3}},
+  };
   return kCatalog;
 }
 

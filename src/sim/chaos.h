@@ -89,20 +89,11 @@ struct ChaosConfig {
            retrans_drop_prob > 0.0;
   }
 
-  // Fluent construction; each setter validates eagerly and returns *this.
-  ChaosConfig& with_seed(std::uint64_t s);
-  ChaosConfig& with_reorder_storms(double rate, Duration duration,
-                                   double prob, Duration hold);
-  ChaosConfig& with_ack_loss(double rate, Duration duration, double prob);
-  ChaosConfig& with_ack_compression(double rate, Duration duration);
-  ChaosConfig& with_rwnd_flaps(double rate, Duration duration);
-  ChaosConfig& with_rtt_spikes(double rate, Duration duration, Duration extra);
-  ChaosConfig& with_blackholes(double rate, Duration duration);
-  ChaosConfig& with_retrans_drops(double prob);
-
   /// Throws std::invalid_argument on nonsensical values (negative rates,
-  /// probabilities outside [0,1], retrans_drop_prob >= 1, non-positive
-  /// durations for an enabled episode kind).
+  /// probabilities outside [0,1], retrans_drop_prob >= 1, a non-positive
+  /// duration, hold or extra for an enabled episode kind). Called by
+  /// ExperimentConfig::validate, run_flow and the ChaosInjector
+  /// constructor; the only place these fields are checked.
   void validate() const;
 };
 
@@ -125,7 +116,7 @@ struct ChaosStats {
 
 /// A named chaos configuration. The catalog gives the storm harness and the
 /// failure-replay flags (--scenario=<name>) a stable, human-readable set of
-/// hostile regimes; per-run variation comes from reseeding via with_seed().
+/// hostile regimes; per-run variation comes from reseeding `config.seed`.
 struct ChaosScenario {
   std::string name;
   ChaosConfig config;

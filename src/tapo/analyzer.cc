@@ -38,34 +38,10 @@ const char* to_string(RetransCause c) {
   return "?";
 }
 
-AnalyzerConfig& AnalyzerConfig::with_tau(double t) {
-  if (!(t > 0.0)) {
-    throw std::invalid_argument("AnalyzerConfig: tau must be > 0, got " +
-                                std::to_string(t));
-  }
-  tau = t;
-  return *this;
-}
-
-AnalyzerConfig& AnalyzerConfig::with_dup_window(Duration w) {
-  if (w < Duration::zero()) {
-    throw std::invalid_argument("AnalyzerConfig: dup_window must be >= 0");
-  }
-  dup_window = w;
-  return *this;
-}
-
-AnalyzerConfig& AnalyzerConfig::with_ts_quantum(Duration q) {
-  if (q < Duration::zero()) {
-    throw std::invalid_argument("AnalyzerConfig: ts_quantum must be >= 0");
-  }
-  ts_quantum = q;
-  return *this;
-}
-
 void AnalyzerConfig::validate() const {
   if (!(tau > 0.0)) {
-    throw std::invalid_argument("AnalyzerConfig: tau must be > 0");
+    throw std::invalid_argument("AnalyzerConfig: tau must be > 0, got " +
+                                std::to_string(tau));
   }
   if (dup_window && *dup_window < Duration::zero()) {
     throw std::invalid_argument("AnalyzerConfig: dup_window must be >= 0");

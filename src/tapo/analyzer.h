@@ -159,7 +159,7 @@ struct AnalyzerConfig {
   /// mirror copy, so set a window only when the capture setup is known to
   /// duplicate. Setting one is what makes dup-impaired captures classify
   /// identically to pristine ones (bench/robustness_stability.cc).
-  std::optional<Duration> dup_window;
+  std::optional<Duration> dup_window{};
   /// Declared capture-clock granularity: every packet timestamp is floored
   /// to a multiple of this before the mimic sees it (0 = off). Flooring is
   /// idempotent, so analysis at quantum q is *invariant* to capture-side
@@ -168,15 +168,6 @@ struct AnalyzerConfig {
   /// (bench/robustness_stability.cc). Costs timing resolution: stall
   /// boundaries and RTT samples are only accurate to +-q.
   Duration ts_quantum = Duration::zero();
-
-  // Fluent construction (aggregate-init keeps working); each setter
-  // validates eagerly and throws std::invalid_argument on a value the
-  // classifier cannot run with, mirroring ExperimentConfig::with_*.
-  AnalyzerConfig& with_tau(double t);                    // > 0
-  /// Enables duplicate suppression with the given window (>= 0).
-  AnalyzerConfig& with_dup_window(Duration w);
-  /// Sets the declared capture-clock granularity (>= 0; 0 disables).
-  AnalyzerConfig& with_ts_quantum(Duration q);
 
   /// Throws std::invalid_argument on any out-of-range field. Called by the
   /// Analyzer constructor, so a bad config fails at construction, not as a

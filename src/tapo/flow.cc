@@ -32,11 +32,6 @@ void fold_meta(FlowView& m, const net::CapturedPacket& cp, bool from_server) {
 
 }  // namespace
 
-DemuxOptions& DemuxOptions::with_server_port(std::uint16_t port) {
-  server_port = port;
-  return *this;
-}
-
 FlowAccumulator::FlowAccumulator(const DemuxOptions& opts) : opts_(opts) {}
 
 void FlowAccumulator::reserve(std::size_t packets) {

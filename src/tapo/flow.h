@@ -66,9 +66,6 @@ struct DemuxOptions {
   /// The server's port; 0 auto-detects (the endpoint that sent a SYN-ACK,
   /// falling back to the endpoint with more payload bytes).
   std::uint16_t server_port = 0;
-
-  // Fluent construction (aggregate-init keeps working).
-  DemuxOptions& with_server_port(std::uint16_t port);
 };
 
 /// Result of a view-based demux: the per-flow views plus the pointer pool

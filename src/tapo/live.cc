@@ -8,44 +8,12 @@
 
 namespace tapo::analysis {
 
-LiveConfig& LiveConfig::with_analyzer(const AnalyzerConfig& a) {
-  a.validate();
-  analyzer = a;
-  return *this;
-}
-
-LiveConfig& LiveConfig::with_demux(const DemuxOptions& d) {
-  demux = d;
-  return *this;
-}
-
-LiveConfig& LiveConfig::with_idle_timeout(Duration d) {
-  if (d <= Duration::zero()) {
-    throw std::invalid_argument(
-        "LiveConfig: idle_timeout must be > 0 (flows would finalize on "
-        "every packet)");
-  }
-  idle_timeout = d;
-  return *this;
-}
-
-LiveConfig& LiveConfig::with_fin_linger(Duration d) {
-  if (d < Duration::zero()) {
-    throw std::invalid_argument("LiveConfig: fin_linger must be >= 0");
-  }
-  fin_linger = d;
-  return *this;
-}
-
-LiveConfig& LiveConfig::with_mem_budget(util::MemoryBudget* b) {
-  mem_budget = b;
-  return *this;
-}
-
 void LiveConfig::validate() const {
   analyzer.validate();
   if (idle_timeout <= Duration::zero()) {
-    throw std::invalid_argument("LiveConfig: idle_timeout must be > 0");
+    throw std::invalid_argument(
+        "LiveConfig: idle_timeout must be > 0 (flows would finalize on "
+        "every packet)");
   }
   if (fin_linger < Duration::zero()) {
     throw std::invalid_argument("LiveConfig: fin_linger must be >= 0");

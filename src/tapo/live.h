@@ -26,8 +26,8 @@
 namespace tapo::analysis {
 
 struct LiveConfig {
-  AnalyzerConfig analyzer;
-  DemuxOptions demux;
+  AnalyzerConfig analyzer{};
+  DemuxOptions demux{};
   /// A flow with no packet for this long is finished and analyzed.
   Duration idle_timeout = Duration::seconds(60.0);
   /// A flow whose FIN (both-direction quiescence) is this old is finalized.
@@ -47,17 +47,16 @@ struct LiveConfig {
   /// nothing but still records residency and its high-water mark.
   util::MemoryBudget* mem_budget = nullptr;
 
-  // Fluent construction (aggregate-init keeps working); setters validate
-  // eagerly and throw std::invalid_argument, mirroring ExperimentConfig.
-  LiveConfig& with_analyzer(const AnalyzerConfig& a);
-  LiveConfig& with_demux(const DemuxOptions& d);
-  LiveConfig& with_idle_timeout(Duration d);           // > 0
-  LiveConfig& with_fin_linger(Duration d);             // >= 0
-  LiveConfig& with_mem_budget(util::MemoryBudget* b);  // nullptr detaches
+  // Kept only because bench/perf_baseline/workloads.cc builds its config
+  // with it; everything else assigns the field.
+  LiveConfig& with_mem_budget(util::MemoryBudget* b) {
+    mem_budget = b;
+    return *this;
+  }
 
   /// Throws std::invalid_argument on any unusable field (non-positive
-  /// idle_timeout, negative fin_linger). Called by the LiveAnalyzer
-  /// constructor, plus the nested analyzer validation.
+  /// idle_timeout, negative fin_linger, a bad `analyzer`). Called by the
+  /// LiveAnalyzer constructor; the only place these fields are checked.
   void validate() const;
 };
 

@@ -4,17 +4,20 @@
 //
 //   #include "tapo/tapo.h"
 //
-//   // Analyze a capture:
+//   // Analyze a capture (tau: a stall is a gap > min(tau*SRTT, RTO)):
 //   auto trace = tapo::pcap::read_file("capture.pcap");
-//   tapo::analysis::Analyzer analyzer;
+//   tapo::analysis::Analyzer analyzer({.tau = 2.0});
 //   auto result = analyzer.analyze(trace);
 //   auto causes = tapo::analysis::make_stall_breakdown(result.flows);
 //
 //   // Or simulate a workload and analyze it:
-//   auto cfg = tapo::workload::ExperimentConfig{}
-//                  .with_profile(tapo::workload::web_search_profile())
-//                  .with_flows(500);
+//   tapo::workload::ExperimentConfig cfg{
+//       .profile = tapo::workload::web_search_profile(), .flows = 500};
 //   auto res = tapo::workload::run_experiment(cfg);
+//
+// Configs are plain structs: set their fields, and the component that
+// consumes one (the Analyzer, the runner, the LiveAnalyzer, ...) checks it
+// once, through its validate(), before any work starts.
 //
 // Result delivery is unified on tapo::FlowSink (tapo/sink.h): the parallel
 // ParallelRunner and the streaming LiveAnalyzer both deliver the same
@@ -22,7 +25,7 @@
 // custom) works offline, parallel, and live. The batch CSV writers
 // (tapo/csv.h) export a finished result. Capture realism lives in
 // sim::apply_impairments (sim/capture_channel.h), wired into experiments
-// via ExperimentConfig::with_impairments; the analyzer reports per-flow
+// via ExperimentConfig::impairments; the analyzer reports per-flow
 // degradation in analysis::CaptureQuality.
 #pragma once
 

@@ -8,78 +8,6 @@
 
 namespace tapo::workload {
 
-ExperimentConfig& ExperimentConfig::with_profile(ServiceProfile p) {
-  profile = std::move(p);
-  return *this;
-}
-
-ExperimentConfig& ExperimentConfig::with_flows(std::size_t n) {
-  if (n == 0) {
-    throw std::invalid_argument(
-        "ExperimentConfig::with_flows: flows must be > 0 (a zero-flow "
-        "experiment would silently produce empty tables)");
-  }
-  flows = n;
-  return *this;
-}
-
-ExperimentConfig& ExperimentConfig::with_seed(std::uint64_t s) {
-  seed = s;
-  return *this;
-}
-
-ExperimentConfig& ExperimentConfig::with_recovery(tcp::RecoveryMechanism m) {
-  recovery = m;
-  return *this;
-}
-
-ExperimentConfig& ExperimentConfig::with_srto(tcp::SrtoConfig s) {
-  srto = s;
-  return *this;
-}
-
-ExperimentConfig& ExperimentConfig::with_max_flow_time(Duration d) {
-  if (d <= Duration::zero()) {
-    throw std::invalid_argument(
-        "ExperimentConfig::with_max_flow_time: cap must be positive");
-  }
-  max_flow_time = d;
-  return *this;
-}
-
-ExperimentConfig& ExperimentConfig::with_analysis(bool on) {
-  analyze = on;
-  return *this;
-}
-
-ExperimentConfig& ExperimentConfig::with_analyzer(analysis::AnalyzerConfig a) {
-  analyzer = a;
-  return *this;
-}
-
-ExperimentConfig& ExperimentConfig::with_impairments(
-    const sim::CaptureImpairments& imp) {
-  imp.validate();
-  impairments = imp;
-  return *this;
-}
-
-ExperimentConfig& ExperimentConfig::with_chaos(const sim::ChaosConfig& c) {
-  c.validate();
-  chaos = c;
-  return *this;
-}
-
-ExperimentConfig& ExperimentConfig::with_delivery_check(bool on) {
-  verify_delivery = on;
-  return *this;
-}
-
-ExperimentConfig& ExperimentConfig::with_event_budget(std::size_t events) {
-  event_budget = events;
-  return *this;
-}
-
 void ExperimentConfig::validate() const {
   if (flows == 0) {
     throw std::invalid_argument(

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "net/trace.h"
@@ -61,16 +62,16 @@ struct FlowGuards {
 };
 
 struct ExperimentConfig {
-  ServiceProfile profile;
+  ServiceProfile profile{};
   std::size_t flows = 300;
   std::uint64_t seed = 1;
   /// Overrides the profile sender's recovery mechanism (Table 8/9 A/B).
-  std::optional<tcp::RecoveryMechanism> recovery;
-  std::optional<tcp::SrtoConfig> srto;
+  std::optional<tcp::RecoveryMechanism> recovery{};
+  std::optional<tcp::SrtoConfig> srto{};
   /// Hard per-flow wall-clock cap in simulated time.
   Duration max_flow_time = Duration::seconds(600.0);
   bool analyze = true;
-  analysis::AnalyzerConfig analyzer;
+  analysis::AnalyzerConfig analyzer{};
   /// Capture-realism impairments (sim::apply_impairments) applied to each
   /// flow's server-NIC trace before analysis. The runner captures only to
   /// analyze and drops each trace after analysis, so a FlowResult never
@@ -78,37 +79,39 @@ struct ExperimentConfig {
   /// tap, bit-identically. The per-flow channel seed is
   /// impairments.seed ^ the flow's derived seed, so parallel runs stay
   /// deterministic and bit-identical to serial.
-  sim::CaptureImpairments impairments;
+  sim::CaptureImpairments impairments{};
   /// Hostile-network chaos applied to every flow's links (sim::ChaosConfig;
   /// default-off = bit-identical passthrough). Reseeded per flow exactly
   /// like `impairments`.
-  sim::ChaosConfig chaos;
+  sim::ChaosConfig chaos{};
   /// Shadow-verify each flow's delivered byte stream
   /// (FlowOutcome::delivery).
   bool verify_delivery = false;
   /// Per-flow simulator event watchdog; 0 disables.
   std::size_t event_budget = kDefaultEventBudget;
 
-  // Fluent construction. Each setter validates eagerly where it can and
-  // returns *this so configs read as one expression:
-  //   ExperimentConfig{}.with_profile(web_search_profile()).with_flows(500)
-  ExperimentConfig& with_profile(ServiceProfile p);
-  ExperimentConfig& with_flows(std::size_t n);  // throws on n == 0
-  ExperimentConfig& with_seed(std::uint64_t s);
-  ExperimentConfig& with_recovery(tcp::RecoveryMechanism m);
-  ExperimentConfig& with_srto(tcp::SrtoConfig s);
-  ExperimentConfig& with_max_flow_time(Duration d);  // throws on d <= 0
-  ExperimentConfig& with_analysis(bool on);
-  ExperimentConfig& with_analyzer(analysis::AnalyzerConfig a);
-  ExperimentConfig& with_impairments(const sim::CaptureImpairments& imp);
-  ExperimentConfig& with_chaos(const sim::ChaosConfig& c);  // validates
-  ExperimentConfig& with_delivery_check(bool on);
-  ExperimentConfig& with_event_budget(std::size_t events);  // 0 = unlimited
+  // Kept only because bench/perf_baseline/workloads.cc builds its configs
+  // with them; everything else assigns the fields.
+  ExperimentConfig& with_profile(ServiceProfile p) {
+    profile = std::move(p);
+    return *this;
+  }
+  ExperimentConfig& with_flows(std::size_t n) {
+    flows = n;
+    return *this;
+  }
+  ExperimentConfig& with_seed(std::uint64_t s) {
+    seed = s;
+    return *this;
+  }
 
   /// Full validation, run by every runner entry point before any flow is
-  /// simulated. Throws std::invalid_argument with a self-explanatory
-  /// message on flows == 0, an empty/default profile (no rwnd classes —
-  /// the silent-empty-tables failure mode), or a non-positive flow cap.
+  /// simulated; the only place these fields are checked. Throws
+  /// std::invalid_argument with a self-explanatory message on flows == 0,
+  /// an empty/default profile (no rwnd classes — the silent-empty-tables
+  /// failure mode), a non-positive flow cap, or a bad `impairments` or
+  /// `chaos` (their own validate()). `analyzer` is checked by the
+  /// Analyzer the runner constructs.
   void validate() const;
 };
 

@@ -113,7 +113,7 @@ class DigestSink : public FlowSink {
       fold_analysis(fa, h_);
     }
     records_.push_back(fleet::make_flow_record(
-        result, fleet::RecordSinkConfig{}.with_service(service_)));
+        result, {.service = service_}));
   }
 
   std::uint64_t digest() const { return h_.value(); }
@@ -161,23 +161,17 @@ class AnalysisGolden : public ::testing::TestWithParam<GoldenCase> {};
 TEST_P(AnalysisGolden, DigestsMatch) {
   const GoldenCase& c = GetParam();
   const ServiceProfile profile = c.profile();
-  ExperimentConfig cfg = ExperimentConfig{}
-                             .with_profile(profile)
-                             .with_flows(c.flows)
-                             .with_seed(kSeed);
+  ExperimentConfig cfg{.profile = profile, .flows = c.flows, .seed = kSeed};
   if (c.impaired) {
-    cfg.with_impairments(sim::CaptureImpairments{}
-                             .with_duplication(0.05)
-                             .with_quantization(Duration::micros(100)))
-        .with_analyzer(analysis::AnalyzerConfig{}
-                           .with_dup_window(Duration::micros(1))
-                           .with_ts_quantum(Duration::micros(100)));
+    cfg.impairments = {.dup_prob = 0.05, .quantize = Duration::micros(100)};
+    cfg.analyzer = {.dup_window = Duration::micros(1),
+                    .ts_quantum = Duration::micros(100)};
   }
   DigestSink sink(static_cast<std::uint8_t>(profile.service));
   ParallelRunner(cfg).run(sink);
 
   fleet::WindowAggregator agg(
-      fleet::FleetConfig{}.with_window(Duration::seconds(10)));
+      fleet::FleetConfig{.window = Duration::seconds(10)});
   agg.ingest(sink.records());
   Fnv1a report;
   report.bytes(fleet::render_fleet_report(agg.snapshot()));

@@ -1,11 +1,13 @@
 // Capture-realism tests: the sim::apply_impairments capture stage, the
-// degradation-aware analyzer properties it enables, the fluent validated
-// config builders, the unified FlowSink delivery surface, and the pcap
-// snaplen regression fixture.
+// degradation-aware analyzer properties it enables, config validation,
+// the unified FlowSink delivery surface, and the pcap snaplen regression
+// fixture.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "net/ipv4.h"
@@ -81,11 +83,8 @@ TEST(CaptureChannel, OffIsBitIdenticalClone) {
 
 TEST(CaptureChannel, SameSeedSameOutput) {
   const auto trace = make_trace(200);
-  const auto imp = sim::CaptureImpairments{}
-                       .with_drop(0.3)
-                       .with_duplication(0.2)
-                       .with_reordering(0.2)
-                       .with_seed(42);
+  const sim::CaptureImpairments imp{
+      .drop_prob = 0.3, .dup_prob = 0.2, .reorder_prob = 0.2, .seed = 42};
   const auto a = sim::apply_impairments(trace, imp);
   const auto b = sim::apply_impairments(trace, imp);
   ASSERT_EQ(a.size(), b.size());
@@ -98,7 +97,7 @@ TEST(CaptureChannel, DropRemovesRecords) {
   const auto trace = make_trace(400);
   sim::CaptureChannelStats stats;
   const auto out = sim::apply_impairments(
-      trace, sim::CaptureImpairments{}.with_drop(0.5), &stats);
+      trace, {.drop_prob = 0.5}, &stats);
   EXPECT_LT(out.size(), trace.size());
   EXPECT_GT(stats.dropped, 0u);
   EXPECT_EQ(stats.delivered, out.size());
@@ -109,7 +108,7 @@ TEST(CaptureChannel, BurstDropRemovesRuns) {
   const auto trace = make_trace(400);
   sim::CaptureChannelStats stats;
   const auto out = sim::apply_impairments(
-      trace, sim::CaptureImpairments{}.with_burst_drop(0.1, 0.8), &stats);
+      trace, {.burst_drop_prob = 0.1, .burst_continue_prob = 0.8}, &stats);
   EXPECT_LT(out.size(), trace.size());
   EXPECT_GT(stats.dropped, 0u);
 }
@@ -118,7 +117,7 @@ TEST(CaptureChannel, DuplicationEmitsAdjacentIdenticalCopies) {
   const auto trace = make_trace(200);
   sim::CaptureChannelStats stats;
   const auto out = sim::apply_impairments(
-      trace, sim::CaptureImpairments{}.with_duplication(0.5), &stats);
+      trace, {.dup_prob = 0.5}, &stats);
   EXPECT_GT(stats.duplicated, 0u);
   EXPECT_EQ(out.size(), trace.size() + stats.duplicated);
   // Every duplicate is adjacent to and identical with its original,
@@ -139,7 +138,7 @@ TEST(CaptureChannel, SnaplenCutsTailOptions) {
   sim::CaptureChannelStats stats;
   // 40 wire bytes = IPv4 + fixed TCP header: every option is cut.
   const auto out = sim::apply_impairments(
-      trace, sim::CaptureImpairments{}.with_snaplen(40), &stats);
+      trace, {.snaplen = 40}, &stats);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_TRUE(out[0].truncated);
   EXPECT_EQ(out[0].tcp.sack_blocks.size(), 0u);
@@ -152,7 +151,7 @@ TEST(CaptureChannel, ReorderSwapsAdjacentRecords) {
   const auto trace = make_trace(200);
   sim::CaptureChannelStats stats;
   const auto out = sim::apply_impairments(
-      trace, sim::CaptureImpairments{}.with_reordering(0.5), &stats);
+      trace, {.reorder_prob = 0.5}, &stats);
   ASSERT_EQ(out.size(), trace.size());
   EXPECT_GT(stats.reordered, 0u);
   // Same multiset of records: every input appears exactly once.
@@ -166,9 +165,8 @@ TEST(CaptureChannel, ReorderSwapsAdjacentRecords) {
 
 TEST(CaptureChannel, QuantizeFloorsTimestamps) {
   const auto trace = make_trace(50);
-  const auto out = sim::apply_impairments(
-      trace,
-      sim::CaptureImpairments{}.with_quantization(Duration::micros(100)));
+  const auto out =
+      sim::apply_impairments(trace, {.quantize = Duration::micros(100)});
   ASSERT_EQ(out.size(), trace.size());
   for (std::size_t i = 0; i < out.size(); ++i) {
     EXPECT_EQ(out[i].timestamp.us() % 100, 0);
@@ -179,8 +177,8 @@ TEST(CaptureChannel, QuantizeFloorsTimestamps) {
 
 TEST(CaptureChannel, JitterIsBounded) {
   const auto trace = make_trace(50);
-  const auto out = sim::apply_impairments(
-      trace, sim::CaptureImpairments{}.with_jitter(Duration::micros(50)));
+  const auto out =
+      sim::apply_impairments(trace, {.jitter = Duration::micros(50)});
   ASSERT_EQ(out.size(), trace.size());
   for (std::size_t i = 0; i < out.size(); ++i) {
     const auto delta = (out[i].timestamp - trace[i].timestamp).us();
@@ -193,32 +191,41 @@ TEST(CaptureChannel, MidStreamStartSkipsHead) {
   const auto trace = make_trace(50);
   sim::CaptureChannelStats stats;
   const auto out = sim::apply_impairments(
-      trace, sim::CaptureImpairments{}.with_mid_stream_start(3), &stats);
+      trace, {.skip_first = 3}, &stats);
   ASSERT_EQ(out.size(), trace.size() - 3);
   EXPECT_EQ(stats.skipped_head, 3u);
   EXPECT_TRUE(same_record(out[0], trace[3]));
 }
 
 TEST(CaptureChannel, BuilderValidationThrows) {
-  sim::CaptureImpairments imp;
-  EXPECT_THROW(imp.with_drop(1.0), std::invalid_argument);
-  EXPECT_THROW(imp.with_drop(-0.1), std::invalid_argument);
-  EXPECT_THROW(imp.with_burst_drop(1.5, 0.5), std::invalid_argument);
-  EXPECT_THROW(imp.with_burst_drop(0.1, 1.0), std::invalid_argument);
-  EXPECT_THROW(imp.with_snaplen(39), std::invalid_argument);
-  EXPECT_THROW(imp.with_duplication(1.0), std::invalid_argument);
-  EXPECT_THROW(imp.with_reordering(-0.5), std::invalid_argument);
-  EXPECT_THROW(imp.with_quantization(Duration::zero()),
-               std::invalid_argument);
-  EXPECT_THROW(imp.with_jitter(Duration::micros(-1)), std::invalid_argument);
+  // Every out-of-range field is caught by validate(), and so by
+  // apply_impairments, which validates before it reads a record.
+  const std::vector<std::pair<const char*, sim::CaptureImpairments>> bad = {
+      {"drop_prob 1", {.drop_prob = 1.0}},
+      {"drop_prob -0.1", {.drop_prob = -0.1}},
+      {"drop_prob 2", {.drop_prob = 2.0}},
+      {"burst_drop_prob 1.5",
+       {.burst_drop_prob = 1.5, .burst_continue_prob = 0.5}},
+      {"burst_continue_prob 1",
+       {.burst_drop_prob = 0.1, .burst_continue_prob = 1.0}},
+      {"snaplen 39", {.snaplen = 39}},
+      {"dup_prob 1", {.dup_prob = 1.0}},
+      {"reorder_prob -0.5", {.reorder_prob = -0.5}},
+      {"quantize -1us", {.quantize = Duration::micros(-1)}},
+      {"jitter -1us", {.jitter = Duration::micros(-1)}},
+  };
+  for (const auto& [what, imp] : bad) {
+    EXPECT_THROW(imp.validate(), std::invalid_argument) << what;
+    EXPECT_THROW(sim::apply_impairments(net::PacketTrace{}, imp),
+                 std::invalid_argument)
+        << what;
+  }
 
-  // Aggregate-init with bad fields is caught by validate().
-  sim::CaptureImpairments bad;
-  bad.drop_prob = 2.0;
-  EXPECT_THROW(bad.validate(), std::invalid_argument);
-  // validate() failure at the experiment boundary too.
-  workload::ExperimentConfig cfg;
-  EXPECT_THROW(cfg.with_impairments(bad), std::invalid_argument);
+  // The experiment's validate() checks its impairments too.
+  workload::ExperimentConfig cfg{.profile = workload::web_search_profile()};
+  EXPECT_NO_THROW(cfg.validate());
+  cfg.impairments.drop_prob = 2.0;
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
   // apply_impairments validates a config that reads as disabled, too.
   sim::CaptureImpairments negative;
   negative.drop_prob = -0.1;
@@ -236,12 +243,11 @@ using CauseList = std::vector<std::vector<analysis::StallCause>>;
 CauseList run_causes(workload::Service svc, std::size_t flows,
                      const sim::CaptureImpairments& imp,
                      const analysis::AnalyzerConfig& acfg) {
-  auto cfg = workload::ExperimentConfig{}
-                 .with_profile(workload::profile_for(svc))
-                 .with_flows(flows)
-                 .with_seed(2015)
-                 .with_analyzer(acfg);
-  if (imp.enabled()) cfg.with_impairments(imp);
+  const workload::ExperimentConfig cfg{.profile = workload::profile_for(svc),
+                                       .flows = flows,
+                                       .seed = 2015,
+                                       .analyzer = acfg,
+                                       .impairments = imp};
   workload::CollectingSink sink;
   workload::ParallelRunner(cfg, {}).run(sink);
   CauseList out;
@@ -258,25 +264,24 @@ const workload::Service kAllServices[] = {
     workload::Service::kWebSearch};
 
 TEST(CaptureRealism, DupOnlyClassifiesIdenticallyWithSuppression) {
-  const auto acfg =
-      analysis::AnalyzerConfig{}.with_dup_window(Duration::micros(1));
+  const analysis::AnalyzerConfig acfg{.dup_window = Duration::micros(1)};
   for (auto svc : kAllServices) {
     const auto pristine =
         run_causes(svc, 20, sim::CaptureImpairments{}, acfg);
     const auto impaired = run_causes(
-        svc, 20, sim::CaptureImpairments{}.with_duplication(0.1), acfg);
+        svc, 20, {.dup_prob = 0.1}, acfg);
     EXPECT_EQ(pristine, impaired) << workload::to_string(svc);
   }
 }
 
 TEST(CaptureRealism, QuantizationOnlyClassifiesIdenticallyWithQuantum) {
   const auto quantum = Duration::micros(100);
-  const auto acfg = analysis::AnalyzerConfig{}.with_ts_quantum(quantum);
+  const analysis::AnalyzerConfig acfg{.ts_quantum = quantum};
   for (auto svc : kAllServices) {
     const auto pristine =
         run_causes(svc, 20, sim::CaptureImpairments{}, acfg);
     const auto impaired = run_causes(
-        svc, 20, sim::CaptureImpairments{}.with_quantization(quantum), acfg);
+        svc, 20, {.quantize = quantum}, acfg);
     EXPECT_EQ(pristine, impaired) << workload::to_string(svc);
   }
 }
@@ -286,7 +291,7 @@ TEST(CaptureRealism, MidStreamStartNoSpuriousDataUnavailable) {
     const auto pristine =
         run_causes(svc, 20, sim::CaptureImpairments{}, {});
     const auto impaired = run_causes(
-        svc, 20, sim::CaptureImpairments{}.with_mid_stream_start(3), {});
+        svc, 20, {.skip_first = 3}, {});
     ASSERT_EQ(pristine.size(), impaired.size()) << workload::to_string(svc);
     for (std::size_t i = 0; i < pristine.size(); ++i) {
       const auto count = [](const std::vector<analysis::StallCause>& v) {
@@ -305,13 +310,11 @@ TEST(CaptureRealism, MidStreamStartNoSpuriousDataUnavailable) {
 }
 
 TEST(CaptureRealism, DegradedFlowsCarryCaptureQuality) {
-  auto cfg = workload::ExperimentConfig{}
-                 .with_profile(workload::profile_for(
-                     workload::Service::kSoftwareDownload))
-                 .with_flows(20)
-                 .with_seed(2015)
-                 .with_impairments(
-                     sim::CaptureImpairments{}.with_drop(0.05).with_snaplen(54));
+  const workload::ExperimentConfig cfg{
+      .profile = workload::profile_for(workload::Service::kSoftwareDownload),
+      .flows = 20,
+      .seed = 2015,
+      .impairments = {.drop_prob = 0.05, .snaplen = 54}};
   workload::CollectingSink sink;
   workload::ParallelRunner(cfg, {}).run(sink);
   const auto result = sink.take();
@@ -328,46 +331,45 @@ TEST(CaptureRealism, DegradedFlowsCarryCaptureQuality) {
 }
 
 // ---------------------------------------------------------------------------
-// Fluent validated config builders
+// Config validation: each consumer checks its config once, in validate()
 // ---------------------------------------------------------------------------
 
 TEST(ConfigBuilders, AnalyzerConfigValidates) {
-  analysis::AnalyzerConfig a;
-  EXPECT_THROW(a.with_tau(0.0), std::invalid_argument);
-  EXPECT_THROW(a.with_dup_window(Duration::micros(-1)),
-               std::invalid_argument);
-  EXPECT_THROW(a.with_ts_quantum(Duration::micros(-1)),
-               std::invalid_argument);
+  const std::vector<std::pair<const char*, analysis::AnalyzerConfig>> bad = {
+      {"tau 0", {.tau = 0.0}},
+      {"tau -1", {.tau = -1.0}},
+      {"tau NaN", {.tau = std::numeric_limits<double>::quiet_NaN()}},
+      {"dup_window -1us", {.dup_window = Duration::micros(-1)}},
+      {"ts_quantum -1us", {.ts_quantum = Duration::micros(-1)}},
+  };
+  for (const auto& [what, cfg] : bad) {
+    EXPECT_THROW(cfg.validate(), std::invalid_argument) << what;
+    EXPECT_THROW(analysis::Analyzer{cfg}, std::invalid_argument) << what;
+  }
 
-  const auto ok = analysis::AnalyzerConfig{}
-                      .with_tau(1.5)
-                      .with_dup_window(Duration::micros(5))
-                      .with_ts_quantum(Duration::micros(10));
+  const analysis::AnalyzerConfig ok{.tau = 1.5,
+                                    .dup_window = Duration::micros(5),
+                                    .ts_quantum = Duration::micros(10)};
   EXPECT_NO_THROW(ok.validate());
-  EXPECT_EQ(ok.dup_window, Duration::micros(5));
-
-  // Aggregate init keeps working and the Analyzer ctor validates.
-  analysis::AnalyzerConfig bad;
-  bad.tau = -1.0;
-  EXPECT_THROW(analysis::Analyzer{bad}, std::invalid_argument);
-  analysis::AnalyzerConfig bad_window;
-  bad_window.dup_window = Duration::micros(-1);
-  EXPECT_THROW(analysis::Analyzer{bad_window}, std::invalid_argument);
+  EXPECT_NO_THROW(analysis::Analyzer{ok});
 }
 
 TEST(ConfigBuilders, LiveConfigValidates) {
-  analysis::LiveConfig c;
-  EXPECT_THROW(c.with_idle_timeout(Duration::zero()), std::invalid_argument);
-  EXPECT_THROW(c.with_fin_linger(Duration::micros(-1)),
-               std::invalid_argument);
-  EXPECT_NO_THROW(analysis::LiveConfig{}
-                      .with_idle_timeout(Duration::seconds(1.0))
-                      .validate());
-
-  analysis::LiveConfig bad;
-  bad.idle_timeout = Duration::zero();
+  const std::vector<std::pair<const char*, analysis::LiveConfig>> bad = {
+      {"idle_timeout 0", {.idle_timeout = Duration::zero()}},
+      {"idle_timeout -1us", {.idle_timeout = Duration::micros(-1)}},
+      {"fin_linger -1us", {.fin_linger = Duration::micros(-1)}},
+      {"analyzer.tau 0", {.analyzer = {.tau = 0.0}}},
+  };
   test::AnalysisCollector sink;
-  EXPECT_THROW(analysis::LiveAnalyzer(bad, sink), std::invalid_argument);
+  for (const auto& [what, cfg] : bad) {
+    EXPECT_THROW(cfg.validate(), std::invalid_argument) << what;
+    EXPECT_THROW(analysis::LiveAnalyzer(cfg, sink), std::invalid_argument)
+        << what;
+  }
+  EXPECT_NO_THROW((analysis::LiveConfig{.idle_timeout = Duration::seconds(1.0),
+                                        .fin_linger = Duration::zero()}
+                       .validate()));
 }
 
 // ---------------------------------------------------------------------------

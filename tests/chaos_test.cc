@@ -13,6 +13,8 @@
 #include <cstdint>
 #include <optional>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "sim/chaos.h"
 #include "tcp/invariants.h"
@@ -48,14 +50,13 @@ const sim::ChaosConfig& scenario_config(const char* name) {
 ExperimentConfig chaos_config(const ServiceProfile& profile,
                               const sim::ChaosConfig& chaos,
                               std::size_t flows) {
-  return ExperimentConfig{}
-      .with_profile(profile)
-      .with_flows(flows)
-      .with_seed(kSeed)
-      .with_analysis(false)
-      .with_chaos(chaos)
-      .with_delivery_check(true)
-      .with_max_flow_time(Duration::seconds(120.0));
+  return {.profile = profile,
+          .flows = flows,
+          .seed = kSeed,
+          .max_flow_time = Duration::seconds(120.0),
+          .analyze = false,
+          .chaos = chaos,
+          .verify_delivery = true};
 }
 
 TEST(ChaosCatalog, NamesResolveAndConfigsValidate) {
@@ -73,24 +74,61 @@ TEST(ChaosCatalog, NamesResolveAndConfigsValidate) {
 }
 
 TEST(ChaosConfigValidation, RejectsNonsense) {
-  sim::ChaosConfig bad;
-  bad.ack_loss_rate = -1.0;
-  EXPECT_THROW(bad.validate(), std::invalid_argument);
-  sim::ChaosConfig certain_drop;
-  certain_drop.retrans_drop_prob = 1.0;  // would drop retransmissions forever
-  EXPECT_THROW(certain_drop.validate(), std::invalid_argument);
-  EXPECT_NO_THROW(sim::ChaosConfig{}.validate());
-  EXPECT_FALSE(sim::ChaosConfig{}.enabled());
-  // run_flow validates its chaos guard even when no episode is enabled.
-  FlowGuards guards;
-  guards.chaos.reorder_prob = 5.0;
-  EXPECT_FALSE(guards.chaos.enabled());
+  const std::vector<std::pair<const char*, sim::ChaosConfig>> bad = {
+      {"reorder_storm_rate -1", {.reorder_storm_rate = -1.0}},
+      {"reorder_storm_duration 0",
+       {.reorder_storm_rate = 0.8, .reorder_storm_duration = Duration::zero()}},
+      {"reorder_prob -0.1", {.reorder_prob = -0.1}},
+      {"reorder_prob 1.5", {.reorder_prob = 1.5}},
+      {"reorder_hold 0",
+       {.reorder_storm_rate = 0.8, .reorder_hold = Duration::zero()}},
+      {"ack_loss_rate -1", {.ack_loss_rate = -1.0}},
+      {"ack_loss_duration 0",
+       {.ack_loss_rate = 0.6, .ack_loss_duration = Duration::zero()}},
+      {"ack_loss_prob -0.1", {.ack_loss_prob = -0.1}},
+      {"ack_loss_prob 1.5", {.ack_loss_prob = 1.5}},
+      {"ack_compress_rate -1", {.ack_compress_rate = -1.0}},
+      {"ack_compress_duration 0",
+       {.ack_compress_rate = 0.6, .ack_compress_duration = Duration::zero()}},
+      {"rwnd_flap_rate -1", {.rwnd_flap_rate = -1.0}},
+      {"rwnd_flap_duration -1ms",
+       {.rwnd_flap_rate = 0.5, .rwnd_flap_duration = Duration::millis(-1)}},
+      {"rtt_spike_rate -1", {.rtt_spike_rate = -1.0}},
+      {"rtt_spike_duration 0",
+       {.rtt_spike_rate = 0.7, .rtt_spike_duration = Duration::zero()}},
+      {"rtt_spike_extra 0",
+       {.rtt_spike_rate = 0.7, .rtt_spike_extra = Duration::zero()}},
+      {"blackhole_rate -1", {.blackhole_rate = -1.0}},
+      {"blackhole_duration 0",
+       {.blackhole_rate = 0.3, .blackhole_duration = Duration::zero()}},
+      // A certain drop would drop retransmissions forever.
+      {"retrans_drop_prob 1", {.retrans_drop_prob = 1.0}},
+      {"retrans_drop_prob -0.1", {.retrans_drop_prob = -0.1}},
+  };
+  ExperimentConfig experiment{.profile = cloud_storage_profile()};
+  EXPECT_NO_THROW(experiment.validate());
   Rng rng(kSeed);
   const FlowScenario scenario =
       draw_scenario(cloud_storage_profile(), rng, 1);
-  EXPECT_THROW(run_flow(scenario, Rng(kSeed ^ 7), Duration::seconds(120.0),
-                        TraceCapture::kNone, guards),
-               std::invalid_argument);
+  for (const auto& [what, chaos] : bad) {
+    EXPECT_THROW(chaos.validate(), std::invalid_argument) << what;
+    // The experiment checks its chaos, and run_flow checks its guard even
+    // when no episode is enabled (as for the bad probabilities here).
+    experiment.chaos = chaos;
+    EXPECT_THROW(experiment.validate(), std::invalid_argument) << what;
+    EXPECT_THROW(run_flow(scenario, Rng(kSeed ^ 7), Duration::seconds(120.0),
+                          TraceCapture::kNone, FlowGuards{.chaos = chaos}),
+                 std::invalid_argument)
+        << what;
+  }
+  EXPECT_FALSE((sim::ChaosConfig{.reorder_prob = 5.0}.enabled()));
+
+  EXPECT_NO_THROW(sim::ChaosConfig{}.validate());
+  EXPECT_FALSE(sim::ChaosConfig{}.enabled());
+  // A zero hold or extra means nothing while its episode kind is off.
+  EXPECT_NO_THROW((sim::ChaosConfig{.reorder_hold = Duration::zero(),
+                                    .rtt_spike_extra = Duration::zero()}
+                       .validate()));
 }
 
 // Baseline: with chaos off, delivery verification must report every flow
@@ -100,12 +138,11 @@ TEST(ChaosDelivery, IntactAcrossProfilesChaosOff) {
        {cloud_storage_profile(), software_download_profile(),
         web_search_profile()}) {
     SCOPED_TRACE(profile.name);
-    auto cfg = ExperimentConfig{}
-                   .with_profile(profile)
-                   .with_flows(12)
-                   .with_seed(kSeed)
-                   .with_analysis(false)
-                   .with_delivery_check(true);
+    const ExperimentConfig cfg{.profile = profile,
+                               .flows = 12,
+                               .seed = kSeed,
+                               .analyze = false,
+                               .verify_delivery = true};
     const auto result = run_experiment(cfg);
     for (const auto& out : result.outcomes) {
       EXPECT_EQ(out.status, FlowStatus::kCompleted);
@@ -167,9 +204,9 @@ TEST(ChaosZeroWindow, RwndFlapNeverDeadlocks) {
     SCOPED_TRACE(profile.name);
     // The full 600 s cap: flapping makes big flows slow, and a merely-slow
     // flow hitting a short cap would be indistinguishable from a wedge.
-    const auto result =
-        run_experiment(chaos_config(profile, flap, 25)
-                           .with_max_flow_time(Duration::seconds(600.0)));
+    ExperimentConfig cfg = chaos_config(profile, flap, 25);
+    cfg.max_flow_time = Duration::seconds(600.0);
+    const auto result = run_experiment(cfg);
     for (const auto& out : result.outcomes) {
       persist_probes += out.sender_stats.persist_probes;
       zero_window_episodes += out.sender_stats.zero_window_episodes;

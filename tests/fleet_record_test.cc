@@ -243,18 +243,14 @@ TEST(FleetRecord, MissingFileIsATypedIoError) {
 }
 
 TEST(FleetRecordSink, RunnerActsAsOneServerShard) {
-  auto cfg = workload::ExperimentConfig{}
-                 .with_profile(workload::profile_for(
-                     workload::Service::kWebSearch))
-                 .with_flows(12)
-                 .with_seed(77);
+  const workload::ExperimentConfig cfg{
+      .profile = workload::profile_for(workload::Service::kWebSearch),
+      .flows = 12,
+      .seed = 77};
   std::ostringstream os;
   RecordWriter writer(os);
   RecordSink sink(writer,
-                  RecordSinkConfig{}
-                      .with_shard_id(3)
-                      .with_service(2)
-                      .with_base_time_us(1'000'000));
+                  {.shard_id = 3, .service = 2, .base_time_us = 1'000'000});
   workload::ParallelRunner runner(cfg);
   runner.run(sink);
 
@@ -278,14 +274,13 @@ TEST(FleetRecordSink, RunnerActsAsOneServerShard) {
 
 TEST(FleetRecordSink, EmissionIsDeterministicAcrossRuns) {
   const auto emit = [] {
-    auto cfg = workload::ExperimentConfig{}
-                   .with_profile(workload::profile_for(
-                       workload::Service::kCloudStorage))
-                   .with_flows(8)
-                   .with_seed(5);
+    const workload::ExperimentConfig cfg{
+        .profile = workload::profile_for(workload::Service::kCloudStorage),
+        .flows = 8,
+        .seed = 5};
     std::ostringstream os;
     RecordWriter writer(os);
-    RecordSink sink(writer, RecordSinkConfig{}.with_shard_id(1));
+    RecordSink sink(writer, {.shard_id = 1});
     workload::ParallelRunner runner(cfg);
     runner.run(sink);
     return os.str();

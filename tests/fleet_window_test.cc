@@ -66,7 +66,7 @@ std::string prometheus_dump() {
 }
 
 TEST(FleetWindow, BucketsOnFloorDivisionIncludingNegativeTime) {
-  WindowAggregator agg(FleetConfig{}.with_window(Duration::seconds(60)));
+  WindowAggregator agg({.window = Duration::seconds(60)});
   const auto at = [](std::int64_t us) {
     FlowRecord r;
     r.transmission_us = 1'000;
@@ -87,22 +87,24 @@ TEST(FleetWindow, BucketsOnFloorDivisionIncludingNegativeTime) {
 }
 
 TEST(FleetWindow, ConfigValidation) {
-  EXPECT_THROW(FleetConfig{}.with_window(Duration::zero()),
-               std::invalid_argument);
-  EXPECT_THROW(WindowAggregator(FleetConfig{.window = Duration::micros(-5)}),
-               std::invalid_argument);
+  for (const Duration window : {Duration::zero(), Duration::micros(-5)}) {
+    const FleetConfig cfg{.window = window};
+    EXPECT_THROW(cfg.validate(), std::invalid_argument) << window.us();
+    EXPECT_THROW(WindowAggregator{cfg}, std::invalid_argument) << window.us();
+  }
+  EXPECT_NO_THROW(FleetConfig{}.validate());
 }
 
 TEST(FleetWindow, MergeRejectsMismatchedConfigs) {
   const auto records = synthetic_fleet(1, 10);
   auto a = aggregate_all(records, FleetConfig{});
   const auto b = aggregate_all(
-      records, FleetConfig{}.with_window(Duration::seconds(30)));
+      records, FleetConfig{.window = Duration::seconds(30)});
   EXPECT_THROW(a.merge(b), std::invalid_argument);
 }
 
 TEST(FleetWindow, MergeIsInvariantToShardGroupingAndOrder) {
-  const FleetConfig cfg = FleetConfig{}.with_window(Duration::seconds(60));
+  const FleetConfig cfg{.window = Duration::seconds(60)};
   const auto records = synthetic_fleet(42, 600);
   const FleetSnapshot whole = aggregate_all(records, cfg);
 
@@ -169,7 +171,7 @@ TEST(FleetWindow, MergeIsInvariantToShardGroupingAndOrder) {
 }
 
 TEST(FleetWindow, SnapshotTotalsMatchHandComputedSums) {
-  FleetConfig cfg = FleetConfig{}.with_window(Duration::seconds(60));
+  FleetConfig cfg{.window = Duration::seconds(60)};
   const auto records = synthetic_fleet(7, 200);
   const FleetSnapshot snap = aggregate_all(records, cfg);
 
@@ -256,7 +258,7 @@ TEST(FleetRegression, WarmupSuppressesEarlyDeviations) {
 TEST(FleetReport, ContainsSectionsAndServiceNames) {
   const auto records = synthetic_fleet(11, 300);
   const auto snap =
-      aggregate_all(records, FleetConfig{}.with_window(Duration::seconds(60)));
+      aggregate_all(records, FleetConfig{.window = Duration::seconds(60)});
   const std::string report = render_fleet_report(snap);
   EXPECT_NE(report.find("TAPO fleet report"), std::string::npos);
   EXPECT_NE(report.find("cloud-storage"), std::string::npos);

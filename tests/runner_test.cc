@@ -17,10 +17,7 @@ namespace {
 
 ExperimentConfig small_config(const ServiceProfile& profile,
                               std::size_t flows = 18, std::uint64_t seed = 77) {
-  return ExperimentConfig{}
-      .with_profile(profile)
-      .with_flows(flows)
-      .with_seed(seed);
+  return {.profile = profile, .flows = flows, .seed = seed};
 }
 
 /// Renders the paper-style stall table for byte-for-byte comparison.
@@ -222,12 +219,18 @@ TEST(ParallelRunner, RunFlowCaptureMatchesAnalyzePath) {
 }
 
 TEST(ExperimentConfigValidation, RejectsZeroFlowsEagerly) {
-  EXPECT_THROW(ExperimentConfig{}.with_flows(0), std::invalid_argument);
+  ExperimentConfig cfg = small_config(web_search_profile());
+  EXPECT_NO_THROW(cfg.validate());
+  cfg.flows = 0;
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
 }
 
 TEST(ExperimentConfigValidation, RejectsNonPositiveFlowCap) {
-  EXPECT_THROW(ExperimentConfig{}.with_max_flow_time(Duration::zero()),
-               std::invalid_argument);
+  for (const Duration cap : {Duration::zero(), Duration::micros(-1)}) {
+    ExperimentConfig cfg = small_config(web_search_profile());
+    cfg.max_flow_time = cap;
+    EXPECT_THROW(cfg.validate(), std::invalid_argument) << cap.us();
+  }
 }
 
 TEST(ExperimentConfigValidation, RunnerRejectsDefaultProfile) {
@@ -242,14 +245,13 @@ TEST(ExperimentConfigValidation, RunnerRejectsDefaultProfile) {
   EXPECT_THROW(run_experiment(cfg), std::invalid_argument);
 }
 
-TEST(ExperimentConfigValidation, FluentChainBuildsValidConfig) {
-  const auto cfg = ExperimentConfig{}
-                       .with_profile(web_search_profile())
-                       .with_flows(7)
-                       .with_seed(123)
-                       .with_recovery(tcp::RecoveryMechanism::kSrto)
-                       .with_analysis(false)
-                       .with_max_flow_time(Duration::seconds(30.0));
+TEST(ExperimentConfigValidation, DesignatedInitBuildsValidConfig) {
+  const ExperimentConfig cfg{.profile = web_search_profile(),
+                             .flows = 7,
+                             .seed = 123,
+                             .recovery = tcp::RecoveryMechanism::kSrto,
+                             .max_flow_time = Duration::seconds(30.0),
+                             .analyze = false};
   EXPECT_NO_THROW(cfg.validate());
   EXPECT_EQ(cfg.flows, 7u);
   EXPECT_EQ(cfg.seed, 123u);

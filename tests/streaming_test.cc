@@ -151,11 +151,9 @@ AnalysisResult analyze_via_streaming_pipeline(const net::PacketTrace& trace,
   std::stringstream bytes;
   pcap::write_stream(bytes, trace);
 
-  auto config =
-      LiveConfig{}
-          .with_idle_timeout(Duration::max())
-          .with_fin_linger(Duration::max())
-          .with_mem_budget(budget);
+  const LiveConfig config{.idle_timeout = Duration::max(),
+                          .fin_linger = Duration::max(),
+                          .mem_budget = budget};
   test::AnalysisCollector sink;
   LiveAnalyzer live(config, sink);
 
@@ -204,15 +202,15 @@ TEST(StreamingEquivalence, ChunkedAnalysisBitIdenticalToBatch) {
 
 TEST(StreamingEquivalence, HoldsUnderCaptureImpairments) {
   const Analyzer analyzer;
-  const auto imp = sim::CaptureImpairments{}
-                       .with_drop(0.02)
-                       .with_burst_drop(0.01, 0.5)
-                       .with_snaplen(60)
-                       .with_duplication(0.01)
-                       .with_reordering(0.05)
-                       .with_jitter(Duration::micros(40))
-                       .with_mid_stream_start(3)
-                       .with_seed(7);
+  const sim::CaptureImpairments imp{.drop_prob = 0.02,
+                                    .burst_drop_prob = 0.01,
+                                    .burst_continue_prob = 0.5,
+                                    .snaplen = 60,
+                                    .dup_prob = 0.01,
+                                    .reorder_prob = 0.05,
+                                    .jitter = Duration::micros(40),
+                                    .skip_first = 3,
+                                    .seed = 7};
   for (const auto& [pname, profile] : all_profiles()) {
     SCOPED_TRACE(pname);
     const net::PacketTrace pristine = merged_trace(profile, /*seed=*/88, 4);
@@ -294,7 +292,7 @@ TEST(ChunkedDemux, AnalyzeAppliesDemuxOptionsLikeTheViewPath) {
   // every flow's orientation).
   for (const std::uint16_t port : {first.src_port, first.dst_port}) {
     SCOPED_TRACE(port);
-    const DemuxOptions opts = DemuxOptions{}.with_server_port(port);
+    const DemuxOptions opts{.server_port = port};
     const FlowViewSet views = demux_flow_views(trace, opts);
     ASSERT_EQ(views.size(), all.size());
     AnalysisResult expected;

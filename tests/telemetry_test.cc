@@ -377,10 +377,8 @@ TEST(TelemetryStallCounters, MatchBreakdownSinkExactly) {
   telemetry::disable_and_reset_all();
   telemetry::enable_all();
 
-  const auto cfg = workload::ExperimentConfig{}
-                       .with_profile(workload::web_search_profile())
-                       .with_flows(60)
-                       .with_seed(2015);
+  const workload::ExperimentConfig cfg{
+      .profile = workload::web_search_profile(), .flows = 60, .seed = 2015};
   workload::RunOptions options;
   options.threads = 2;
   workload::ParallelRunner runner(cfg, options);
@@ -416,10 +414,8 @@ TEST(TelemetryRunnerTrace, EventsCarryRunAndFlowIds) {
   telemetry::disable_and_reset_all();
   telemetry::enable_all();
 
-  const auto cfg = workload::ExperimentConfig{}
-                       .with_profile(workload::web_search_profile())
-                       .with_flows(8)
-                       .with_seed(7);
+  const workload::ExperimentConfig cfg{
+      .profile = workload::web_search_profile(), .flows = 8, .seed = 7};
   workload::ParallelRunner runner(cfg, {});
   workload::CollectingSink sink;
   runner.run(sink);

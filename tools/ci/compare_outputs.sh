@@ -12,7 +12,8 @@
 #   - tapo_agg emit (the shard files' bytes), then tapo_agg merge: the
 #     fleet report and its --prom exposition
 #   - pcap_analyze --demo: the capture's bytes and the --csv files, then
-#     the capture analyzed with --summary, --live and --mem-budget 65536
+#     the capture analyzed with --summary, --live, --mem-budget 65536 and
+#     --tau 3 --server-port 80
 #   - the example CLIs that drive the sender outside the benches:
 #     quickstart 0.08 150 60000, srto_ab web 300 0.05, srto_ab cloud 100
 #     and service_comparison
@@ -98,6 +99,7 @@ collect() {
   run pcap_summary.txt "${pa}" demo.pcap --summary
   run pcap_live.txt "${pa}" demo.pcap --live --summary
   run pcap_budget.txt "${pa}" demo.pcap --mem-budget 65536 --summary
+  run pcap_tau_port.txt "${pa}" demo.pcap --tau 3 --server-port 80 --summary
   local ex="${bin}/examples"
   run quickstart.txt "${ex}/quickstart" 0.08 150 60000
   run srto_ab_web.txt "${ex}/srto_ab" web 300 0.05

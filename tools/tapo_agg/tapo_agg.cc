@@ -21,10 +21,13 @@
 // Flag values are parsed strictly (util::parse_positive_size/parse_u64):
 // malformed values are a usage error, not a silent fallback, because a CLI
 // typo — unlike an inherited environment variable — is always a mistake.
+// So is a value the tool cannot hold: --shards above 2^32 - 1 (shard ids
+// are 32-bit) or a --window-s whose microseconds overflow an int64_t.
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -66,19 +69,20 @@ std::optional<std::string> flag_value(const std::string& arg,
 
 int run_emit(const std::vector<std::string>& args, const char* argv0) {
   std::string out_dir;
-  std::size_t shards = 4;
+  std::uint32_t shards = 4;
   std::size_t flows = 50;
   std::uint64_t seed = 2015;
   for (const auto& arg : args) {
     if (auto v = flag_value(arg, "out")) {
       out_dir = *v;
     } else if (auto s = flag_value(arg, "shards")) {
+      // Shard ids are 32-bit (RecordSinkConfig::shard_id).
       const auto parsed = util::parse_positive_size(*s);
-      if (!parsed) {
+      if (!parsed || *parsed > std::numeric_limits<std::uint32_t>::max()) {
         std::fprintf(stderr, "tapo_agg: bad --shards=%s\n", s->c_str());
         return usage(argv0);
       }
-      shards = *parsed;
+      shards = static_cast<std::uint32_t>(*parsed);
     } else if (auto f = flag_value(arg, "flows")) {
       const auto parsed = util::parse_positive_size(*f);
       if (!parsed) {
@@ -125,18 +129,16 @@ int run_emit(const std::vector<std::string>& args, const char* argv0) {
     for (auto svc : {workload::Service::kCloudStorage,
                      workload::Service::kSoftwareDownload,
                      workload::Service::kWebSearch}) {
-      auto cfg = workload::ExperimentConfig{}
-                     .with_profile(workload::profile_for(svc))
-                     .with_flows(flows)
-                     .with_seed(seed + shard)
-                     .with_analysis(true);
+      const workload::ExperimentConfig cfg{
+          .profile = workload::profile_for(svc),
+          .flows = flows,
+          .seed = seed + shard};
       fleet::RecordSink sink(
           writer,
-          fleet::RecordSinkConfig{}
-              .with_shard_id(shard)
-              .with_service(static_cast<std::uint8_t>(svc))
-              // Stagger shards so their windows interleave at merge time.
-              .with_base_time_us(static_cast<std::int64_t>(shard) * 250'000));
+          {.shard_id = shard,
+           .service = static_cast<std::uint8_t>(svc),
+           // Stagger shards so their windows interleave at merge time.
+           .base_time_us = static_cast<std::int64_t>(shard) * 250'000});
       workload::ParallelRunner runner(cfg);
       runner.run(sink);
     }
@@ -152,15 +154,19 @@ int run_emit(const std::vector<std::string>& args, const char* argv0) {
 int run_merge(const std::vector<std::string>& args, const char* argv0) {
   std::vector<std::string> files;
   std::string prom_path;
-  std::int64_t window_s = 60;
+  fleet::FleetConfig fleet_cfg;
   for (const auto& arg : args) {
     if (auto w = flag_value(arg, "window-s")) {
+      // The window is held in microseconds, as an int64_t.
+      constexpr std::size_t kMaxWindowS =
+          std::numeric_limits<std::int64_t>::max() / 1'000'000;
       const auto parsed = util::parse_positive_size(*w);
-      if (!parsed) {
+      if (!parsed || *parsed > kMaxWindowS) {
         std::fprintf(stderr, "tapo_agg: bad --window-s=%s\n", w->c_str());
         return usage(argv0);
       }
-      window_s = static_cast<std::int64_t>(*parsed);
+      fleet_cfg.window =
+          Duration::micros(static_cast<std::int64_t>(*parsed) * 1'000'000);
     } else if (auto p = flag_value(arg, "prom")) {
       prom_path = *p;
     } else if (auto d = flag_value(arg, "ingest-dir")) {
@@ -184,8 +190,7 @@ int run_merge(const std::vector<std::string>& args, const char* argv0) {
     return usage(argv0);
   }
 
-  fleet::WindowAggregator agg(
-      fleet::FleetConfig{}.with_window(Duration::micros(window_s * 1'000'000)));
+  fleet::WindowAggregator agg(fleet_cfg);
   bool hard_failure = false;
   for (const auto& file : files) {
     const auto result = fleet::read_record_file(file);
