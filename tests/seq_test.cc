@@ -17,6 +17,8 @@
 #include "tcp/connection.h"
 #include "util/rng.h"
 
+#include "support/expect_same_analysis.h"
+
 namespace tapo::net {
 namespace {
 
@@ -159,37 +161,10 @@ TEST(Seq32Property, WrapMidTransferClassifiesIdentically) {
   const analysis::FlowAnalysis& a = lo.flow;
   const analysis::FlowAnalysis& b = hi.flow;
   EXPECT_GE(a.unique_bytes, 200'000u);  // payload (+1 for the FIN)
-  EXPECT_EQ(a.unique_bytes, b.unique_bytes);
-  EXPECT_EQ(a.data_segments, b.data_segments);
-  EXPECT_EQ(a.retrans_segments, b.retrans_segments);
-  EXPECT_EQ(a.timeout_retrans, b.timeout_retrans);
-  EXPECT_EQ(a.fast_retrans, b.fast_retrans);
-  EXPECT_EQ(a.transmission_time, b.transmission_time);
-  EXPECT_EQ(a.stalled_time, b.stalled_time);
-  EXPECT_EQ(a.rtt_samples_us, b.rtt_samples_us);
-  EXPECT_EQ(a.rto_at_timeout_us, b.rto_at_timeout_us);
-  EXPECT_EQ(a.inflight_on_ack, b.inflight_on_ack);
-  EXPECT_EQ(a.init_rwnd_bytes, b.init_rwnd_bytes);
-  EXPECT_EQ(a.had_zero_rwnd, b.had_zero_rwnd);
-
   // Loss at 3% over ~140 segments: the run is expected to produce stalls,
   // otherwise this property test exercises nothing.
   EXPECT_GT(a.retrans_segments, 0u);
-  ASSERT_EQ(a.stalls.size(), b.stalls.size());
-  for (std::size_t i = 0; i < a.stalls.size(); ++i) {
-    EXPECT_EQ(a.stalls[i].start, b.stalls[i].start) << "stall " << i;
-    EXPECT_EQ(a.stalls[i].end, b.stalls[i].end) << "stall " << i;
-    EXPECT_EQ(a.stalls[i].duration, b.stalls[i].duration) << "stall " << i;
-    EXPECT_EQ(a.stalls[i].cause, b.stalls[i].cause) << "stall " << i;
-    EXPECT_EQ(a.stalls[i].retrans_cause, b.stalls[i].retrans_cause)
-        << "stall " << i;
-    EXPECT_EQ(a.stalls[i].f_double, b.stalls[i].f_double) << "stall " << i;
-    EXPECT_EQ(a.stalls[i].state_at_stall, b.stalls[i].state_at_stall)
-        << "stall " << i;
-    EXPECT_EQ(a.stalls[i].in_flight, b.stalls[i].in_flight) << "stall " << i;
-    EXPECT_EQ(a.stalls[i].cur_pkt_index, b.stalls[i].cur_pkt_index)
-        << "stall " << i;
-  }
+  test::expect_same_analysis(a, b);
 }
 
 }  // namespace

@@ -25,56 +25,13 @@
 #include "workload/profiles.h"
 
 #include "support/analysis_collector.h"
+#include "support/expect_same_analysis.h"
 #include "support/pcap_files.h"
 
 namespace tapo::analysis {
 namespace {
 
-// ---------------------------------------------------------------------------
-// Deep FlowAnalysis equality. EXPECT_EQ on doubles is deliberate: both paths
-// must execute the identical instruction stream, so results are bit-equal,
-// not merely close.
-// ---------------------------------------------------------------------------
-
-void expect_same_stall(const StallRecord& a, const StallRecord& b) {
-  EXPECT_EQ(a.start.us(), b.start.us());
-  EXPECT_EQ(a.end.us(), b.end.us());
-  EXPECT_EQ(a.duration.us(), b.duration.us());
-  EXPECT_EQ(a.cause, b.cause);
-  EXPECT_EQ(a.retrans_cause, b.retrans_cause);
-  EXPECT_EQ(a.f_double, b.f_double);
-  EXPECT_EQ(a.state_at_stall, b.state_at_stall);
-  EXPECT_EQ(a.in_flight, b.in_flight);
-  EXPECT_EQ(a.rel_position, b.rel_position);
-  EXPECT_EQ(a.cur_pkt_index, b.cur_pkt_index);
-}
-
-void expect_same_analysis(const FlowAnalysis& a, const FlowAnalysis& b) {
-  EXPECT_EQ(a.key, b.key);
-  EXPECT_EQ(a.transmission_time.us(), b.transmission_time.us());
-  EXPECT_EQ(a.unique_bytes, b.unique_bytes);
-  EXPECT_EQ(a.data_segments, b.data_segments);
-  EXPECT_EQ(a.retrans_segments, b.retrans_segments);
-  EXPECT_EQ(a.avg_speed_Bps, b.avg_speed_Bps);
-  EXPECT_EQ(a.rtt_samples_us, b.rtt_samples_us);
-  EXPECT_EQ(a.rto_at_timeout_us, b.rto_at_timeout_us);
-  EXPECT_EQ(a.avg_rtt_us, b.avg_rtt_us);
-  EXPECT_EQ(a.avg_rto_us, b.avg_rto_us);
-  EXPECT_EQ(a.avg_rto_on_ack_us, b.avg_rto_on_ack_us);
-  EXPECT_EQ(a.stalled_time.us(), b.stalled_time.us());
-  EXPECT_EQ(a.stall_ratio, b.stall_ratio);
-  EXPECT_EQ(a.init_rwnd_bytes, b.init_rwnd_bytes);
-  EXPECT_EQ(a.init_rwnd_mss, b.init_rwnd_mss);
-  EXPECT_EQ(a.had_zero_rwnd, b.had_zero_rwnd);
-  EXPECT_EQ(a.inflight_on_ack, b.inflight_on_ack);
-  EXPECT_EQ(a.timeout_retrans, b.timeout_retrans);
-  EXPECT_EQ(a.fast_retrans, b.fast_retrans);
-  EXPECT_EQ(a.spurious_retrans, b.spurious_retrans);
-  ASSERT_EQ(a.stalls.size(), b.stalls.size());
-  for (std::size_t i = 0; i < a.stalls.size(); ++i) {
-    expect_same_stall(a.stalls[i], b.stalls[i]);
-  }
-}
+using test::expect_same_analysis;
 
 void expect_same_result(const AnalysisResult& a, const AnalysisResult& b) {
   ASSERT_EQ(a.flows.size(), b.flows.size());
