@@ -296,11 +296,15 @@ class FlowMimic {
   void check_scoreboard() const;
 #endif
 
-  void process_server_packet(const PacketView& p, PktAnno& a,
-                             FlowAnalysis& out);
+  void process_server_packet(const PacketView& p, PktAnno& a);
   void process_client_packet(const PacketView& p, PktAnno& a,
                              FlowAnalysis& out);
   void snapshot(PktAnno& a) const;
+  void sample_rtt(Duration rtt) {
+    rto_.sample(rtt);
+    rtt_sum_us_ += static_cast<double>(rtt.us());
+    ++rtt_count_;
+  }
   void detect_and_classify(FlowAnalysis& out);
   StallRecord classify_stall(std::size_t prev_idx, std::size_t cur_idx) const;
   RetransCause classify_retrans(const PktAnno& prev, const PktAnno& cur,
@@ -347,8 +351,11 @@ class FlowMimic {
   bool saw_synack_ = false;
   bool handshake_sampled_ = false;
 
-  double rto_sample_sum_us_ = 0.0;
-  std::uint64_t rto_sample_count_ = 0;
+  // Running sums for the RTT and timeout-RTO means, added in sample order.
+  // The RTO sum takes one sample per timeout retransmission.
+  double rtt_sum_us_ = 0.0;
+  std::uint64_t rtt_count_ = 0;
+  double rto_sum_us_ = 0.0;
 };
 
 SegMimic* FlowMimic::find_seg(net::Seq32 seq) {
@@ -477,8 +484,7 @@ void FlowMimic::snapshot(PktAnno& a) const {
   a.established = established_;
 }
 
-void FlowMimic::process_server_packet(const PacketView& p, PktAnno& a,
-                                      FlowAnalysis& out) {
+void FlowMimic::process_server_packet(const PacketView& p, PktAnno& a) {
   const std::uint32_t eff_len = p.payload + (p.flags.fin ? 1u : 0u);
   if (p.flags.syn) {
     synack_ts_ = p.ts;
@@ -501,7 +507,6 @@ void FlowMimic::process_server_packet(const PacketView& p, PktAnno& a,
                          static_cast<std::uint32_t>(segs_.size()), p.ts);
       segs_.back().inferred = true;
       ++quality_.seq_gaps;
-      quality_.gap_bytes += net::distance(snd_nxt_, p.seq);
     }
     // New data.
     a.seg_idx = static_cast<int>(segs_.size());
@@ -522,7 +527,6 @@ void FlowMimic::process_server_packet(const PacketView& p, PktAnno& a,
     seg->restamp_last_tx(p.ts);
     a.seg_idx = static_cast<int>(seg->index);
     --quality_.seq_gaps;
-    quality_.gap_bytes -= seg->len();
     return;
   }
   a.is_retrans = true;
@@ -549,7 +553,7 @@ void FlowMimic::process_server_packet(const PacketView& p, PktAnno& a,
   if (is_rto) {
     // The observed inter-transmission gap IS the timer that fired,
     // including any exponential backoff.
-    out.rto_at_timeout_us.push_back(static_cast<double>(elapsed.us()));
+    rto_sum_us_ += static_cast<double>(elapsed.us());
     if (state_ != tcp::CaState::kLoss) {
       ssthresh_est_ = std::max<std::uint32_t>(cwnd_est_ / 2, 2);
     }
@@ -583,8 +587,7 @@ void FlowMimic::process_client_packet(const PacketView& p, PktAnno& a,
   if (saw_synack_ && !handshake_sampled_ && p.flags.ack) {
     handshake_sampled_ = true;
     const Duration rtt = p.ts - synack_ts_;
-    rto_.sample(rtt);
-    out.rtt_samples_us.push_back(static_cast<double>(rtt.us()));
+    sample_rtt(rtt);
   }
 
   rwnd_scaled_ = static_cast<std::uint32_t>(p.window) << view_.client_wscale;
@@ -635,9 +638,7 @@ void FlowMimic::process_client_packet(const PacketView& p, PktAnno& a,
       set_retrans(s, false);
       if (s.transmissions() == 1 && !s.inferred) {
         // SACK-time RTT sample, mirroring the sender.
-        const Duration rtt = p.ts - s.first_tx;
-        rto_.sample(rtt);
-        out.rtt_samples_us.push_back(static_cast<double>(rtt.us()));
+        sample_rtt(p.ts - s.first_tx);
       }
     }
   }
@@ -660,9 +661,7 @@ void FlowMimic::process_client_packet(const PacketView& p, PktAnno& a,
       ack_segment(s, p.ts);
     }
     if (have) {
-      const Duration rtt = p.ts - newest;
-      rto_.sample(rtt);
-      out.rtt_samples_us.push_back(static_cast<double>(rtt.us()));
+      sample_rtt(p.ts - newest);
     }
     snd_una_ = p.ack;
     dupacks_ = 0;
@@ -715,8 +714,6 @@ void FlowMimic::process_client_packet(const PacketView& p, PktAnno& a,
   }
 
   out.inflight_on_ack.push_back(in_flight());
-  rto_sample_sum_us_ += static_cast<double>(rto_.rto().us());
-  ++rto_sample_count_;
 }
 
 net::Seq32 FlowMimic::response_end_for(const SegMimic& seg) const {
@@ -756,7 +753,7 @@ void FlowMimic::run(FlowAnalysis& out) {
     }
     a.ts = p.ts;
     if (p.from_server) {
-      process_server_packet(p, a, out);
+      process_server_packet(p, a);
       if (a.server_data) {
         ++out.data_segments;
         if (a.is_retrans) {
@@ -784,32 +781,15 @@ void FlowMimic::run(FlowAnalysis& out) {
     out.transmission_time = annos_.back().ts - annos_.front().ts;
   }
   for (const auto& s : segs_) out.unique_bytes += s.len();
-  if (!out.rtt_samples_us.empty()) {
-    double sum = 0;
-    for (double r : out.rtt_samples_us) sum += r;
-    out.avg_rtt_us = sum / static_cast<double>(out.rtt_samples_us.size());
+  if (rtt_count_ > 0) {
+    out.avg_rtt_us = rtt_sum_us_ / static_cast<double>(rtt_count_);
   }
-  if (rto_sample_count_ > 0) {
-    out.avg_rto_on_ack_us =
-        rto_sample_sum_us_ / static_cast<double>(rto_sample_count_);
-  }
-  if (!out.rto_at_timeout_us.empty()) {
-    double sum = 0;
-    for (double r : out.rto_at_timeout_us) sum += r;
-    out.avg_rto_us = sum / static_cast<double>(out.rto_at_timeout_us.size());
+  if (out.timeout_retrans > 0) {
+    out.avg_rto_us = rto_sum_us_ / static_cast<double>(out.timeout_retrans);
   }
 
   detect_and_classify(out);
 
-  // Capture quality: drop-rate estimate + deterministic confidence score.
-  if (out.unique_bytes > 0) {
-    quality_.est_drop_rate =
-        std::min(1.0, static_cast<double>(quality_.gap_bytes) /
-                          static_cast<double>(out.unique_bytes));
-  }
-  quality_.confidence = (1.0 - quality_.est_drop_rate) *
-                        (quality_.mid_stream ? 0.5 : 1.0) *
-                        (quality_.truncated_packets > 0 ? 0.9 : 1.0);
   out.capture = quality_;
   record_capture_quality(quality_);
 
@@ -854,8 +834,7 @@ StallRecord FlowMimic::classify_stall(std::size_t prev_idx,
   const PktAnno& cur = annos_[cur_idx];
   StallRecord rec;
   rec.start = prev.ts;
-  rec.end = cur.ts;
-  rec.duration = rec.end - rec.start;
+  rec.duration = cur.ts - prev.ts;
   rec.state_at_stall = prev.state;
   rec.in_flight = prev.in_flight;
   rec.cur_pkt_index = cur_idx;

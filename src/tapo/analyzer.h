@@ -53,7 +53,6 @@ const char* to_string(RetransCause c);
 
 struct StallRecord {
   TimePoint start;
-  TimePoint end;
   Duration duration;
   StallCause cause = StallCause::kUndetermined;
   RetransCause retrans_cause = RetransCause::kNone;
@@ -87,7 +86,6 @@ struct CaptureQuality {
   /// Server-side sequence gaps: data the server must have sent but the
   /// capture never recorded (kernel capture drops).
   std::uint64_t seq_gaps = 0;
-  std::uint64_t gap_bytes = 0;
   /// Packets whose TCP options were cut by the snaplen (SACK blocks or
   /// timestamps possibly missing).
   std::uint64_t truncated_packets = 0;
@@ -97,11 +95,6 @@ struct CaptureQuality {
   /// Stalls demoted to StallCause::kUndetermined because artifacts made
   /// the evidence ambiguous (see StallRecord::capture_suspect).
   std::uint64_t suspect_stalls = 0;
-  /// Estimated capture drop rate: gap_bytes / unique stream bytes.
-  double est_drop_rate = 0.0;
-  /// Deterministic trust score in (0, 1]:
-  ///   (1 - est_drop_rate) * (mid_stream ? 0.5 : 1) * (truncated ? 0.9 : 1).
-  double confidence = 1.0;
 
   /// Any artifact at all — the flow counts toward tapo_flows_degraded_total.
   bool degraded() const {
@@ -119,15 +112,13 @@ struct FlowAnalysis {
   std::uint64_t retrans_segments = 0;
   double avg_speed_Bps = 0.0;
   // -- RTT / RTO --
-  std::vector<double> rtt_samples_us;      // per non-retransmitted segment
-  std::vector<double> rto_at_timeout_us;   // RTO at each timeout retrans
+  /// Mean RTT sample (handshake, SACK and cumulative-ACK samples of
+  /// segments sent once). Zero when the flow had no sample.
   double avg_rtt_us = 0.0;
   /// Mean RTO recorded at timeout retransmissions ("the RTO is recorded
   /// for each timeout retransmission", §2.1) — includes backoff. Zero when
   /// the flow had no timeouts.
   double avg_rto_us = 0.0;
-  /// Mean RTO estimate sampled on every ACK (estimator state, no backoff).
-  double avg_rto_on_ack_us = 0.0;
   // -- stalls --
   std::vector<StallRecord> stalls;
   Duration stalled_time;

@@ -324,8 +324,6 @@ TEST(CaptureRealism, DegradedFlowsCarryCaptureQuality) {
     if (!fa.capture.degraded()) continue;
     ++degraded;
     EXPECT_GT(fa.capture.seq_gaps + fa.capture.truncated_packets, 0u);
-    EXPECT_LT(fa.capture.confidence, 1.0);
-    EXPECT_GE(fa.capture.confidence, 0.0);
   }
   EXPECT_GT(degraded, 0u);
 }
@@ -456,7 +454,7 @@ TEST(PcapSnaplen, TruncatedOptionsSurviveRoundTripAndAnalysis) {
   const auto result = analysis::Analyzer{}.analyze(back);
   ASSERT_EQ(result.flows.size(), 1u);
   EXPECT_EQ(result.flows[0].capture.truncated_packets, 2u);
-  EXPECT_LT(result.flows[0].capture.confidence, 1.0);
+  EXPECT_TRUE(result.flows[0].capture.degraded());
 }
 
 }  // namespace
