@@ -7,7 +7,7 @@
 #include <utility>
 
 #include "net/ipv4.h"
-#include "telemetry/registry.h"
+#include "telemetry/telemetry.h"
 #include "util/rng.h"
 
 namespace tapo::sim {
@@ -21,9 +21,13 @@ void require_prob(double p, const char* what) {
   }
 }
 
-telemetry::Counter& injected_counter(const char* kind) {
-  return telemetry::Registry::instance().counter("tapo_capture_injected_total",
-                                                 {{"kind", kind}});
+/// Counts one injected impairment of `kind`. The registry lookup runs only
+/// with metrics on; off, the cost is the one relaxed load of the switch.
+void count_injected(const char* kind) {
+  if (!telemetry::metrics_enabled()) return;
+  telemetry::Registry::instance()
+      .counter("tapo_capture_injected_total", {{"kind", kind}})
+      .add();
 }
 
 }  // namespace
@@ -106,7 +110,7 @@ void CaptureChannel::feed(const net::CapturedPacket& pkt) {
   // Mid-stream start: capture rotation began after the flow did.
   if (stats_.seen <= imp_.skip_first) {
     ++stats_.skipped_head;
-    injected_counter("mid_stream_skip").add();
+    count_injected("mid_stream_skip");
     return;
   }
 
@@ -116,19 +120,19 @@ void CaptureChannel::feed(const net::CapturedPacket& pkt) {
     if (in_burst_) {
       in_burst_ = rng_.chance(imp_.burst_continue_prob);
       ++stats_.dropped;
-      injected_counter("drop").add();
+      count_injected("drop");
       return;
     }
     if (rng_.chance(imp_.burst_drop_prob)) {
       in_burst_ = rng_.chance(imp_.burst_continue_prob);
       ++stats_.dropped;
-      injected_counter("drop").add();
+      count_injected("drop");
       return;
     }
   }
   if (imp_.drop_prob > 0.0 && rng_.chance(imp_.drop_prob)) {
     ++stats_.dropped;
-    injected_counter("drop").add();
+    count_injected("drop");
     return;
   }
 
@@ -140,7 +144,7 @@ void CaptureChannel::feed(const net::CapturedPacket& pkt) {
       const net::CapturedPacket second = *held_;
       held_.reset();
       ++stats_.reordered;
-      injected_counter("reorder").add();
+      count_injected("reorder");
       emit(first);
       emit(second);
       return;
@@ -221,7 +225,7 @@ net::CapturedPacket CaptureChannel::impair_record(
       if (cut) {
         out.truncated = true;
         ++stats_.truncated;
-        injected_counter("truncate").add();
+        count_injected("truncate");
       }
     }
   }
@@ -238,7 +242,7 @@ void CaptureChannel::emit(const net::CapturedPacket& pkt) {
     out_.add(rec);
     ++stats_.delivered;
     ++stats_.duplicated;
-    injected_counter("duplicate").add();
+    count_injected("duplicate");
   }
 }
 

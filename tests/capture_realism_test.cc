@@ -15,6 +15,7 @@
 #include "sim/capture_channel.h"
 #include "tapo/live.h"
 #include "tapo/tapo.h"
+#include "telemetry/telemetry.h"
 #include "workload/experiment.h"
 #include "workload/runner.h"
 
@@ -127,6 +128,26 @@ TEST(CaptureChannel, DuplicationEmitsAdjacentIdenticalCopies) {
     if (same_record(out[i - 1], out[i])) ++found;
   }
   EXPECT_EQ(found, stats.duplicated);
+}
+
+TEST(CaptureChannel, InjectedCounterFollowsTheMetricsSwitch) {
+  auto& duplicates = telemetry::Registry::instance().counter(
+      "tapo_capture_injected_total", {{"kind", "duplicate"}});
+  const auto trace = make_trace(200);
+  const sim::CaptureImpairments imp{.dup_prob = 0.5};
+
+  // Off: the channel still duplicates, but never touches the registry.
+  telemetry::disable_and_reset_all();
+  const auto off = sim::apply_impairments(trace, imp);
+  EXPECT_GT(off.size(), trace.size());
+  EXPECT_EQ(duplicates.value(), 0u);
+
+  // On: one count per extra copy.
+  telemetry::set_metrics_enabled(true);
+  const auto on = sim::apply_impairments(trace, imp);
+  const std::uint64_t counted = duplicates.value();
+  telemetry::disable_and_reset_all();
+  EXPECT_EQ(counted, on.size() - trace.size());
 }
 
 TEST(CaptureChannel, SnaplenCutsTailOptions) {
