@@ -62,16 +62,6 @@ void CaptureImpairments::validate() const {
   }
 }
 
-void CaptureChannelStats::merge(const CaptureChannelStats& o) {
-  seen += o.seen;
-  delivered += o.delivered;
-  dropped += o.dropped;
-  duplicated += o.duplicated;
-  truncated += o.truncated;
-  reordered += o.reordered;
-  skipped_head += o.skipped_head;
-}
-
 namespace {
 
 /// The impairment stage: records are fed one at a time and the survivors
@@ -88,8 +78,6 @@ class CaptureChannel {
   /// Flushes the hold slot and hands over the impaired trace.
   net::PacketTrace finish();
 
-  const CaptureChannelStats& stats() const { return stats_; }
-
  private:
   /// Applies the per-record impairments (quantize, jitter, truncate) and
   /// writes the record — plus a mirror duplicate when drawn — to the trace.
@@ -99,17 +87,14 @@ class CaptureChannel {
   net::PacketTrace out_;
   CaptureImpairments imp_;
   Rng rng_;
-  CaptureChannelStats stats_;
+  std::size_t seen_ = 0;  // records fed so far (skip_first counts them)
   bool in_burst_ = false;
   std::optional<net::CapturedPacket> held_;  // reorder hold slot
 };
 
 void CaptureChannel::feed(const net::CapturedPacket& pkt) {
-  ++stats_.seen;
-
   // Mid-stream start: capture rotation began after the flow did.
-  if (stats_.seen <= imp_.skip_first) {
-    ++stats_.skipped_head;
+  if (++seen_ <= imp_.skip_first) {
     count_injected("mid_stream_skip");
     return;
   }
@@ -119,19 +104,16 @@ void CaptureChannel::feed(const net::CapturedPacket& pkt) {
   if (imp_.burst_drop_prob > 0.0) {
     if (in_burst_) {
       in_burst_ = rng_.chance(imp_.burst_continue_prob);
-      ++stats_.dropped;
       count_injected("drop");
       return;
     }
     if (rng_.chance(imp_.burst_drop_prob)) {
       in_burst_ = rng_.chance(imp_.burst_continue_prob);
-      ++stats_.dropped;
       count_injected("drop");
       return;
     }
   }
   if (imp_.drop_prob > 0.0 && rng_.chance(imp_.drop_prob)) {
-    ++stats_.dropped;
     count_injected("drop");
     return;
   }
@@ -143,7 +125,6 @@ void CaptureChannel::feed(const net::CapturedPacket& pkt) {
       const net::CapturedPacket first = pkt;
       const net::CapturedPacket second = *held_;
       held_.reset();
-      ++stats_.reordered;
       count_injected("reorder");
       emit(first);
       emit(second);
@@ -224,7 +205,6 @@ net::CapturedPacket CaptureChannel::impair_record(
       }
       if (cut) {
         out.truncated = true;
-        ++stats_.truncated;
         count_injected("truncate");
       }
     }
@@ -236,12 +216,9 @@ net::CapturedPacket CaptureChannel::impair_record(
 void CaptureChannel::emit(const net::CapturedPacket& pkt) {
   const net::CapturedPacket rec = impair_record(pkt);
   out_.add(rec);
-  ++stats_.delivered;
   if (imp_.dup_prob > 0.0 && rng_.chance(imp_.dup_prob)) {
     // Mirror duplicate: identical header and timestamp, back to back.
     out_.add(rec);
-    ++stats_.delivered;
-    ++stats_.duplicated;
     count_injected("duplicate");
   }
 }
@@ -249,21 +226,12 @@ void CaptureChannel::emit(const net::CapturedPacket& pkt) {
 }  // namespace
 
 net::PacketTrace apply_impairments(const net::PacketTrace& pristine,
-                                   const CaptureImpairments& impairments,
-                                   CaptureChannelStats* stats) {
+                                   const CaptureImpairments& impairments) {
   impairments.validate();
-  if (!impairments.enabled()) {
-    if (stats != nullptr) {
-      stats->seen += pristine.size();
-      stats->delivered += pristine.size();
-    }
-    return pristine.clone();
-  }
+  if (!impairments.enabled()) return pristine.clone();
   CaptureChannel ch(impairments, pristine.size());
   for (const net::CapturedPacket& p : pristine.packets()) ch.feed(p);
-  net::PacketTrace out = ch.finish();
-  if (stats != nullptr) stats->merge(ch.stats());
-  return out;
+  return ch.finish();
 }
 
 }  // namespace tapo::sim

@@ -69,26 +69,12 @@ struct CaptureImpairments {
   void validate() const;
 };
 
-/// What the impairment stage did to one trace, per impairment kind.
-struct CaptureChannelStats {
-  std::uint64_t seen = 0;       // records offered to the stage
-  std::uint64_t delivered = 0;  // records written to the output trace
-  std::uint64_t dropped = 0;    // i.i.d. + bursty capture drops
-  std::uint64_t duplicated = 0; // extra copies emitted
-  std::uint64_t truncated = 0;  // records whose options were cut
-  std::uint64_t reordered = 0;  // adjacent swaps performed
-  std::uint64_t skipped_head = 0;  // mid-stream-start records discarded
-
-  void merge(const CaptureChannelStats& o);
-};
-
 /// Replays a pristine trace, record by record, through the impairments and
 /// returns the surviving records. The config is validated first, even when
 /// no impairment is enabled; with none enabled the result is a
-/// bit-identical clone of the input. `stats`, when given, accumulates what
-/// was done.
+/// bit-identical clone of the input. With metrics on, each injected
+/// impairment counts once in tapo_capture_injected_total{kind}.
 net::PacketTrace apply_impairments(const net::PacketTrace& pristine,
-                                   const CaptureImpairments& impairments,
-                                   CaptureChannelStats* stats = nullptr);
+                                   const CaptureImpairments& impairments);
 
 }  // namespace tapo::sim

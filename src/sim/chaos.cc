@@ -113,6 +113,7 @@ ChaosInjector::ChaosInjector(Simulator& sim, Link& data_link, Link& ack_link,
 }
 
 void ChaosInjector::count_injected(const char* kind) {
+  ++injected_;
   if (!telemetry::metrics_enabled()) return;
   auto& c = telemetry::Registry::instance().counter(
       "tapo_chaos_injected_total", {{"kind", kind}});
@@ -169,7 +170,6 @@ void ChaosInjector::schedule_next(Episode e) {
 
 void ChaosInjector::begin(Episode e) {
   episode_on_[e] = true;
-  ++stats_.episodes;
   sim_.schedule(duration_for(e), [this, e] { end(e); });
 }
 
@@ -200,7 +200,6 @@ void ChaosInjector::deliver_later(bool data_path, net::CapturedPacket pkt,
 
 void ChaosInjector::on_data_packet(const net::CapturedPacket& pkt) {
   if (episode_on_[kBlackhole]) {
-    ++stats_.blackholed;
     count_injected("blackhole");
     return;
   }
@@ -212,20 +211,17 @@ void ChaosInjector::on_data_packet(const net::CapturedPacket& pkt) {
       seen_data_ = true;
     }
     if (retrans && rng_.chance(config_.retrans_drop_prob)) {
-      ++stats_.retrans_dropped;
       count_injected("retrans_drop");
       return;
     }
   }
   if (episode_on_[kRttSpike]) {
-    ++stats_.delayed;
     count_injected("rtt_spike");
     deliver_later(/*data_path=*/true, pkt, config_.rtt_spike_extra);
     return;
   }
   if (episode_on_[kReorder] && pkt.payload_len > 0 &&
       rng_.chance(config_.reorder_prob)) {
-    ++stats_.reordered;
     count_injected("reorder");
     deliver_later(/*data_path=*/true, pkt, config_.reorder_hold);
     return;
@@ -235,7 +231,6 @@ void ChaosInjector::on_data_packet(const net::CapturedPacket& pkt) {
 
 void ChaosInjector::on_ack_packet(const net::CapturedPacket& pkt) {
   if (episode_on_[kBlackhole]) {
-    ++stats_.blackholed;
     count_injected("blackhole");
     return;
   }
@@ -243,24 +238,20 @@ void ChaosInjector::on_ack_packet(const net::CapturedPacket& pkt) {
       pkt.tcp.flags.ack && !pkt.tcp.flags.syn && pkt.payload_len == 0;
   if (episode_on_[kAckLoss] && pure_ack &&
       rng_.chance(config_.ack_loss_prob)) {
-    ++stats_.acks_dropped;
     count_injected("ack_loss");
     return;
   }
   net::CapturedPacket out = pkt;
   if (episode_on_[kRwndFlap] && pkt.tcp.flags.ack && !pkt.tcp.flags.syn) {
     out.tcp.window = 0;
-    ++stats_.rwnd_rewrites;
     count_injected("rwnd_flap");
   }
   if (episode_on_[kAckCompress] && pure_ack) {
-    ++stats_.acks_compressed;
     count_injected("ack_compress");
     held_acks_.push_back(out);
     return;
   }
   if (episode_on_[kRttSpike]) {
-    ++stats_.delayed;
     count_injected("rtt_spike");
     deliver_later(/*data_path=*/false, out, config_.rtt_spike_extra);
     return;

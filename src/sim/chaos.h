@@ -97,23 +97,6 @@ struct ChaosConfig {
   void validate() const;
 };
 
-/// Injection counters, one per impairment mechanism.
-struct ChaosStats {
-  std::uint64_t episodes = 0;         // episode onsets, all kinds
-  std::uint64_t reordered = 0;        // data packets held out of order
-  std::uint64_t acks_dropped = 0;
-  std::uint64_t acks_compressed = 0;  // ACKs held for burst release
-  std::uint64_t rwnd_rewrites = 0;    // windows rewritten to zero
-  std::uint64_t delayed = 0;          // packets held by an RTT spike
-  std::uint64_t blackholed = 0;       // packets dropped by a blackhole
-  std::uint64_t retrans_dropped = 0;  // targeted retransmission drops
-
-  std::uint64_t total_injected() const {
-    return reordered + acks_dropped + acks_compressed + rwnd_rewrites +
-           delayed + blackholed + retrans_dropped;
-  }
-};
-
 /// A named chaos configuration. The catalog gives the storm harness and the
 /// failure-replay flags (--scenario=<name>) a stable, human-readable set of
 /// hostile regimes; per-run variation comes from reseeding `config.seed`.
@@ -142,7 +125,10 @@ class ChaosInjector {
   /// alive forever.
   void attach(std::function<bool()> active);
 
-  const ChaosStats& stats() const { return stats_; }
+  /// Packets the injector dropped, held, delayed or rewrote, all kinds
+  /// together. With metrics on, tapo_chaos_injected_total{kind} counts the
+  /// same packets per kind.
+  std::uint64_t injected() const { return injected_; }
 
  private:
   enum Episode {
@@ -163,6 +149,8 @@ class ChaosInjector {
   void on_data_packet(const net::CapturedPacket& pkt);
   void on_ack_packet(const net::CapturedPacket& pkt);
   void deliver_later(bool data_path, net::CapturedPacket pkt, Duration extra);
+  /// Counts one injected packet in injected_ and, with metrics on, in
+  /// tapo_chaos_injected_total{kind}.
   void count_injected(const char* kind);
 
   Simulator& sim_;
@@ -177,7 +165,7 @@ class ChaosInjector {
   std::vector<net::CapturedPacket> held_acks_;
   net::Seq32 high_end_;     // highest data end-seq seen (retrans detection)
   bool seen_data_ = false;
-  ChaosStats stats_;
+  std::uint64_t injected_ = 0;
 };
 
 }  // namespace tapo::sim

@@ -96,7 +96,7 @@ FlowOutcome run_flow(const FlowScenario& scenario, Rng link_rng,
     out.status = FlowStatus::kTimeCapped;
   }
   if (tracker) out.delivery = tracker->finalize(out.response_bytes);
-  if (chaos) out.chaos_injected = chaos->stats().total_injected();
+  if (chaos) out.chaos_injected = chaos->injected();
   out.invariant_violations = invariant_scope.violations();
   return out;
 }

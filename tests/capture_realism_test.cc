@@ -53,6 +53,22 @@ net::PacketTrace make_trace(std::size_t n) {
   return trace;
 }
 
+/// Turns metrics on for one test and off, zeroed, after it, so the test can
+/// read what the channel counted in tapo_capture_injected_total.
+struct MetricsOn {
+  MetricsOn() {
+    telemetry::disable_and_reset_all();
+    telemetry::set_metrics_enabled(true);
+  }
+  ~MetricsOn() { telemetry::disable_and_reset_all(); }
+};
+
+std::uint64_t injected(const char* kind) {
+  return telemetry::Registry::instance()
+      .counter("tapo_capture_injected_total", {{"kind", kind}})
+      .value();
+}
+
 bool same_record(const net::CapturedPacket& a, const net::CapturedPacket& b) {
   return a.timestamp == b.timestamp && a.key == b.key &&
          a.tcp.seq == b.tcp.seq && a.tcp.ack == b.tcp.ack &&
@@ -69,17 +85,16 @@ TEST(CaptureChannel, OffIsBitIdenticalClone) {
   const auto trace = make_trace(50);
   sim::CaptureImpairments off;
   EXPECT_FALSE(off.enabled());
-  sim::CaptureChannelStats stats;
-  const auto out = sim::apply_impairments(trace, off, &stats);
+  const MetricsOn metrics;
+  const auto out = sim::apply_impairments(trace, off);
   ASSERT_EQ(out.size(), trace.size());
   for (std::size_t i = 0; i < out.size(); ++i) {
     EXPECT_TRUE(same_record(trace[i], out[i])) << "record " << i;
   }
-  EXPECT_EQ(stats.seen, 50u);
-  EXPECT_EQ(stats.delivered, 50u);
-  EXPECT_EQ(stats.dropped + stats.duplicated + stats.truncated +
-                stats.reordered + stats.skipped_head,
-            0u);
+  for (const char* kind :
+       {"mid_stream_skip", "drop", "reorder", "truncate", "duplicate"}) {
+    EXPECT_EQ(injected(kind), 0u) << kind;
+  }
 }
 
 TEST(CaptureChannel, SameSeedSameOutput) {
@@ -96,43 +111,38 @@ TEST(CaptureChannel, SameSeedSameOutput) {
 
 TEST(CaptureChannel, DropRemovesRecords) {
   const auto trace = make_trace(400);
-  sim::CaptureChannelStats stats;
-  const auto out = sim::apply_impairments(
-      trace, {.drop_prob = 0.5}, &stats);
+  const MetricsOn metrics;
+  const auto out = sim::apply_impairments(trace, {.drop_prob = 0.5});
   EXPECT_LT(out.size(), trace.size());
-  EXPECT_GT(stats.dropped, 0u);
-  EXPECT_EQ(stats.delivered, out.size());
-  EXPECT_EQ(stats.seen, trace.size());
+  EXPECT_EQ(injected("drop"), trace.size() - out.size());
 }
 
 TEST(CaptureChannel, BurstDropRemovesRuns) {
   const auto trace = make_trace(400);
-  sim::CaptureChannelStats stats;
+  const MetricsOn metrics;
   const auto out = sim::apply_impairments(
-      trace, {.burst_drop_prob = 0.1, .burst_continue_prob = 0.8}, &stats);
+      trace, {.burst_drop_prob = 0.1, .burst_continue_prob = 0.8});
   EXPECT_LT(out.size(), trace.size());
-  EXPECT_GT(stats.dropped, 0u);
+  EXPECT_EQ(injected("drop"), trace.size() - out.size());
 }
 
 TEST(CaptureChannel, DuplicationEmitsAdjacentIdenticalCopies) {
   const auto trace = make_trace(200);
-  sim::CaptureChannelStats stats;
-  const auto out = sim::apply_impairments(
-      trace, {.dup_prob = 0.5}, &stats);
-  EXPECT_GT(stats.duplicated, 0u);
-  EXPECT_EQ(out.size(), trace.size() + stats.duplicated);
+  const MetricsOn metrics;
+  const auto out = sim::apply_impairments(trace, {.dup_prob = 0.5});
+  const std::uint64_t duplicated = injected("duplicate");
+  EXPECT_GT(duplicated, 0u);
+  EXPECT_EQ(out.size(), trace.size() + duplicated);
   // Every duplicate is adjacent to and identical with its original,
   // timestamp included (mirror-port semantics).
   std::size_t found = 0;
   for (std::size_t i = 1; i < out.size(); ++i) {
     if (same_record(out[i - 1], out[i])) ++found;
   }
-  EXPECT_EQ(found, stats.duplicated);
+  EXPECT_EQ(found, duplicated);
 }
 
 TEST(CaptureChannel, InjectedCounterFollowsTheMetricsSwitch) {
-  auto& duplicates = telemetry::Registry::instance().counter(
-      "tapo_capture_injected_total", {{"kind", "duplicate"}});
   const auto trace = make_trace(200);
   const sim::CaptureImpairments imp{.dup_prob = 0.5};
 
@@ -140,14 +150,12 @@ TEST(CaptureChannel, InjectedCounterFollowsTheMetricsSwitch) {
   telemetry::disable_and_reset_all();
   const auto off = sim::apply_impairments(trace, imp);
   EXPECT_GT(off.size(), trace.size());
-  EXPECT_EQ(duplicates.value(), 0u);
+  EXPECT_EQ(injected("duplicate"), 0u);
 
   // On: one count per extra copy.
-  telemetry::set_metrics_enabled(true);
+  const MetricsOn metrics;
   const auto on = sim::apply_impairments(trace, imp);
-  const std::uint64_t counted = duplicates.value();
-  telemetry::disable_and_reset_all();
-  EXPECT_EQ(counted, on.size() - trace.size());
+  EXPECT_EQ(injected("duplicate"), on.size() - trace.size());
 }
 
 TEST(CaptureChannel, SnaplenCutsTailOptions) {
@@ -156,32 +164,31 @@ TEST(CaptureChannel, SnaplenCutsTailOptions) {
   p.tcp.sack_blocks = {{net::Seq32{2897}, net::Seq32{4345}},
                        {net::Seq32{5793}, net::Seq32{7241}}};
   trace.add(p);
-  sim::CaptureChannelStats stats;
+  const MetricsOn metrics;
   // 40 wire bytes = IPv4 + fixed TCP header: every option is cut.
-  const auto out = sim::apply_impairments(
-      trace, {.snaplen = 40}, &stats);
+  const auto out = sim::apply_impairments(trace, {.snaplen = 40});
   ASSERT_EQ(out.size(), 1u);
   EXPECT_TRUE(out[0].truncated);
   EXPECT_EQ(out[0].tcp.sack_blocks.size(), 0u);
-  EXPECT_EQ(stats.truncated, 1u);
+  EXPECT_EQ(injected("truncate"), 1u);
   // Lengths still reflect the wire packet (pcap reader model).
   EXPECT_EQ(out[0].payload_len, trace[0].payload_len);
 }
 
 TEST(CaptureChannel, ReorderSwapsAdjacentRecords) {
   const auto trace = make_trace(200);
-  sim::CaptureChannelStats stats;
-  const auto out = sim::apply_impairments(
-      trace, {.reorder_prob = 0.5}, &stats);
+  const MetricsOn metrics;
+  const auto out = sim::apply_impairments(trace, {.reorder_prob = 0.5});
   ASSERT_EQ(out.size(), trace.size());
-  EXPECT_GT(stats.reordered, 0u);
+  const std::uint64_t reordered = injected("reorder");
+  EXPECT_GT(reordered, 0u);
   // Same multiset of records: every input appears exactly once.
   std::size_t displaced = 0;
   for (std::size_t i = 0; i < out.size(); ++i) {
     if (!same_record(out[i], trace[i])) ++displaced;
   }
   EXPECT_GT(displaced, 0u);
-  EXPECT_LE(displaced, 2 * stats.reordered);
+  EXPECT_LE(displaced, 2 * reordered);
 }
 
 TEST(CaptureChannel, QuantizeFloorsTimestamps) {
@@ -210,11 +217,10 @@ TEST(CaptureChannel, JitterIsBounded) {
 
 TEST(CaptureChannel, MidStreamStartSkipsHead) {
   const auto trace = make_trace(50);
-  sim::CaptureChannelStats stats;
-  const auto out = sim::apply_impairments(
-      trace, {.skip_first = 3}, &stats);
+  const MetricsOn metrics;
+  const auto out = sim::apply_impairments(trace, {.skip_first = 3});
   ASSERT_EQ(out.size(), trace.size() - 3);
-  EXPECT_EQ(stats.skipped_head, 3u);
+  EXPECT_EQ(injected("mid_stream_skip"), 3u);
   EXPECT_TRUE(same_record(out[0], trace[3]));
 }
 
