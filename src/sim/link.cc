@@ -58,8 +58,9 @@ std::size_t Link::wire_size(const net::CapturedPacket& pkt) const {
 }
 
 Link::~Link() {
-  if (wire_.empty()) return;
-  sim_.pending_ -= wire_.size();
+  const std::size_t held = held_.size() - free_held_.size();
+  if (wire_.empty() && held == 0) return;
+  sim_.pending_ -= wire_.size() + held;
   sim_.drop(this);
 }
 
@@ -131,13 +132,11 @@ void Link::send(net::CapturedPacket pkt) {
       free_held_.pop_back();
       held_[slot] = pkt;
     }
-    sim_.schedule_at(arrive, [this, slot] {
-      // Copy the packet out and free its slot first: the handler may send
-      // on this link, which can reuse the slot or grow the vector.
-      net::CapturedPacket held = held_[slot];
-      free_held_.push_back(slot);
-      deliver(held);
-    });
+    sim_.push({.key = sim_.take_key(arrive),
+               .owner = this,
+               .slot = slot,
+               .kind = Simulator::Kind::kReordered});
+    ++sim_.pending_;
     return;
   }
   // Delivery is FIFO, like a real queue: jitter and delay bursts stretch
@@ -165,6 +164,15 @@ void Link::deliver_head() {
                .owner = this,
                .kind = Simulator::Kind::kLink});
   }
+  deliver(pkt);
+}
+
+void Link::deliver_held(std::uint32_t slot) {
+  // Copy the packet out and free its slot first: the handler may send on
+  // this link, which can reuse the slot or grow the vector.
+  net::CapturedPacket pkt = held_[slot];
+  free_held_.push_back(slot);
+  --sim_.pending_;
   deliver(pkt);
 }
 

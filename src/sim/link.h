@@ -7,11 +7,13 @@
 // Events: delivery is FIFO except for reordered packets, so a link keeps
 // its in-order packets in a ring sorted by (arrival, sequence number) and
 // only the ring's head in the simulator's heap; each packet keeps the key
-// a scheduled delivery would have had. A reordered packet is delivered by
-// an ordinary closure event. The bottleneck queue keeps the key of each
-// packet's departure in a second ring, and the next send retires every
-// departure whose key orders before the event now running, which is when
-// a departure event would have fired. Neither ring allocates once grown.
+// a scheduled delivery would have had. A reordered packet waits in a slot
+// of the link and has a heap entry of its own, with the same kind of key,
+// that names the link and the slot. The bottleneck queue keeps the key of
+// each packet's departure in a second ring, and the next send retires
+// every departure whose key orders before the event now running, which is
+// when a departure event would have fired. Neither ring allocates once
+// grown, nor does the held-packet pool.
 #pragma once
 
 #include <algorithm>
@@ -86,9 +88,8 @@ class Link {
       : sim_(sim), config_(config), rng_(rng) {
     config_.validate();
   }
-  /// Drops the packets still on the ring. The simulator must outlive the
-  /// link, and must not run on after it while a reordered packet's
-  /// closure, which names the link, is still queued.
+  /// Drops the packets still on the ring or held for reordering. The
+  /// simulator must outlive the link.
   ~Link();
   Link(const Link&) = delete;
   Link& operator=(const Link&) = delete;
@@ -163,6 +164,8 @@ class Link {
   void settle_departures();
   /// Pops the ring's head and delivers it (the simulator's kLink event).
   void deliver_head();
+  /// Frees a held slot and delivers its packet (a kReordered event).
+  void deliver_held(std::uint32_t slot);
   void deliver(net::CapturedPacket& pkt);
 
   Simulator& sim_;
@@ -178,9 +181,7 @@ class Link {
   std::size_t queued_ = 0;
   Ring<Simulator::Key> departures_;  // the queued_ packets' departures
   Ring<InFlight> wire_;              // in-order packets, by key
-  // Reordered packets, each in a slot until its delivery closure fires.
-  // That closure holds only `this` and the slot index, so it fits
-  // std::function's inline buffer and scheduling it allocates nothing.
+  // Reordered packets, each in a slot until its kReordered entry fires.
   std::vector<net::CapturedPacket> held_;
   std::vector<std::uint32_t> free_held_;
 };

@@ -66,7 +66,10 @@ void Simulator::drop(const void* owner) {
 bool Simulator::peek_runnable() {
   while (!heap_.empty()) {
     const Entry& head = heap_.front();
-    if (head.kind == Kind::kClosure || head.kind == Kind::kLink) return true;
+    if (head.kind == Kind::kClosure || head.kind == Kind::kLink ||
+        head.kind == Kind::kReordered) {
+      return true;
+    }
     if (head.kind == Kind::kTimer) {
       Timer& t = *static_cast<Timer*>(head.owner);
       // Any other entry of the timer was superseded by an earlier re-arm.
@@ -113,6 +116,9 @@ void Simulator::fire_head() {
     case Kind::kLink:
       static_cast<Link*>(head.owner)->deliver_head();
       break;
+    case Kind::kReordered:
+      static_cast<Link*>(head.owner)->deliver_held(head.slot);
+      break;
     case Kind::kDropped:
       break;  // peek_runnable never leaves one at the head
   }
@@ -134,6 +140,7 @@ void Simulator::check_pending() const {
       case Kind::kLink:
         packets += static_cast<const Link*>(e.owner)->wire_.size();
         break;
+      case Kind::kReordered: ++packets; break;
       case Kind::kDropped: break;
     }
   }

@@ -14,10 +14,14 @@
 //    counting. TCP re-arms its retransmission timer on every ACK, so this
 //    leaves one entry where cancel-and-reschedule left a tombstone per ACK.
 //  - A `Link` (link.h) keeps its in-order packets in a FIFO ring sorted by
-//    key and only the ring's head in the heap.
+//    key and only the ring's head in the heap. Each reordered packet waits
+//    in a slot of the link and has an entry of its own that names the link
+//    and the slot.
 // Any other event is a one-shot closure whose handler lives in a slot that
 // a free list recycles, so scheduling allocates nothing once the slots have
-// grown. Closures cannot be cancelled; a `Timer` can.
+// grown. Closures cannot be cancelled; a `Timer` can. A destroyed Timer or
+// Link takes its pending events with it, so the simulator may run on after
+// either.
 #pragma once
 
 #include <cstdint>
@@ -83,11 +87,18 @@ class Simulator {
   /// Greater than every key that is drawn: a timer with no queued entry.
   static constexpr Key kNoKey{TimePoint::max(), UINT64_MAX};
 
-  enum class Kind : std::uint8_t { kClosure, kTimer, kLink, kDropped };
+  enum class Kind : std::uint8_t {
+    kClosure,
+    kTimer,
+    kLink,       // the head of a link's ring
+    kReordered,  // a reordered packet held by a link
+    kDropped,
+  };
   struct Entry {
     Key key;
     void* owner = nullptr;  // the Timer or Link
-    std::uint32_t slot = 0;  // kClosure: index into slots_
+    // kClosure: index into slots_; kReordered: the link's held-packet slot.
+    std::uint32_t slot = 0;
     Kind kind = Kind::kClosure;
   };
 
@@ -114,8 +125,8 @@ class Simulator {
 #ifdef NDEBUG
   void check_pending() const {}
 #else
-  /// Recounts pending_ from the queue: live closure slots, armed timers and
-  /// the packets on each queued link ring.
+  /// Recounts pending_ from the queue: live closure slots, armed timers,
+  /// the packets on each queued link ring and the reordered packets.
   void check_pending() const;
 #endif
 

@@ -489,6 +489,22 @@ TEST(Link, DestroyedWhileQueuedLeavesNothingDangling) {
   EXPECT_EQ(fired, 1);
 }
 
+TEST(Link, DestroyedWhileReorderedLeavesNothingDangling) {
+  // A reordered packet's delivery names its link; destroying the link takes
+  // that delivery with it, so the simulator can run on.
+  Simulator sim;
+  {
+    LinkConfig cfg;
+    cfg.reorder_prob = 1.0;
+    Link link(sim, cfg, Rng(1));
+    link.set_deliver([](const net::CapturedPacket&) { ADD_FAILURE(); });
+    link.send(test_packet(1, 1000));
+    EXPECT_EQ(sim.pending(), 1u);
+  }
+  ASSERT_EQ(sim.pending(), 0u);
+  EXPECT_EQ(sim.run(), 0u);
+}
+
 
 // --- cancellation: a cancelled timer stops counting as pending at once,
 // and whatever it leaves queued never fires or counts ---
