@@ -8,7 +8,12 @@
 # the same arguments in both, and diffs what they print and write:
 #   - the 19 paper and ablation benches (table*, fig*, ablate_*)
 #   - chaos_storm, robustness_stability, fleet_scale and streaming_scale
-#     (the live analyzer under a memory budget)
+#     (the live analyzer under a memory budget); chaos_storm and
+#     robustness_stability run with --telemetry-out=tel_<name>, and the
+#     tapo_chaos_injected_total and tapo_capture_injected_total lines of
+#     their metrics.prom, the per-kind count of each injected fault, are
+#     kept as <name>_injected.prom (the rest of that file holds wall-clock
+#     gauges, and the other artifacts are traces)
 #   - tapo_agg emit (the shard files' bytes), then tapo_agg merge: the
 #     fleet report and its --prom exposition
 #   - pcap_analyze --demo: the capture's bytes and the --csv files, then
@@ -21,8 +26,10 @@
 # Everything is seeded, so the outputs must match byte for byte. Only the
 # lines that carry wall-clock figures are dropped before the diff, matched
 # by these patterns:
-#   [perf]      the bench runner banner (wall s, flows/s, worker s)
-#   records/s   fleet_scale's emit and ingest throughput lines
+#   [perf]       the bench runner banner (wall s, flows/s, worker s)
+#   records/s    fleet_scale's emit and ingest throughput lines
+#   [telemetry]  the artifact lines of the two runs above (trace event
+#                and drop counts)
 # streaming_scale's two durations ("in N.NNs") are masked in place
 # instead, so its flow, packet, peak and eviction figures are still
 # compared.
@@ -64,7 +71,9 @@ examples=(quickstart srto_ab service_comparison)
 targets=("${benches[@]}" "${harnesses[@]}" "${examples[@]}" tapo_agg pcap_analyze)
 
 # Lines carrying wall-clock figures (see the header).
-strip='\[perf\]|records/s\b'
+strip='\[perf\]|records/s\b|\[telemetry\]'
+# The harnesses whose injected-fault counts are compared.
+counted=(chaos_storm robustness_stability)
 
 build() {  # <source dir> <build dir>
   cmake -B "$2" -S "$1" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -88,7 +97,14 @@ collect() {
   mkdir -p "${out}"
   cd "${out}"
   for b in "${benches[@]}" "${harnesses[@]}"; do
-    run "${b}.txt" "${bin}/bench/${b}"
+    if [[ " ${counted[*]} " == *" ${b} "* ]]; then
+      run "${b}.txt" "${bin}/bench/${b}" "--telemetry-out=tel_${b}"
+      grep -E '^tapo_(chaos|capture)_injected_total' "tel_${b}/metrics.prom" \
+        >"${b}_injected.prom" || true
+      rm -rf "tel_${b}"
+    else
+      run "${b}.txt" "${bin}/bench/${b}"
+    fi
   done
   local agg="${bin}/tools/tapo_agg/tapo_agg"
   run tapo_agg_emit.txt "${agg}" emit --out=shards --shards=4 --flows=25
