@@ -794,15 +794,18 @@ void FlowMimic::run(FlowAnalysis& out) {
   record_capture_quality(quality_);
 
   // Average speed over the *active* data phase: first payload transmission
-  // to flow end, minus stalled time — i.e. the transfer rate the service
-  // delivers while actually moving data.
+  // to flow end, minus the stalled time inside it — i.e. the transfer rate
+  // the service delivers while actually moving data. A stall before the
+  // first payload (a back-end fetch that ends in it) lies outside the
+  // phase and is not subtracted.
   if (!segs_.empty() && !annos_.empty()) {
-    const Duration data_phase = annos_.back().ts - segs_.front().first_tx;
-    // Stalls that straddle the start of the data phase (e.g. a back-end
-    // fetch ending in the first data packet) can push `active` to zero;
-    // fall back to the raw data-phase rate then.
-    Duration active = data_phase - out.stalled_time;
-    if (active <= Duration::zero()) active = data_phase;
+    const TimePoint data_start = segs_.front().first_tx;
+    Duration active = annos_.back().ts - data_start;
+    for (const StallRecord& s : out.stalls) {
+      const TimePoint from = std::max(s.start, data_start);
+      const TimePoint to = s.start + s.duration;
+      if (to > from) active -= to - from;
+    }
     if (active > Duration::zero()) {
       out.avg_speed_Bps = static_cast<double>(out.unique_bytes) / active.sec();
     }

@@ -137,14 +137,14 @@ std::string hex(std::uint64_t v) {
 // Ten-second fleet windows hold 20 flows at RecordSink's 500 ms spacing,
 // so every run spans enough windows for the regression watch to flag.
 const GoldenCase kCases[] = {
-    {"CloudStorage", cloud_storage_profile, 300, false, 0xf4ae9f96a0e34af0,
+    {"CloudStorage", cloud_storage_profile, 300, false, 0xbc829b02dbe0f702,
      0xa8f971cd7f163b26, 0x8508e361e20404fc},
     {"SoftwareDownload", software_download_profile, 1000, false,
-     0xbb242a9800cb0162, 0xab21059ecc417948, 0x6d0d8efa9c3d324d},
-    {"WebSearch", web_search_profile, 3000, false, 0x408c318381e10fc6,
+     0xc8fed654890f782c, 0xab21059ecc417948, 0x6d0d8efa9c3d324d},
+    {"WebSearch", web_search_profile, 3000, false, 0x2d262d23cc81c7fa,
      0xd897aed61a89b70f, 0x99c51887b34abd26},
     {"CloudStorageDupQuantized", cloud_storage_profile, 150, true,
-     0x1f51851fa13a1074, 0x89221f0806651cca, 0x614a899173ff689e},
+     0xccb0aa8a979f73cd, 0x89221f0806651cca, 0x614a899173ff689e},
 };
 
 class AnalysisGolden : public ::testing::TestWithParam<GoldenCase> {};

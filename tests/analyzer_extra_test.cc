@@ -98,6 +98,28 @@ TEST(AnalyzerExtra, SpeedExcludesStalledTime) {
   EXPECT_NEAR(fa.avg_speed_Bps, 4000.0 / 0.2, 200.0);
 }
 
+TEST(AnalyzerExtra, SpeedIgnoresStallsBeforeTheDataPhase) {
+  // A 0.5 s server-think stall ends at the first data packet; the 2 s data
+  // phase after it holds no stall, so all of it is active.
+  FlowBuilder b;
+  b.handshake();
+  b.request(0.1);
+  const auto at_ms = [](int ms) { return ms / 1000.0; };
+  for (int k = 0; k < 20; ++k) {
+    b.data(at_ms(600 + 100 * k), k);
+    b.ack(at_ms(700 + 100 * k), FlowBuilder::seg(k + 1));
+  }
+  for (const double tau : {2.0, 3.0}) {
+    SCOPED_TRACE("tau " + std::to_string(tau));
+    const auto fa = b.analyze({.tau = tau});
+    ASSERT_EQ(fa.stalls.size(), 1u);
+    EXPECT_EQ(fa.stalls[0].cause, StallCause::kDataUnavailable);
+    EXPECT_EQ(fa.stalls[0].duration, Duration::millis(500));
+    EXPECT_EQ(fa.unique_bytes, 20'000u);
+    EXPECT_EQ(fa.avg_speed_Bps, static_cast<double>(fa.unique_bytes) / 2.0);
+  }
+}
+
 TEST(AnalyzerExtra, UmbrellaHeaderTypesUsable) {
   // Smoke-check that every module surfaced by tapo/tapo.h is reachable.
   workload::ExperimentConfig cfg;
