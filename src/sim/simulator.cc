@@ -66,10 +66,7 @@ void Simulator::drop(const void* owner) {
 bool Simulator::peek_runnable() {
   while (!heap_.empty()) {
     const Entry& head = heap_.front();
-    if (head.kind == Kind::kClosure || head.kind == Kind::kLink ||
-        head.kind == Kind::kReordered) {
-      return true;
-    }
+    if (head.kind != Kind::kTimer && head.kind != Kind::kDropped) return true;
     if (head.kind == Kind::kTimer) {
       Timer& t = *static_cast<Timer*>(head.owner);
       // Any other entry of the timer was superseded by an earlier re-arm.

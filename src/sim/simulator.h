@@ -87,12 +87,10 @@ class Simulator {
   /// Greater than every key that is drawn: a timer with no queued entry.
   static constexpr Key kNoKey{TimePoint::max(), UINT64_MAX};
 
+  // kLink stands for the head of a link's ring, kReordered for one packet
+  // the link holds for reordering.
   enum class Kind : std::uint8_t {
-    kClosure,
-    kTimer,
-    kLink,       // the head of a link's ring
-    kReordered,  // a reordered packet held by a link
-    kDropped,
+    kClosure, kTimer, kLink, kReordered, kDropped
   };
   struct Entry {
     Key key;

@@ -300,6 +300,7 @@ class FlowMimic {
   void process_client_packet(const PacketView& p, PktAnno& a,
                              FlowAnalysis& out);
   void snapshot(PktAnno& a) const;
+  /// Feeds one RTT sample to the RTO estimator and to the RTT mean.
   void sample_rtt(Duration rtt) {
     rto_.sample(rtt);
     rtt_sum_us_ += static_cast<double>(rtt.us());
@@ -586,8 +587,7 @@ void FlowMimic::process_client_packet(const PacketView& p, PktAnno& a,
   // Handshake RTT seed (SYN-ACK -> first client ACK), as the kernel does.
   if (saw_synack_ && !handshake_sampled_ && p.flags.ack) {
     handshake_sampled_ = true;
-    const Duration rtt = p.ts - synack_ts_;
-    sample_rtt(rtt);
+    sample_rtt(p.ts - synack_ts_);
   }
 
   rwnd_scaled_ = static_cast<std::uint32_t>(p.window) << view_.client_wscale;
