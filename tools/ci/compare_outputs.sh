@@ -38,8 +38,12 @@
 # build error.
 #
 # The base ref is extracted with `git archive` (no worktree is
-# registered). JOBS sets the build parallelism; TAPO_BENCH_FLOWS, when
-# set, scales the benches in both trees alike.
+# registered). Its build tree is kept for the next run against the same
+# commit and deleted before a run against another: `git archive` stamps
+# every file with its commit's time, so a build of a later base would
+# look up to date and run that base's binaries. JOBS sets the build
+# parallelism; TAPO_BENCH_FLOWS, when set, scales the benches in both
+# trees alike.
 set -euo pipefail
 
 if [ $# -ne 1 ]; then
@@ -128,6 +132,10 @@ echo "=== extracting ${base_ref} ==="
 rm -rf "${work}/base-src"
 mkdir -p "${work}/base-src"
 git archive "${base_ref}" | tar -x -C "${work}/base-src"
+base_commit="$(git rev-parse "${base_ref}^{commit}")"
+if [ "$(cat "${work}/base-build/.commit" 2>/dev/null)" != "${base_commit}" ]; then
+  rm -rf "${work}/base-build"
+fi
 
 echo "=== building ${base_ref} and the working tree ==="
 for side in base head; do
@@ -138,6 +146,7 @@ for side in base head; do
     exit 2
   }
 done
+echo "${base_commit}" >"${work}/base-build/.commit"
 
 echo "=== running ==="
 collect "${work}/base-build" "${work}/base-out"
