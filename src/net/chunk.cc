@@ -49,6 +49,11 @@ CapturedPacket& TraceChunk::append() {
   return *::new (&slots_[size_++]) CapturedPacket{};
 }
 
+void TraceChunk::add(const CapturedPacket& pkt) {
+  assert(size_ < cap_);
+  ::new (&slots_[size_++]) CapturedPacket(pkt);
+}
+
 void TraceChunk::pop_back() {
   if (size_ > 0) --size_;
 }
@@ -67,7 +72,7 @@ void ChunkedTrace::emit(TraceChunk&& chunk) {
   }
 }
 
-CapturedPacket& ChunkedTrace::append() {
+TraceChunk& ChunkedTrace::claim_open() {
   if (open_.capacity() == 0) {
     open_ = TraceChunk(chunk_packets_, budget_);
   } else if (open_.full()) {
@@ -78,8 +83,12 @@ CapturedPacket& ChunkedTrace::append() {
     open_ = TraceChunk(chunk_packets_, budget_);
   }
   ++size_;
-  return open_.append();
+  return open_;
 }
+
+CapturedPacket& ChunkedTrace::append() { return claim_open().append(); }
+
+void ChunkedTrace::add(const CapturedPacket& pkt) { claim_open().add(pkt); }
 
 void ChunkedTrace::pop_back() {
   if (open_.empty()) return;

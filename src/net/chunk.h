@@ -44,6 +44,9 @@ class TraceChunk {
 
   /// Claims the next slot. Precondition: !full().
   CapturedPacket& append();
+  /// Appends a copy of `pkt`, constructed in the slot. Precondition:
+  /// !full().
+  void add(const CapturedPacket& pkt);
   /// Drops the most recently appended packet (TraceBuilder rollback).
   void pop_back();
 
@@ -82,7 +85,8 @@ class ChunkedTrace {
                         util::MemoryBudget* budget = nullptr);
 
   CapturedPacket& append();
-  void add(const CapturedPacket& pkt) { append() = pkt; }
+  /// Appends a copy of `pkt`, constructed in the slot.
+  void add(const CapturedPacket& pkt);
   /// Drops the most recently appended packet. Lazy sealing guarantees it
   /// still lives in the open chunk.
   void pop_back();
@@ -108,6 +112,8 @@ class ChunkedTrace {
 
  private:
   void emit(TraceChunk&& chunk);
+  /// The open chunk, with room for one more packet (counted in size()).
+  TraceChunk& claim_open();
 
   std::size_t chunk_packets_;
   ChunkSink sink_;

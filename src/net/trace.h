@@ -9,8 +9,8 @@
 //
 // Memory layout: CapturedPacket is a trivially copyable POD (no heap
 // pointers — SACK blocks are inline in the TcpHeader), and a PacketTrace is
-// a contiguous arena of them. Capacity is raw storage that append()
-// initializes slot by slot, growth relocates the live slots with one
+// a contiguous arena of them. Capacity is raw storage that append() and
+// add() construct slot by slot, growth relocates the live slots with one
 // memcpy, consumers read through std::span views, and whole traces move
 // between pipeline stages (simulator -> analyzer -> sink) by pointer swap,
 // never by copying packets. View lifetime rule: spans/indices into the
@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <new>
 #include <span>
 #include <string>
 #include <type_traits>
@@ -110,7 +111,11 @@ class PacketTrace {
   /// point and the pcap reader.
   CapturedPacket& append();
 
-  void add(const CapturedPacket& pkt) { append() = pkt; }
+  /// Appends a copy of `pkt`, constructed in the slot.
+  void add(const CapturedPacket& pkt) {
+    if (size_ == cap_) grow_to(size_ + 1);
+    ::new (&slots_[size_++]) CapturedPacket(pkt);
+  }
   void reserve(std::size_t n) { grow_to(n); }
   /// Drops the most recently appended packet (TraceBuilder rollback).
   void pop_back();

@@ -64,7 +64,9 @@ struct FlowView {
 
 struct DemuxOptions {
   /// The server's port; 0 auto-detects (the endpoint that sent a SYN-ACK,
-  /// falling back to the endpoint with more payload bytes).
+  /// falling back to the endpoint with more payload bytes). The port
+  /// decides only a flow in which exactly one endpoint uses it; any other
+  /// flow falls back to the same SYN-ACK and payload evidence.
   std::uint16_t server_port = 0;
 };
 
@@ -99,10 +101,11 @@ class FlowViewSet {
 };
 
 /// The demux engine behind every analysis path. Packets fold in one at a
-/// time, in place — per canonical key it accumulates membership (packet
-/// addresses) and orientation evidence (payload per endpoint, SYN-ACK
-/// sightings) — and finish() orients each kept flow, in first-packet
-/// order, and extracts its meta.
+/// time, in place, and each is read once: per canonical key it accumulates
+/// membership (packet addresses), orientation evidence (payload per
+/// endpoint, SYN-ACK sightings) and the handshake meta under both possible
+/// orientations. finish() orients each flow, in first-packet order, and
+/// keeps the meta of the orientation it chose.
 class FlowAccumulator {
  public:
   explicit FlowAccumulator(const DemuxOptions& opts);
@@ -119,22 +122,30 @@ class FlowAccumulator {
   FlowViewSet finish();
 
  private:
-  /// Per-flow tallies; packet membership lives in packet_of_/slot_of_ and
-  /// is scattered into the FlowViewSet pool by finish().
+  /// Per-flow tallies. Endpoint a is canonical.src. Packet membership
+  /// lives in packet_of_ (and slot_of_, once a second flow exists) and
+  /// becomes the FlowViewSet pool in finish().
   struct Accum {
     net::FlowKey canonical;
     std::uint32_t count = 0;
     std::uint32_t offset = 0;  // filled by finish()'s prefix sum
-    // Per-endpoint bookkeeping keyed by "is packet's src == canonical.src".
     std::uint64_t payload_a = 0, payload_b = 0;
     bool synack_from_a = false, synack_from_b = false;
+    /// The meta folded as if the server were a, and as if it were b.
+    FlowView meta_a, meta_b;
   };
 
   DemuxOptions opts_;
   std::unordered_map<net::FlowKey, std::uint32_t, net::FlowKeyHash> table_;
   std::vector<Accum> accums_;
-  std::vector<std::uint32_t> slot_of_;  // per ingested packet: flow slot
+  /// Per ingested packet: its flow slot, kept only from the second flow on
+  /// (a one-flow demux needs no scatter).
+  std::vector<std::uint32_t> slot_of_;
   std::vector<const net::CapturedPacket*> packet_of_;  // ... and its address
+  /// The previous packet's flow: its slot and both directions of its key,
+  /// so a run of one connection skips canonical() and the table.
+  std::uint32_t run_slot_ = 0;
+  net::FlowKey run_a_, run_b_;
 };
 
 /// Splits `trace` into non-owning per-flow views without copying a single

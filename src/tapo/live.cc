@@ -106,9 +106,9 @@ void LiveAnalyzer::evict_for(TimePoint now, std::size_t incoming,
   if (budget == nullptr || budget->unlimited()) return;
   const std::size_t soft = soft_limit();
   while (budget->resident() + incoming > soft && !lru_.empty()) {
-    if (keep != nullptr && lru_.front() == *keep) break;
+    if (keep != nullptr && lru_.front().key == *keep) break;
     const std::size_t before = budget->resident();
-    evict(lru_.front(), now);
+    evict(lru_.front().key, now);
     if (budget->resident() >= before) break;  // other stages hold the rest
   }
 }
@@ -123,18 +123,12 @@ void LiveAnalyzer::update_resident_gauge() {
 void LiveAnalyzer::reap(TimePoint now) {
   // Finalize idle / lingering-after-FIN flows from the LRU front.
   while (!lru_.empty()) {
-    const net::FlowKey key = lru_.front();
-    const auto it = flows_.find(key);
-    if (it == flows_.end()) {
-      lru_.pop_front();
-      continue;
-    }
-    const Entry& e = it->second;
-    const Duration idle = now - e.last_activity;
+    const LruNode front = lru_.front();
+    const Duration idle = now - front.entry->last_activity;
     const bool idle_out = idle >= config_.idle_timeout;
-    const bool fin_out = e.fin_seen && idle >= config_.fin_linger;
+    const bool fin_out = front.entry->fin_seen && idle >= config_.fin_linger;
     if (!idle_out && !fin_out) break;  // LRU front is freshest of the stale
-    finalize(key);
+    finalize(front.key);
   }
 }
 
@@ -144,7 +138,7 @@ void LiveAnalyzer::add_packet(const net::CapturedPacket& pkt) {
 
   auto [it, inserted] = flows_.try_emplace(key);
   if (inserted) {
-    lru_.push_back(key);
+    lru_.push_back({key, &it->second});
     it->second.lru_it = std::prev(lru_.end());
   } else {
     // Move to the back of the LRU; splicing relinks the node in place, so
@@ -169,7 +163,7 @@ void LiveAnalyzer::add_packet(const net::CapturedPacket& pkt) {
           !it->second.trace.empty()) {
         evict(key, pkt.timestamp);  // invalidates `it`
         it = flows_.try_emplace(key).first;
-        lru_.push_back(key);
+        lru_.push_back({key, &it->second});
         it->second.lru_it = std::prev(lru_.end());
       }
     }
@@ -194,7 +188,7 @@ void LiveAnalyzer::add_chunk(const net::TraceChunk& chunk) {
 }
 
 void LiveAnalyzer::flush() {
-  while (!lru_.empty()) finalize(lru_.front());
+  while (!lru_.empty()) finalize(lru_.front().key);
   stats_.active_flows = 0;
   RunStats rs;
   rs.flows = sink_ordinal_;

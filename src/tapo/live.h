@@ -97,12 +97,20 @@ class LiveAnalyzer {
   const LiveStats& stats() const { return stats_; }
 
  private:
+  struct Entry;
+  /// An LRU node: the flow's key and its table entry. unordered_map keeps
+  /// element addresses across a rehash, so `entry` stays valid until the
+  /// flow is erased, and reaping reads the front without a lookup.
+  struct LruNode {
+    net::FlowKey key;
+    Entry* entry = nullptr;
+  };
   struct Entry {
     net::PacketTrace trace;
     TimePoint last_activity;
     std::size_t charged_bytes = 0;  // what this flow holds in the budget
     bool fin_seen = false;
-    std::list<net::FlowKey>::iterator lru_it;
+    std::list<LruNode>::iterator lru_it;
   };
 
   /// Ledger charge per tracked flow beyond its packet arena (hash-table
@@ -132,8 +140,8 @@ class LiveAnalyzer {
   Analyzer analyzer_;
 
   std::unordered_map<net::FlowKey, Entry, net::FlowKeyHash> flows_;
-  /// LRU order: front = least recently active.
-  std::list<net::FlowKey> lru_;
+  /// Every tracked flow, least recently active at the front.
+  std::list<LruNode> lru_;
   LiveStats stats_;
 };
 

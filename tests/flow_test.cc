@@ -82,6 +82,32 @@ TEST(Demux, ServerPortOptionOverrides) {
   EXPECT_EQ(flows[0].server_to_client.src_port, 8080);
 }
 
+TEST(Demux, ServerPortFallsBackWhenNeitherEndpointUsesIt) {
+  // 10.0.0.9:5555 connects to 10.0.0.5:443. A server port that neither
+  // endpoint uses must not decide the orientation: the handshake does.
+  constexpr std::uint32_t kClient = 0x0a000009, kServer = 0x0a000005;
+  net::PacketTrace trace;
+  auto syn = pkt(1, kClient, kServer, 5555, 443);
+  syn.tcp.flags = net::TcpFlags{};
+  syn.tcp.flags.syn = true;
+  trace.add(syn);
+  auto synack = pkt(2, kServer, kClient, 443, 5555);
+  synack.tcp.flags.syn = true;
+  trace.add(synack);
+  trace.add(pkt(3, kServer, kClient, 443, 5555, 1000));
+  for (const std::uint16_t port : {0, 80, 443}) {
+    SCOPED_TRACE(port);
+    DemuxOptions opts;
+    opts.server_port = port;
+    const auto flows = demux_flow_views(trace, opts);
+    ASSERT_EQ(flows.size(), 1u);
+    EXPECT_EQ(flows[0].server_to_client,
+              (net::FlowKey{kServer, kClient, 443, 5555}));
+    EXPECT_TRUE(flows[0].saw_syn);
+    EXPECT_TRUE(flows[0].saw_synack);
+  }
+}
+
 TEST(Demux, HandshakeParamsExtracted) {
   net::PacketTrace trace;
   auto syn = pkt(1, 10, 20, 1111, 80);

@@ -102,6 +102,36 @@ TEST(Live, IdleTimeoutWithoutFin) {
   EXPECT_EQ(live.stats().active_flows, 1u);
 }
 
+TEST(Live, IdleReapFollowsLeastRecentActivity) {
+  LiveConfig cfg;
+  cfg.idle_timeout = Duration::seconds(5.0);
+  AnalysisCollector sink;
+  LiveAnalyzer live(cfg, sink);
+  auto pkt = [](std::int64_t us, std::uint16_t port) {
+    net::CapturedPacket p;
+    p.timestamp = TimePoint::from_us(us);
+    p.key = {1, 2, port, 80};
+    p.payload_len = 10;
+    p.tcp.flags.ack = true;
+    return p;
+  };
+  live.add_packet(pkt(0, 1));     // flow A
+  live.add_packet(pkt(1000, 2));  // flow B
+  live.add_packet(pkt(2000, 3));  // flow C
+  live.add_packet(pkt(3000, 1));  // touch A: B, then C, are least recent
+  EXPECT_TRUE(sink.analyses.empty());
+  // Flow D arrives past the idle timeout of all three.
+  live.add_packet(pkt(10'000'000, 4));
+  std::vector<std::uint16_t> finalized_ports;
+  for (const auto& fa : sink.analyses) {
+    finalized_ports.push_back(fa.key.src_port == 80 ? fa.key.dst_port
+                                                    : fa.key.src_port);
+  }
+  EXPECT_EQ(finalized_ports, (std::vector<std::uint16_t>{2, 3, 1}));
+  EXPECT_EQ(live.stats().active_flows, 1u);
+  EXPECT_EQ(live.stats().budget_evictions, 0u);
+}
+
 /// Budget whose soft limit, half of it, holds exactly `flows` first
 /// arenas: 64 packet slots plus the analyzer's 512-byte per-flow charge.
 std::size_t first_arena_budget(std::size_t flows) {

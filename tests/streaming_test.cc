@@ -246,7 +246,7 @@ TEST(ChunkedDemux, AnalyzeAppliesDemuxOptionsLikeTheViewPath) {
   const net::FlowKey first = all[0].server_to_client;
 
   // The real server port, then the first flow's client port (which flips
-  // every flow's orientation).
+  // that flow's orientation; no other flow uses it).
   for (const std::uint16_t port : {first.src_port, first.dst_port}) {
     SCOPED_TRACE(port);
     const DemuxOptions opts{.server_port = port};

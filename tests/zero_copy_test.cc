@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <random>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "pcap/pcap.h"
@@ -17,6 +18,7 @@
 #include "workload/profiles.h"
 
 #include "support/expect_same_analysis.h"
+#include "support/reference_demux.h"
 
 namespace tapo::analysis {
 namespace {
@@ -98,6 +100,54 @@ TEST(ZeroCopyProperty, HoldsOnShuffledCaptureOrder) {
     ASSERT_GT(base.size(), 0u);
     const net::PacketTrace garbled = shuffled(base, /*seed=*/5);
     expect_batch_matches_per_view(garbled);
+  }
+}
+
+/// Asserts that `views` holds, view by view, what the two-pass reference
+/// gives: every FlowView field and the same packet pointers in order.
+void expect_views_match_reference(const FlowViewSet& views,
+                                  const std::vector<test::ReferenceFlow>& ref) {
+  ASSERT_EQ(views.size(), ref.size());
+  for (std::size_t i = 0; i < views.size(); ++i) {
+    SCOPED_TRACE(i);
+    const FlowView& v = views[i];
+    const FlowView& r = ref[i].meta;
+    EXPECT_EQ(v.server_to_client, r.server_to_client);
+    EXPECT_EQ(v.saw_syn, r.saw_syn);
+    EXPECT_EQ(v.saw_synack, r.saw_synack);
+    EXPECT_EQ(v.server_isn, r.server_isn);
+    EXPECT_EQ(v.mss, r.mss);
+    EXPECT_EQ(v.client_wscale, r.client_wscale);
+    EXPECT_EQ(v.syn_window, r.syn_window);
+    EXPECT_EQ(v.init_rwnd_bytes, r.init_rwnd_bytes);
+    EXPECT_EQ(v.mid_stream, r.mid_stream);
+    EXPECT_EQ(v.saw_server_data, r.saw_server_data);
+    EXPECT_EQ(v.first_server_data_seq, r.first_server_data_seq);
+    EXPECT_TRUE(std::ranges::equal(v.packets, ref[i].packets));
+  }
+}
+
+TEST(ZeroCopyProperty, OnePassDemuxMatchesTwoPassReference) {
+  // The accumulator folds each packet's meta as it arrives and skips the
+  // table within a run of one connection; the reference walks each flow
+  // after membership is known. Sorted captures are mostly runs, shuffled
+  // ones almost never are.
+  for (const auto& [name, profile] : all_profiles()) {
+    SCOPED_TRACE(name);
+    net::PacketTrace sorted = merged_trace(profile, /*seed=*/1234, 6);
+    ASSERT_GT(sorted.size(), 0u);
+    const net::PacketTrace garbled = shuffled(sorted, /*seed=*/5);
+    sorted.sort_by_time();
+    for (const net::PacketTrace* trace : {&std::as_const(sorted), &garbled}) {
+      SCOPED_TRACE(trace == &sorted ? "sorted" : "shuffled");
+      for (const std::uint16_t port : {0, 80}) {
+        SCOPED_TRACE(port);
+        const DemuxOptions opts{.server_port = port};
+        expect_views_match_reference(
+            demux_flow_views(*trace, opts),
+            test::reference_demux(trace->packets(), opts));
+      }
+    }
   }
 }
 

@@ -18,7 +18,9 @@
 #     fleet report and its --prom exposition
 #   - pcap_analyze --demo: the capture's bytes and the --csv files, then
 #     the capture analyzed with --summary, --live, --mem-budget 65536 and
-#     --tau 3 --server-port 80
+#     --tau 3 --server-port 80; the --live and --mem-budget runs also write
+#     --csv files (live_*.csv, budget_*.csv), so the live path is compared
+#     flow by flow, in finalize order, not only by its aggregates
 #   - the example CLIs that drive the sender outside the benches:
 #     quickstart 0.08 150 60000, srto_ab web 300 0.05, srto_ab cloud 100
 #     and service_comparison
@@ -117,8 +119,9 @@ collect() {
   local pa="${bin}/examples/pcap_analyze"
   run pcap_demo_csv.txt "${pa}" --demo demo.pcap --csv demo
   run pcap_summary.txt "${pa}" demo.pcap --summary
-  run pcap_live.txt "${pa}" demo.pcap --live --summary
-  run pcap_budget.txt "${pa}" demo.pcap --mem-budget 65536 --summary
+  run pcap_live.txt "${pa}" demo.pcap --live --csv live --summary
+  run pcap_budget.txt "${pa}" demo.pcap --mem-budget 65536 --csv budget \
+    --summary
   run pcap_tau_port.txt "${pa}" demo.pcap --tau 3 --server-port 80 --summary
   local ex="${bin}/examples"
   run quickstart.txt "${ex}/quickstart" 0.08 150 60000
@@ -154,8 +157,8 @@ collect "${work}/head-build" "${work}/head-out"
 
 # Drop the wall-clock lines from every text output and mask
 # streaming_scale's durations, then compare the two trees file by file.
-# The shard files, the demo capture and the CSVs are compared byte for
-# byte.
+# The shard files, the demo capture and the CSVs (batch, live and
+# budgeted) are compared byte for byte.
 for f in "${work}"/{base,head}-out/*.txt; do
   grep -Ev "${strip}" "${f}" >"${f}.kept" || true
   mv "${f}.kept" "${f}"
